@@ -8,6 +8,7 @@ check, 1 when a bound or witness validation fails, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -41,10 +42,14 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 
-def _read_text(path):
+def _open_text(path):
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="ascii") as fh:
+        return contextlib.nullcontext(sys.stdin)
+    return open(path, "r", encoding="ascii")
+
+
+def _read_text(path):
+    with _open_text(path) as fh:
         return fh.read()
 
 
@@ -113,10 +118,6 @@ def _build_parser():
         description="Constructions, bounds and exhaustive checks for the maximum "
         "radius of connected graphs with degree and girth floors.",
     )
-    parser.add_argument(
-        "--seed", type=int, default=None,
-        help="accepted for interface stability; every operation is deterministic",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="build a named graph family member")
@@ -167,7 +168,6 @@ def _build_parser():
     f.add_argument("--input-format", choices=("graph6", "edgelist"), default="graph6")
     f.add_argument("--k", type=int, required=True)
     f.add_argument("--budget", type=int, default=10**6)
-    f.add_argument("--jobs", type=int, default=None, help="accepted; search is sequential")
     f.add_argument("--pretty", action="store_true")
 
     p = sub.add_parser("search", help="exhaustive enumeration and stream checks")
@@ -289,8 +289,8 @@ def _cmd_search(args):
         table = verify_theorem_main_small(args.n_max, deltas, jobs=args.jobs)
         _print_json(table, args.pretty)
         return EXIT_OK if table["all_equal"] else EXIT_CHECK_FAILED
-    lines = _read_text(args.input).splitlines()
-    report = stream_verify(lines, args.delta, args.g)
+    with _open_text(args.input) as fh:
+        report = stream_verify(fh, args.delta, args.g)
     _print_json(report, args.pretty)
     return EXIT_OK if not report["bound_violations"] else EXIT_CHECK_FAILED
 

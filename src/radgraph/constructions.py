@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 from .graph import (
     Graph,
+    _geodesic,
     ball,
     bfs,
     bridges,
@@ -198,17 +199,6 @@ def glue_spec(H: Graph, m: int) -> GlueSpec:
     return GlueSpec(H, m, _lex_smallest_non_bridge(H))
 
 
-def _geodesic_to(G: Graph, dist, target) -> list:
-    """Walk BFS distances back from target, lowest-index parent first."""
-    path = [target]
-    cur = target
-    while dist[cur] > 0:
-        cur = min(w for w in G.adj[cur] if dist[w] == dist[cur] - 1)
-        path.append(cur)
-    path.reverse()
-    return path
-
-
 def extract_dense_subgraph(G: Graph, k: int) -> ExtractionResult:
     """Locate a small vertex ball whose induced subgraph is provably dense.
 
@@ -233,7 +223,7 @@ def extract_dense_subgraph(G: Graph, k: int) -> ExtractionResult:
     dist = bfs(G, center).dist
     r = ms.radius
     target = min(v for v in range(G.n) if dist[v] == r)
-    geodesic = _geodesic_to(G, dist, target)
+    geodesic = _geodesic(G, dist, target)
     balls = [ball(G, v, k) for v in geodesic]
     chosen = min(range(len(balls)), key=lambda i: (len(balls[i]), i))
     sub, vmap = induced_subgraph(G, balls[chosen])

@@ -51,6 +51,15 @@ class Graph:
         self.edge_count = edge_count
         self._cache: dict = {}
 
+    @property
+    def rows(self) -> tuple:
+        """Adjacency bitmasks: bit w of ``rows[v]`` is set when v ~ w."""
+        rows = self._cache.get("rows")
+        if rows is None:
+            rows = tuple(sum(1 << w for w in row) for row in self.adj)
+            self._cache["rows"] = rows
+        return rows
+
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
@@ -128,6 +137,30 @@ def build_graph(n: int, edges) -> Graph:
         rows[v].append(u)
     adj = tuple(tuple(sorted(row)) for row in rows)
     return Graph(n, adj, len(seen))
+
+
+def _reach(rows, seen, limit):
+    """Sweep BFS frontiers out from the vertex mask ``seen`` over the
+    adjacency bitmasks ``rows``, for at most ``limit`` levels.
+
+    Returns (reached mask, levels taken).  A sweep that ends before
+    ``limit`` has reached the whole component of ``seen``, and its level
+    count is then the eccentricity of that source set.
+    """
+    frontier = seen
+    levels = 0
+    while levels < limit:
+        nxt = 0
+        while frontier:
+            b = frontier & -frontier
+            frontier ^= b
+            nxt |= rows[b.bit_length() - 1]
+        frontier = nxt & ~seen
+        if not frontier:
+            break
+        seen |= frontier
+        levels += 1
+    return seen, levels
 
 
 def bfs(G: Graph, v: int) -> DistanceVector:
@@ -224,13 +257,7 @@ def metric_summary(G: Graph) -> MetricSummary:
 
 def is_connected(G: Graph) -> bool:
     """True when the graph has a single component (vacuously for n <= 1)."""
-    if G.n <= 1:
-        return True
-    cached = G._cache.get("connected")
-    if cached is None:
-        cached = _distances(G.adj, 0, G.n).count(UNREACHABLE) == 0
-        G._cache["connected"] = cached
-    return cached
+    return G.n <= 1 or _reach(G.rows, 1, G.n)[0] == (1 << G.n) - 1
 
 
 def is_triangle_free(G: Graph) -> bool:
@@ -238,36 +265,43 @@ def is_triangle_free(G: Graph) -> bool:
     return metric_summary(G).girth > 3
 
 
-def _limited_reach(G, v, k):
+def _ball_mask(G, v, k):
     if not 0 <= v < G.n:
         raise ValueError(f"vertex {v} out of range for graph on {G.n} vertices")
     if k < 0:
         raise ValueError(f"radius must be non-negative, got {k}")
-    dist = {v: 0}
-    frontier = [v]
-    for _ in range(k):
-        nxt = []
-        for u in frontier:
-            for w in G.adj[u]:
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    nxt.append(w)
-        if not nxt:
-            break
-        frontier = nxt
-    return dist, frontier
+    return _reach(G.rows, 1 << v, k)[0]
+
+
+def _members(mask):
+    out = set()
+    while mask:
+        b = mask & -mask
+        out.add(b.bit_length() - 1)
+        mask ^= b
+    return out
 
 
 def ball(G: Graph, v: int, k: int) -> set:
     """The set { w : d(v, w) <= k }."""
-    dist, _ = _limited_reach(G, v, k)
-    return set(dist)
+    return _members(_ball_mask(G, v, k))
 
 
 def sphere(G: Graph, v: int, k: int) -> set:
     """The set { w : d(v, w) == k }."""
-    dist, _ = _limited_reach(G, v, k)
-    return {w for w, d in dist.items() if d == k}
+    outer = _ball_mask(G, v, k)
+    return _members(outer & ~_ball_mask(G, v, k - 1)) if k else {v}
+
+
+def _geodesic(G: Graph, dist, target) -> list:
+    """Walk BFS distances back from target, lowest-index parent first."""
+    path = [target]
+    cur = target
+    while dist[cur] > 0:
+        cur = min(w for w in G.adj[cur] if dist[w] == dist[cur] - 1)
+        path.append(cur)
+    path.reverse()
+    return path
 
 
 def bridges(G: Graph) -> set:

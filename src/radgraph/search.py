@@ -6,9 +6,15 @@ vertex's back-edges bit by bit.  Two prunes keep the tree small: a partial
 assignment dies as soon as some settled vertex can no longer reach the degree
 floor with the slots it has left, and a new neighbour pair u, w for the
 incoming vertex is only allowed when d(u, w) >= g - 2 in the partial graph,
-which keeps every intermediate graph at girth >= g.  Isomorph rejection is
-deliberately absent: the maximum over a superset with relabelled duplicates
-is the same maximum, and the labelled walk stays auditable.
+which keeps every intermediate graph at girth >= g (at g = 3 every pair is
+allowed).  Isomorph rejection is deliberately absent: the maximum over a
+superset with relabelled duplicates is the same maximum, and the labelled
+walk stays auditable.
+
+One walker serves both the full enumeration and the ``jobs`` split, which
+stops it at a fixed depth and hands the partial assignments to workers.  All
+reachability -- the far-neighbour masks, connectivity and eccentricities of
+each leaf -- runs through the bitset frontier sweep of :mod:`radgraph.graph`.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from dataclasses import dataclass
 from . import io as gio
 from .bounds import upper_bound_radius
 from .constructions import bipartite_radius2, box_graph, radius3_graph
-from .graph import Graph, build_graph, metric_summary
+from .graph import Graph, _reach, build_graph, metric_summary
 
 __all__ = [
     "DEFAULT_CAP",
@@ -88,6 +94,52 @@ def _seed_radii(n, delta, g):
     return radii
 
 
+def _walk(n, delta, g, rows, deg, start_v, stop_v, visit):
+    """Depth-first walk over the back-edge choices of vertices start_v up to
+    stop_v, calling ``visit()`` at every feasible assignment.
+
+    ``rows``/``deg`` hold the decided blocks below ``start_v``; they are
+    updated in place during the walk, so ``visit`` reads the current
+    assignment from them, and are restored on return.
+    """
+
+    def place(v):
+        if v == stop_v:
+            visit()
+            return
+        future = n - 1 - v
+        vbit = 1 << v
+        below = vbit - 1
+        # endpoints u, w of v must be at distance >= g - 2, or v closes a
+        # cycle shorter than g; a frontier sweep of g - 3 levels finds the
+        # vertices too close to u
+        fars = [below & ~_reach(rows, 1 << u, g - 3)[0] for u in range(v)]
+
+        def choose(u, cnt, allowed):
+            if cnt + (v - u) + future < delta:
+                return
+            if u == v:
+                place(v + 1)
+                return
+            ubit = 1 << u
+            if allowed & ubit:
+                rows[u] |= vbit
+                rows[v] |= ubit
+                deg[u] += 1
+                deg[v] += 1
+                choose(u + 1, cnt + 1, allowed & fars[u])
+                deg[u] -= 1
+                deg[v] -= 1
+                rows[u] &= ~vbit
+                rows[v] &= ~ubit
+            if deg[u] + future >= delta:
+                choose(u + 1, cnt, allowed)
+
+        choose(0, 0, below)
+
+    place(start_v)
+
+
 def _enumerate_span(n, delta, g, rows, deg, start_v, best_r_init):
     """Enumerate all completions of a partial assignment.
 
@@ -102,70 +154,23 @@ def _enumerate_span(n, delta, g, rows, deg, start_v, best_r_init):
     count = 0
     full = (1 << n) - 1
 
-    def far_masks(v):
-        # vertices below v at distance >= g-2, per candidate endpoint
-        below = (1 << v) - 1
-        lim = g - 3
-        res = []
-        for u in range(v):
-            near = 1 << u
-            frontier = near
-            for _ in range(lim):
-                nxt = 0
-                f = frontier
-                while f:
-                    b = f & -f
-                    f ^= b
-                    nxt |= rows[b.bit_length() - 1]
-                frontier = nxt & ~near
-                if not frontier:
-                    break
-                near |= frontier
-            res.append(below & ~near)
-        return res
-
     def leaf():
         nonlocal best_r, best_key, count
         if n > 1 and min(deg) < delta:
             return
         if n == 1 and delta > 0:
             return
-        seen = 1
-        frontier = 1
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                b = f & -f
-                f ^= b
-                nxt |= rows[b.bit_length() - 1]
-            frontier = nxt & ~seen
-            seen |= frontier
+        seen, radius = _reach(rows, 1, n)
         if seen != full:
             return
         count += 1
-        radius = n
-        for v in range(n):
-            seen_v = 1 << v
-            frontier_v = seen_v
-            ecc = 0
-            while True:
-                nxt = 0
-                f = frontier_v
-                while f:
-                    b = f & -f
-                    f ^= b
-                    nxt |= rows[b.bit_length() - 1]
-                nxt &= ~seen_v
-                if not nxt:
-                    break
-                seen_v |= nxt
-                frontier_v = nxt
-                ecc += 1
-            if ecc < radius:
-                radius = ecc
-                if radius < best_r:
-                    return
+        for v in range(1, n):
+            if radius < best_r:
+                return
+            # a sweep capped at the running minimum returns min(ecc(v), radius)
+            radius = _reach(rows, 1 << v, radius)[1]
+        if radius < best_r:
+            return
         key = gio.graph6_bytes_from_rows(n, rows)
         if radius > best_r:
             best_r = radius
@@ -173,105 +178,17 @@ def _enumerate_span(n, delta, g, rows, deg, start_v, best_r_init):
         elif best_key is None or key < best_key:
             best_key = key
 
-    def place(v):
-        if v == n:
-            leaf()
-            return
-        future = n - 1 - v
-        fars = far_masks(v) if g >= 5 else None
-        vbit = 1 << v
-
-        def choose(u, cnt, allowed):
-            if cnt + (v - u) + future < delta:
-                return
-            if u == v:
-                place(v + 1)
-                return
-            ubit = 1 << u
-            if allowed & ubit:
-                rows[u] |= vbit
-                rows[v] |= ubit
-                deg[u] += 1
-                deg[v] += 1
-                choose(
-                    u + 1,
-                    cnt + 1,
-                    allowed & (fars[u] if fars is not None else ~rows[u]),
-                )
-                deg[u] -= 1
-                deg[v] -= 1
-                rows[u] &= ~vbit
-                rows[v] &= ~ubit
-            if deg[u] + future >= delta:
-                choose(u + 1, cnt, allowed)
-
-        choose(0, 0, (1 << v) - 1)
-
-    place(start_v)
+    _walk(n, delta, g, rows, deg, start_v, n, leaf)
     return best_r, best_key, count
 
 
 def _collect_prefixes(n, delta, g, split_v):
     """All feasible partial assignments with blocks below split_v decided."""
-    prefixes = []
     rows = [0] * n
     deg = [0] * n
-
-    def far_masks(v):
-        below = (1 << v) - 1
-        res = []
-        for u in range(v):
-            near = 1 << u
-            frontier = near
-            for _ in range(g - 3):
-                nxt = 0
-                f = frontier
-                while f:
-                    b = f & -f
-                    f ^= b
-                    nxt |= rows[b.bit_length() - 1]
-                frontier = nxt & ~near
-                if not frontier:
-                    break
-                near |= frontier
-            res.append(below & ~near)
-        return res
-
-    def place(v):
-        if v == split_v:
-            prefixes.append((tuple(rows), tuple(deg)))
-            return
-        future = n - 1 - v
-        fars = far_masks(v) if g >= 5 else None
-        vbit = 1 << v
-
-        def choose(u, cnt, allowed):
-            if cnt + (v - u) + future < delta:
-                return
-            if u == v:
-                place(v + 1)
-                return
-            ubit = 1 << u
-            if allowed & ubit:
-                rows[u] |= vbit
-                rows[v] |= ubit
-                deg[u] += 1
-                deg[v] += 1
-                choose(
-                    u + 1,
-                    cnt + 1,
-                    allowed & (fars[u] if fars is not None else ~rows[u]),
-                )
-                deg[u] -= 1
-                deg[v] -= 1
-                rows[u] &= ~vbit
-                rows[v] &= ~ubit
-            if deg[u] + future >= delta:
-                choose(u + 1, cnt, allowed)
-
-        choose(0, 0, (1 << v) - 1)
-
-    place(0)
+    prefixes = []
+    _walk(n, delta, g, rows, deg, 0, split_v,
+          lambda: prefixes.append((tuple(rows), tuple(deg))))
     return prefixes
 
 

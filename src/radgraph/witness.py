@@ -16,8 +16,9 @@ from enum import Enum
 
 from .bounds import BoundReport
 from .graph import (
-    UNREACHABLE,
     Graph,
+    _geodesic,
+    _reach,
     bfs,
     metric_summary,
     sphere,
@@ -76,6 +77,13 @@ def _clean_vertex_set(G, vertices):
     return out
 
 
+def _compatible(G, v, k):
+    """Mask of the vertices a GENERAL_2K set may hold next to v: those
+    adjacent to v or at distance >= 2k-1 (other components included)."""
+    near = _reach(G.rows, 1 << v, 2 * k - 2)[0]
+    return (~near | G.rows[v]) & ((1 << G.n) - 1)
+
+
 def _require_triangle_free(G):
     if metric_summary(G).girth <= 3:
         raise ValueError("graph contains a triangle")
@@ -96,12 +104,13 @@ def check_witness_general(G: Graph, T, k: int) -> BoundReport:
     if ms.girth < 2 * k:
         raise ValueError(f"girth {ms.girth} is below the required {2 * k}")
     T = _clean_vertex_set(G, T)
-    dist = {v: bfs(G, v).dist for v in T}
-    for i, u in enumerate(T):
-        for w in T[i + 1:]:
-            d = dist[u][w]
-            if d == UNREACHABLE or d == 1 or d >= 2 * k - 1:
-                continue
+    later = sum(1 << v for v in T)
+    for u in T:
+        later ^= 1 << u
+        clash = later & ~_compatible(G, u, k)
+        if clash:
+            w = (clash & -clash).bit_length() - 1
+            d = bfs(G, u).dist[w]
             raise WitnessValidationError(
                 f"vertices {u} and {w} are non-adjacent at distance {d} < {2 * k - 1}",
                 pair=(u, w),
@@ -175,29 +184,19 @@ def check_witness_two_cycles(G: Graph, U, r: int) -> BoundReport:
             f"witness has {len(U)} distinct vertices, need exactly 2r = {2 * r}"
         )
     dist = {v: bfs(G, v).dist for v in U}
-    aux = {v: [] for v in U}
+    aux = [0] * len(U)
     for i, u in enumerate(U):
-        for w in U[i + 1:]:
-            if dist[u][w] == 2:
-                aux[u].append(w)
-                aux[w].append(u)
+        for j in range(i + 1, len(U)):
+            if dist[u][U[j]] == 2:
+                aux[i] |= 1 << j
+                aux[j] |= 1 << i
     comp_sizes = []
-    seen: set = set()
-    for v in U:
-        if v in seen:
-            continue
-        comp = [v]
-        seen.add(v)
-        queue = [v]
-        while queue:
-            x = queue.pop()
-            for y in aux[x]:
-                if y not in seen:
-                    seen.add(y)
-                    comp.append(y)
-                    queue.append(y)
-        comp_sizes.append(len(comp))
-    degrees = sorted(len(row) for row in aux.values())
+    rest = (1 << len(U)) - 1
+    while rest:
+        comp = _reach(aux, rest & -rest, len(U))[0]
+        comp_sizes.append(comp.bit_count())
+        rest &= ~comp
+    degrees = sorted(row.bit_count() for row in aux)
     shape_ok = (
         len(comp_sizes) == 2
         and all(size == r for size in comp_sizes)
@@ -225,10 +224,6 @@ def check_witness_two_cycles(G: Graph, U, r: int) -> BoundReport:
 # -- witness search ----------------------------------------------------------
 
 
-class _BudgetExhausted(Exception):
-    pass
-
-
 def find_witness(G: Graph, k: int, budget: int = 10**6) -> WitnessSet:
     """Best-effort maximum GENERAL_2K witness set.
 
@@ -245,19 +240,11 @@ def find_witness(G: Graph, k: int, budget: int = 10**6) -> WitnessSet:
     if ms.girth < 2 * k:
         raise ValueError(f"girth {ms.girth} is below the required {2 * k}")
     n = G.n
-    dist = [bfs(G, v).dist for v in range(n)]
-    lo = 2 * k - 1
-    compat = []
-    for v in range(n):
-        mask = 0
-        row = dist[v]
-        for u in range(n):
-            if u != v and (row[u] == 1 or row[u] == UNREACHABLE or row[u] >= lo):
-                mask |= 1 << u
-        compat.append(mask)
+    compat = [_compatible(G, v, k) for v in range(n)]
 
     center = ms.centers[0] if ms.centers else 0
-    order = sorted(range(n), key=lambda v: (dist[center][v], v))
+    layer = bfs(G, center).dist if n else ()
+    order = sorted(range(n), key=lambda v: (layer[v], v))
     greedy: list = []
     greedy_mask = (1 << n) - 1
     for v in order:
@@ -266,31 +253,28 @@ def find_witness(G: Graph, k: int, budget: int = 10**6) -> WitnessSet:
             greedy_mask &= compat[v]
     greedy.sort()
 
+    # Depth-first branch and bound, including the lowest candidate before
+    # excluding it.  Each stack entry is (size of its chosen prefix,
+    # candidates); entries above it only touch chosen[size:], so popping one
+    # truncates ``chosen`` back to its own prefix.
     best: list = []
+    chosen: list = []
+    stack = [(0, (1 << n) - 1)]
     nodes = budget
-
-    def bb(chosen, cand):
-        nonlocal best, nodes
-        if nodes <= 0:
-            raise _BudgetExhausted
+    while stack and nodes > 0:
         nodes -= 1
+        size, cand = stack.pop()
+        del chosen[size:]
         if not cand:
-            if len(chosen) > len(best):
-                best = list(chosen)
-            return
-        if len(chosen) + cand.bit_count() <= len(best):
-            return
-        u = (cand & -cand).bit_length() - 1
-        chosen.append(u)
-        bb(chosen, cand & compat[u])
-        chosen.pop()
-        bb(chosen, cand & ~(1 << u))
-
-    try:
-        if budget > 0:
-            bb([], (1 << n) - 1)
-    except _BudgetExhausted:
-        pass
+            if size > len(best):
+                best = chosen[:]
+            continue
+        if size + cand.bit_count() <= len(best):
+            continue
+        low = cand & -cand
+        stack.append((size, cand ^ low))
+        chosen.append(low.bit_length() - 1)
+        stack.append((size + 1, cand & compat[chosen[-1]]))
 
     pick = min((greedy, best), key=lambda s: (-len(s), s))
     result = WitnessSet(tuple(pick), WitnessKind.GENERAL_2K, k)
@@ -399,16 +383,6 @@ def check_easycases_instantiation(G: Graph, path, vprime_path) -> BoundReport:
     return check_witness_triangle_free(G, verts)
 
 
-def _geodesic_from(G, dist, target):
-    path = [target]
-    cur = target
-    while dist[cur] > 0:
-        cur = min(w for w in G.adj[cur] if dist[w] == dist[cur] - 1)
-        path.append(cur)
-    path.reverse()
-    return path
-
-
 def easycases_configuration(G: Graph) -> tuple:
     """Select the geodesic pair (path, vprime_path) the pattern rows expect.
 
@@ -431,7 +405,7 @@ def easycases_configuration(G: Graph) -> tuple:
     v0 = best[1]
     dist0 = bfs(G, v0).dist
     target = min(v for v in range(G.n) if dist0[v] == r)
-    path = _geodesic_from(G, dist0, target)
+    path = _geodesic(G, dist0, target)
     v3 = path[3]
     dist3 = bfs(G, v3).dist
     if max(dist3) > r:
@@ -441,7 +415,7 @@ def easycases_configuration(G: Graph) -> tuple:
         if not candidates:
             raise ValueError("no admissible far vertex for this centre")
         vprime = min(candidates)
-    vprime_path = _geodesic_from(G, dist0, vprime)
+    vprime_path = _geodesic(G, dist0, vprime)
     return tuple(path), tuple(vprime_path)
 
 

@@ -36,7 +36,8 @@ from radgraph import (
     validate_geodesic_observations,
 )
 from radgraph.search import enumerate_extremal, verify_theorem_main_small
-from radgraph.witness import WitnessValidationError, _geodesic_from
+from radgraph.graph import _geodesic
+from radgraph.witness import WitnessValidationError
 from conftest import barbell, cycle
 
 
@@ -384,7 +385,7 @@ def _configuration(G, m):
     v0 = ms.centers[0]
     dist0 = bfs(G, v0).dist
     target = min(v for v in range(G.n) if dist0[v] == r)
-    path = tuple(_geodesic_from(G, dist0, target))
+    path = tuple(_geodesic(G, dist0, target))
     if not 1 <= m <= r - 1:
         return None
     dist_m = bfs(G, path[m]).dist
@@ -392,7 +393,7 @@ def _configuration(G, m):
     if not far:
         return None
     vprime = min(far)
-    vpath = tuple(_geodesic_from(G, dist0, vprime))
+    vpath = tuple(_geodesic(G, dist0, vprime))
     return path, vpath
 
 
@@ -455,11 +456,11 @@ def test_pattern_instantiations_on_families(heawood):
         v0 = ms.centers[0]
         dist0 = bfs(G, v0).dist
         target = min(v for v in range(G.n) if dist0[v] == r)
-        path = tuple(_geodesic_from(G, dist0, target))
+        path = tuple(_geodesic(G, dist0, target))
         dist2k = bfs(G, path[2 * k]).dist
         vprime = min(v for v in range(G.n) if dist2k[v] >= r)
         t = r - dist0[vprime]
-        vpath = tuple(_geodesic_from(G, dist0, vprime))
+        vpath = tuple(_geodesic(G, dist0, vprime))
         unprimed, primed = upper_bound_witness_pattern(r, k, t)
         T = [path[i] for i in unprimed] + [vpath[j] for j in primed]
         rep = check_witness_general(G, T, k)

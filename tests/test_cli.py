@@ -153,6 +153,14 @@ class TestWitness:
         data = json.loads(out)
         assert code == 0 and len(data["witness"]) >= 2
 
+    def test_find_on_long_cycle(self, capsys, tmp_path):
+        # the branch and bound goes about n levels deep on a long cycle
+        path = tmp_path / "c3000.g6"
+        path.write_text(graph6_bytes(cycle(3000)).decode())
+        code, out, err = run(capsys, "witness", "find", "--graph", str(path), "--k", "2",
+                             "--budget", "10000")
+        assert code == 0 and json.loads(out)["pass"] and "Traceback" not in err
+
     def test_malformed_set_exit_2(self, capsys, tmp_path):
         path = tmp_path / "c8.g6"
         path.write_text(graph6_bytes(cycle(8)).decode())
@@ -188,6 +196,16 @@ class TestSearch:
         data = json.loads(out)
         assert code == 0 and data["accepted"] == 2 and data["max_radius"] == 4
 
+    def test_stream_from_file(self, capsys, tmp_path):
+        path = tmp_path / "catalogue.g6"
+        lines = [graph6_bytes(cycle(8)).decode(), "", "C!", graph6_bytes(cycle(5)).decode()]
+        path.write_text("\n".join(lines) + "\n")
+        code, out, _ = run(capsys, "search", "stream", "--delta", "2", "--g", "4",
+                           "--input", str(path))
+        data = json.loads(out)
+        assert code == 0 and data["total"] == 3 and data["malformed"] == 1
+        assert data["accepted"] == 2 and data["max_radius"] == 4
+
 
 class TestExtract:
     def test_extract_json(self, capsys, tmp_path):
@@ -208,6 +226,13 @@ class TestExtract:
         assert sub.n == data["subgraph_n"]
 
 
-def test_seed_flag_accepted(capsys):
-    code, out, _ = run(capsys, "--seed", "7", "bound", "--n", "8", "--delta", "2", "--g", "4")
-    assert code == 0
+def test_seed_flag_accepted(capsys, tmp_path):
+    # --seed and witness find --jobs were accepted and ignored; both are gone
+    with pytest.raises(SystemExit) as exc:
+        main(["--seed", "7", "bound", "--n", "8", "--delta", "2", "--g", "4"])
+    assert exc.value.code == 2
+    path = tmp_path / "c8.g6"
+    path.write_text(graph6_bytes(cycle(8)).decode())
+    with pytest.raises(SystemExit) as exc:
+        main(["witness", "find", "--graph", str(path), "--k", "2", "--jobs", "2"])
+    assert exc.value.code == 2

@@ -160,6 +160,51 @@ class TestBallSphere:
                 assert sphere(G, v, k) == ball(G, v, k) - ball(G, v, k - 1)
 
 
+class TestReachKernel:
+    """ball, sphere, is_connected and G.rows against Floyd-Warshall."""
+
+    GRAPHS = [random_graph(6 + seed % 6, 0.08 + 0.05 * seed, seed=300 + seed) for seed in range(10)] + [
+        build_graph(7, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 3)]),  # three components
+    ]
+
+    @pytest.mark.parametrize("G", GRAPHS)
+    def test_ball_sphere_match_floyd(self, G):
+        dist = floyd_distances(G.n, list(G.edges()))
+        for v in range(G.n):
+            # k = 0 up to n runs past every eccentricity
+            for k in range(G.n + 1):
+                assert ball(G, v, k) == {w for w in range(G.n) if dist[v][w] <= k}
+                assert sphere(G, v, k) == {w for w in range(G.n) if dist[v][w] == k}
+
+    @pytest.mark.parametrize("G", GRAPHS)
+    def test_is_connected_matches_floyd(self, G):
+        dist = floyd_distances(G.n, list(G.edges()))
+        assert is_connected(G) == all(d != math.inf for d in dist[0])
+
+    def test_inputs_include_disconnected_graphs(self):
+        assert {is_connected(G) for G in self.GRAPHS} == {True, False}
+
+    def test_is_connected_trivial_orders(self):
+        assert is_connected(build_graph(0, []))
+        assert is_connected(build_graph(1, []))
+        assert not is_connected(build_graph(2, []))
+
+    @pytest.mark.parametrize("G", GRAPHS)
+    def test_rows_agree_with_adj(self, G):
+        assert len(G.rows) == G.n
+        for v in range(G.n):
+            assert {w for w in range(G.n) if G.rows[v] >> w & 1} == set(G.adj[v])
+            assert G.rows[v] >> G.n == 0
+
+    def test_bad_vertex_and_negative_radius_rejected(self, c8):
+        for f in (ball, sphere):
+            for v in (-1, 8):
+                with pytest.raises(ValueError, match="out of range"):
+                    f(c8, v, 1)
+            with pytest.raises(ValueError, match="non-negative"):
+                f(c8, 0, -1)
+
+
 class TestBridges:
     def test_path_all_bridges(self):
         G = build_graph(3, [(0, 1), (1, 2)])

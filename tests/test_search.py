@@ -39,7 +39,8 @@ def brute_force_reference(n, delta, g):
 
 
 class TestEnumerateExtremal:
-    @pytest.mark.parametrize("n,delta,g", [(4, 2, 4), (5, 2, 4), (5, 2, 5), (6, 2, 4), (6, 3, 4), (5, 3, 4), (6, 2, 6)])
+    @pytest.mark.parametrize("n,delta,g", [(4, 2, 4), (5, 2, 4), (5, 2, 5), (6, 2, 4), (6, 3, 4), (5, 3, 4), (6, 2, 6),
+                                           (5, 3, 3), (5, 2, 3), (6, 2, 3)])
     def test_matches_brute_force(self, n, delta, g):
         expected_radius, expected_count = brute_force_reference(n, delta, g)
         res = enumerate_extremal(n, delta, g)
@@ -91,11 +92,12 @@ class TestEnumerateExtremal:
         assert ms.girth >= 6
 
     def test_jobs_deterministic(self):
-        seq = enumerate_extremal(7, 2, 4, jobs=1)
-        par = enumerate_extremal(7, 2, 4, jobs=3)
-        assert seq.max_radius == par.max_radius
-        assert seq.graphs_considered == par.graphs_considered
-        assert graph6_bytes(seq.extremal_witness) == graph6_bytes(par.extremal_witness)
+        for n, g in [(6, 3), (7, 4), (7, 5), (7, 6)]:
+            seq = enumerate_extremal(n, 2, g, jobs=1)
+            par = enumerate_extremal(n, 2, g, jobs=3)
+            assert seq.max_radius == par.max_radius
+            assert seq.graphs_considered == par.graphs_considered
+            assert graph6_bytes(seq.extremal_witness) == graph6_bytes(par.extremal_witness)
 
     def test_cap_enforced(self):
         with pytest.raises(ValueError):

@@ -152,6 +152,12 @@ class TestFindWitness:
         G = glue_cycle(projective_plane_incidence_graph(2), 3)
         assert find_witness(G, 3).vertices == find_witness(G, 3).vertices
 
+    def test_long_cycle_needs_no_deep_recursion(self):
+        G = cycle(3000)
+        ws = find_witness(G, 2, budget=10**4)
+        rep = check_witness_general(G, ws.vertices, 2)
+        assert rep.passed and rep.witness.vertices == ws.vertices
+
     def test_budget_result_never_beats_full_search(self):
         G = cycle(20)
         full = find_witness(G, 2)
@@ -231,7 +237,7 @@ class TestEasycasesInstantiation:
         three supported radius residues, complementing the t = 3 rows that
         cycles and box graphs produce.
         """
-        from radgraph.witness import _geodesic_from
+        from radgraph.graph import _geodesic
 
         covered = set()
         checked = 0
@@ -251,7 +257,7 @@ class TestEasycasesInstantiation:
                     v0 = best[1]
                     dist0 = bfs(G, v0).dist
                     target = min(v for v in range(G.n) if dist0[v] == r)
-                    path = tuple(_geodesic_from(G, dist0, target))
+                    path = tuple(_geodesic(G, dist0, target))
                     dist3 = bfs(G, path[3]).dist
                     if max(dist3) > r:
                         admissible = [v for v in range(G.n) if dist3[v] >= r + 1]
@@ -269,7 +275,7 @@ class TestEasycasesInstantiation:
                             easycases_pattern(r, t)
                         except ValueError:
                             continue
-                        vp = tuple(_geodesic_from(G, dist0, vprime))
+                        vp = tuple(_geodesic(G, dist0, vprime))
                         rep = check_easycases_instantiation(G, path, vp)
                         assert rep.passed, (a, ell, b, r, t)
                         covered.add((r % 4, t))
