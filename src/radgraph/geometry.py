@@ -9,6 +9,8 @@ incidence graphs are not constructed here; they enter through
 
 from __future__ import annotations
 
+from itertools import product
+
 from .fields import FiniteField, field_make
 from .graph import Graph, build_graph, metric_summary
 from .io import from_graph6
@@ -22,32 +24,41 @@ __all__ = [
 
 
 def _projective_points(field: FiniteField, dim: int) -> list:
-    """Normalised homogeneous coordinate tuples of PG(dim, q), sorted.
+    """Normalised homogeneous coordinates of the points of PG(dim, q), sorted.
 
     Each 1-dimensional subspace is represented by the unique scaling whose
-    first non-zero coordinate is 1; tuples are ordered by their integer
-    coordinate vectors.
+    first non-zero coordinate is 1, as a tuple of the coordinates' integer
+    codes (see :mod:`radgraph.fields`).
     """
-    zero, one = field.zero, field.one
-    points = []
-    for lead in range(dim + 1):
-        free = dim - lead
-        for code in range(field.q ** free):
-            coords = [zero] * lead + [one]
-            c = code
-            for _ in range(free):
-                coords.append(field.element(c % field.q))
-                c //= field.q
-            points.append(tuple(coords))
-    points.sort(key=lambda pt: tuple(x.value for x in pt))
-    return points
+    return sorted(
+        (0,) * lead + (1,) + rest
+        for lead in range(dim + 1)
+        for rest in product(range(field.q), repeat=dim - lead)
+    )
 
 
-def _dot(u, v, field):
-    acc = field.zero
-    for a, b in zip(u, v):
-        acc = acc + a * b
-    return acc
+def _perp(w, field: FiniteField, prefixes, index) -> list:
+    """Indices of the points x of PG(d, q) with sum_i w_i x_i = 0, d = len(w) - 1.
+
+    ``prefixes`` are the points of PG(d-1, q) and ``index`` numbers the points
+    of PG(d, q).  Every point but (0, ..., 0, 1) is a prefix followed by a
+    free last coordinate z, which the equation fixes when w_d != 0 and leaves
+    free (or rules out) when w_d = 0.  All arithmetic runs on the field's
+    integer tables.
+    """
+    add, mul, q = field._add, field._mul, field.q
+    *head, last = w
+    out = [] if last else [index[(0,) * len(head) + (1,)]]
+    scale = field._neg[field._inv[last]] if last else 0  # z = -s / w_d
+    for pre in prefixes:
+        s = 0
+        for a, x in zip(head, pre):
+            s = add[s][mul[a][x]]
+        if last:
+            out.append(index[pre + (mul[s][scale],)])
+        elif not s:
+            out.extend(index[pre + (z,)] for z in range(q))
+    return out
 
 
 def projective_plane_incidence_graph(q: int) -> Graph:
@@ -60,38 +71,33 @@ def projective_plane_incidence_graph(q: int) -> Graph:
     """
     field = field_make(q)
     points = _projective_points(field, 2)
+    prefixes = _projective_points(field, 1)
+    index = {pt: i for i, pt in enumerate(points)}
     count = len(points)
-    edges = []
-    for i, pt in enumerate(points):
-        for j, line in enumerate(points):
-            if not _dot(pt, line, field):
-                edges.append((i, count + j))
+    edges = [
+        (i, count + j)
+        for i, pt in enumerate(points)
+        for j in _perp(pt, field, prefixes, index)
+    ]
     return build_graph(2 * count, edges)
 
 
-def _symplectic_product(u, v):
-    # B(x, y) = x0*y1 - x1*y0 + x2*y3 - x3*y2, an alternating form on GF(q)^4
-    return (u[0] * v[1] - u[1] * v[0]) + (u[2] * v[3] - u[3] * v[2])
+def _symplectic_dual(u, field: FiniteField) -> tuple:
+    """The coordinates w with B(u, x) = sum_i w_i x_i, for the alternating form
+    B(x, y) = x0*y1 - x1*y0 + x2*y3 - x3*y2 on GF(q)^4."""
+    neg = field._neg
+    return (neg[u[1]], u[0], neg[u[3]], u[2])
 
 
-def _rref_2x4(rows, field):
-    """Canonical reduced row echelon form of a rank-2 pair of coordinate rows."""
-    a, b = list(rows[0]), list(rows[1])
-    piv_a = next(i for i, x in enumerate(a) if x)
-    inv = a[piv_a].inverse()
-    a = [x * inv for x in a]
-    if b[piv_a]:
-        f = b[piv_a]
-        b = [y - f * x for x, y in zip(a, b)]
-    piv_b = next(i for i, x in enumerate(b) if x)
-    inv = b[piv_b].inverse()
-    b = [x * inv for x in b]
-    if a[piv_b]:
-        f = a[piv_b]
-        a = [y - f * x for x, y in zip(b, a)]
-    if piv_b < piv_a:
-        a, b = b, a
-    return tuple(x.value for x in a) + tuple(x.value for x in b)
+def _line(pa, pb, field: FiniteField, index) -> tuple:
+    """Sorted point indices of the projective line through points pa and pb."""
+    add, mul, inv = field._add, field._mul, field._inv
+    span = {index[pb]}
+    for t in range(field.q):
+        vec = [add[x][mul[t][y]] for x, y in zip(pa, pb)]
+        scale = inv[next(x for x in vec if x)]
+        span.add(index[tuple(mul[scale][x] for x in vec)])
+    return tuple(sorted(span))
 
 
 def symplectic_quadrangle_incidence_graph(q: int) -> Graph:
@@ -99,34 +105,27 @@ def symplectic_quadrangle_incidence_graph(q: int) -> Graph:
 
     Vertices are the q^3+q^2+q+1 points of PG(3,q) (all of them are isotropic
     for the alternating form) followed by the (q+1)(q^2+1) totally isotropic
-    lines; adjacency is containment.  For q = 2 this is the 30-vertex
+    lines in sorted order; adjacency is containment.  The lines through a
+    point a are the lines through a inside its polar plane a^perp; each line
+    is spanned once, from its lowest point.  For q = 2 this is the 30-vertex
     Tutte-Coxeter graph.
     """
     field = field_make(q)
     points = _projective_points(field, 3)
+    prefixes = _projective_points(field, 2)
     index = {pt: i for i, pt in enumerate(points)}
     npts = len(points)
-
-    def normalise(vec):
-        lead = next(x for x in vec if x)
-        inv = lead.inverse()
-        return tuple(x * inv for x in vec)
-
-    lines = {}
-    for a in range(npts):
-        pa = points[a]
-        for b in range(a + 1, npts):
-            pb = points[b]
-            if _symplectic_product(pa, pb):
-                continue
-            key = _rref_2x4((pa, pb), field)
-            if key in lines:
-                continue
-            span = {b}
-            for t in field.elements():
-                span.add(index[normalise(tuple(x + t * y for x, y in zip(pa, pb)))])
-            lines[key] = tuple(sorted(span))
-    line_list = sorted(lines.values())
+    covered = [0] * npts  # bit b of covered[a]: a and b share a line found so far
+    line_list = []
+    for a, pa in enumerate(points):
+        for b in _perp(_symplectic_dual(pa, field), field, prefixes, index):
+            if b > a and not covered[a] >> b & 1:
+                line = _line(pa, points[b], field, index)
+                line_list.append(line)
+                mask = sum(1 << p for p in line)
+                for p in line:
+                    covered[p] |= mask
+    line_list.sort()
     expected = (q + 1) * (q * q + 1)
     if len(line_list) != expected:
         raise RuntimeError(

@@ -9,6 +9,8 @@ j = 1..n-1 the bits (0,j), (1,j), ..., (j-1,j) -- packed big-endian into
 
 from __future__ import annotations
 
+from base64 import b64encode
+
 from .graph import Graph, build_graph
 
 __all__ = [
@@ -60,33 +62,41 @@ def _decode_size(data: bytes) -> tuple:
     return n, 8
 
 
-def _pack_bits(n: int, bit) -> bytes:
-    """Pack bit(i, j) over the column-major upper triangle into 6-bit bytes."""
-    out = bytearray()
-    acc = 0
-    fill = 0
-    for j in range(1, n):
-        for i in range(j):
-            acc = (acc << 1) | (1 if bit(i, j) else 0)
-            fill += 1
-            if fill == 6:
-                out.append(acc + 63)
-                acc = 0
-                fill = 0
-    if fill:
-        out.append((acc << (6 - fill)) + 63)
-    return bytes(out)
+#: base64 writes each 6-bit group as one character of this alphabet; graph6
+#: writes it as the byte 63 + group.
+_SIXBIT = bytes.maketrans(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/",
+    bytes(range(63, 127)),
+)
 
 
 def graph6_bytes(G: Graph) -> bytes:
     """Bit-exact graph6 encoding of G (no header, no trailing newline)."""
-    adj = G.adj
-    return _encode_size(G.n) + _pack_bits(G.n, lambda i, j: j in adj[i])
+    return graph6_bytes_from_rows(G.n, G.rows)
 
 
 def graph6_bytes_from_rows(n: int, rows) -> bytes:
-    """graph6 encoding from adjacency bitmask rows (used by the search)."""
-    return _encode_size(n) + _pack_bits(n, lambda i, j: (rows[i] >> j) & 1)
+    """graph6 encoding from adjacency bitmask rows.
+
+    Column j's bits (0,j), ..., (j-1,j) are bit 0 up to bit j-1 of
+    ``rows[j]``.  Columns are appended big-endian to a bit accumulator that
+    is flushed 24 bits at a time through base64, whose 6-bit groups
+    :data:`_SIXBIT` maps onto graph6 bytes.
+    """
+    out = bytearray(_encode_size(n))
+    acc = fill = 0
+    for j in range(1, n):
+        acc = (acc << j) | int(format(rows[j] & ((1 << j) - 1), f"0{j}b")[::-1], 2)
+        fill += j
+        if fill >= 24:
+            keep = fill % 24
+            out += b64encode((acc >> keep).to_bytes((fill - keep) // 8, "big")).translate(_SIXBIT)
+            acc &= (1 << keep) - 1
+            fill = keep
+    if fill:
+        # zero padding up to a whole 6-bit group, as graph6 requires
+        out += b64encode((acc << (24 - fill)).to_bytes(3, "big")).translate(_SIXBIT)[: (fill + 5) // 6]
+    return bytes(out)
 
 
 def from_graph6(data) -> Graph:

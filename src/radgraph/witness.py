@@ -18,8 +18,10 @@ from .bounds import BoundReport
 from .graph import (
     Graph,
     _geodesic,
+    _girth_of,
     _reach,
     bfs,
+    is_triangle_free,
     metric_summary,
     sphere,
 )
@@ -85,7 +87,7 @@ def _compatible(G, v, k):
 
 
 def _require_triangle_free(G):
-    if metric_summary(G).girth <= 3:
+    if not is_triangle_free(G):
         raise ValueError("graph contains a triangle")
 
 
@@ -100,9 +102,9 @@ def check_witness_general(G: Graph, T, k: int) -> BoundReport:
     """
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
-    ms = metric_summary(G)
-    if ms.girth < 2 * k:
-        raise ValueError(f"girth {ms.girth} is below the required {2 * k}")
+    girth = _girth_of(G)
+    if girth < 2 * k:
+        raise ValueError(f"girth {girth} is below the required {2 * k}")
     T = _clean_vertex_set(G, T)
     later = sum(1 << v for v in T)
     for u in T:
@@ -115,7 +117,7 @@ def check_witness_general(G: Graph, T, k: int) -> BoundReport:
                 f"vertices {u} and {w} are non-adjacent at distance {d} < {2 * k - 1}",
                 pair=(u, w),
             )
-    delta = ms.min_degree
+    delta = min(G.degrees(), default=0)
     size_floor = delta * (delta - 1) ** (k - 2)
     spheres = [sphere(G, v, k - 1) for v in T]
     union: set = set()
@@ -158,7 +160,7 @@ def check_witness_triangle_free(G: Graph, T) -> BoundReport:
                     f"vertices {u} and {w} are at distance exactly 2",
                     pair=(u, w),
                 )
-    delta = metric_summary(G).min_degree
+    delta = min(G.degrees(), default=0)
     claimed = 2 * ((delta * len(T) + 1) // 2)
     return BoundReport(
         kind="witness-triangle-free",
@@ -210,7 +212,7 @@ def check_witness_two_cycles(G: Graph, U, r: int) -> BoundReport:
             f"degrees range {degrees[0]}..{degrees[-1]}",
             detail={"component_sizes": tuple(sorted(comp_sizes)), "degrees": tuple(degrees)},
         )
-    delta = metric_summary(G).min_degree
+    delta = min(G.degrees(), default=0)
     claimed = 2 * ((r * delta + 1) // 2)
     return BoundReport(
         kind="witness-two-cycles",
@@ -236,9 +238,10 @@ def find_witness(G: Graph, k: int, budget: int = 10**6) -> WitnessSet:
     """
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
+    girth = _girth_of(G)
+    if girth < 2 * k:
+        raise ValueError(f"girth {girth} is below the required {2 * k}")
     ms = metric_summary(G)
-    if ms.girth < 2 * k:
-        raise ValueError(f"girth {ms.girth} is below the required {2 * k}")
     n = G.n
     compat = [_compatible(G, v, k) for v in range(n)]
 

@@ -119,3 +119,29 @@ def max_general_witness_size(n, edges, k):
             if ok:
                 return size
     return best
+
+
+def graph6_reference(n, edges):
+    """graph6 bytes by the plain bit loop: the size header, then bit (i, j)
+    for every column j = 1..n-1 and row i < j, packed big-endian into 6-bit
+    groups offset by 63, with zero padding."""
+    if n <= 62:
+        out = bytearray((n + 63,))
+    elif n <= 258047:
+        out = bytearray((126, ((n >> 12) & 63) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63))
+    else:
+        out = bytearray((126, 126)) + bytes(((n >> s) & 63) + 63 for s in (30, 24, 18, 12, 6, 0))
+    edge_set = {(min(u, v), max(u, v)) for u, v in edges}
+    acc = 0
+    fill = 0
+    for j in range(1, n):
+        for i in range(j):
+            acc = (acc << 1) | (1 if (i, j) in edge_set else 0)
+            fill += 1
+            if fill == 6:
+                out.append(acc + 63)
+                acc = 0
+                fill = 0
+    if fill:
+        out.append((acc << (6 - fill)) + 63)
+    return bytes(out)

@@ -1,3 +1,4 @@
+import hashlib
 from itertools import combinations
 
 import networkx as nx
@@ -14,7 +15,7 @@ from radgraph import (
     projective_plane_incidence_graph,
     symplectic_quadrangle_incidence_graph,
 )
-from radgraph.geometry import _projective_points, _symplectic_product
+from radgraph.geometry import _projective_points, _symplectic_dual
 from conftest import cycle
 
 
@@ -23,6 +24,34 @@ def to_nx(G):
     H.add_nodes_from(range(G.n))
     H.add_edges_from(G.edges())
     return H
+
+
+#: SHA-256 of graph6_bytes, recorded from the FieldElement-based builds.
+PG_SHA256 = [
+    (2, "ea3bf0c075800b03384b28c035ae00206b6f3632949ca81ec0efa50861b93b2b"),
+    (3, "322c31b450c66d5766f07c00d8d169ad3076ec80b20f1e9254594b9fb88bc1ab"),
+    (4, "cc45e83a09a894ff4c436ea172ac00cf22db387bbcff1feea52af6e69284ac41"),
+    (5, "90151ff2c0b0b7498702ee8a58297bfca309e179b827f3d01ad6c9b23493fdb8"),
+    (7, "f5f5164b866363ecfc7f63bcb08b2df3b4d69fa3aea5962726034a6296e1a86b"),
+    (8, "01c4c956d87bb8fc0db9425dedfb1a735354c97e12a77e2ba397211551717a5e"),
+    (9, "74d2720ec8001fa672fb19326ec8038e8ff990423efe6d01d65217649ab0d493"),
+    (27, "9a39e0e4caca167b711d397f8ce5b03143a35195a59db06dd32d64f08b469e0a"),
+]
+W_SHA256 = [
+    (2, "c912cf9052cf71d001103b6b3ed455b49fabbd05103c46bd695a4fa6b01cec33"),
+    (3, "1388e5b391bb6175b94bf8365e7ac241d1ec64077e74ae390ac6b5be7517ee2b"),
+    (4, "b47f00e25c068cbc15c26efc613e8f02dc2dd236a96fe159a0425ede6b3c3283"),
+    (5, "034f2c9f6b2584fe81193b2b3c2615101ccee8a89330506ba3fe9313000f3866"),
+    (9, "ab79af8d2d79ce93408879b10c815372162369bb722ede7fcfc5b10ab643665d"),
+]
+
+
+def sha256_graph6(G):
+    return hashlib.sha256(graph6_bytes(G)).hexdigest()
+
+
+def as_elements(F, points):
+    return [tuple(F.element(c) for c in pt) for pt in points]
 
 
 def is_bipartite_split(G, left_count):
@@ -50,7 +79,7 @@ class TestProjectivePlane:
     @pytest.mark.parametrize("q", [2, 3, 4, 5])
     def test_incidence_axioms(self, q):
         F = field_make(q)
-        points = _projective_points(F, 2)
+        points = as_elements(F, _projective_points(F, 2))
         zero = F.zero
 
         def dot(u, v):
@@ -68,6 +97,10 @@ class TestProjectivePlane:
         a = projective_plane_incidence_graph(3)
         b = projective_plane_incidence_graph(3)
         assert graph6_bytes(a) == graph6_bytes(b)
+
+    @pytest.mark.parametrize("q,digest", PG_SHA256)
+    def test_pinned_encoding(self, q, digest):
+        assert sha256_graph6(projective_plane_incidence_graph(q)) == digest
 
 
 class TestSymplecticQuadrangle:
@@ -92,8 +125,23 @@ class TestSymplecticQuadrangle:
     @pytest.mark.parametrize("q", [2, 3])
     def test_form_is_alternating(self, q):
         F = field_make(q)
-        for x in _projective_points(F, 3):
-            assert not _symplectic_product(x, x)
+        raw = _projective_points(F, 3)
+        points = as_elements(F, raw)
+        for pt, x in zip(raw, points):
+            # B(x, y) = sum_i w_i y_i with w = _symplectic_dual(x)
+            w = as_elements(F, [_symplectic_dual(pt, F)])[0]
+
+            def form(y):
+                return w[0] * y[0] + w[1] * y[1] + w[2] * y[2] + w[3] * y[3]
+
+            assert not form(x)
+            # the dual is the stated form x0*y1 - x1*y0 + x2*y3 - x3*y2
+            for y in points:
+                assert form(y) == (x[0] * y[1] - x[1] * y[0]) + (x[2] * y[3] - x[3] * y[2])
+
+    @pytest.mark.parametrize("q,digest", W_SHA256)
+    def test_pinned_encoding(self, q, digest):
+        assert sha256_graph6(symplectic_quadrangle_incidence_graph(q)) == digest
 
 
 class TestImportCage:

@@ -2,8 +2,12 @@ import math
 import random
 from itertools import combinations
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import radgraph.graph as graph_module
 from radgraph import (
     INFINITE,
     UNREACHABLE,
@@ -17,6 +21,7 @@ from radgraph import (
     metric_summary,
     sphere,
 )
+from radgraph.graph import _bipartite, _eccentricities, _girth, _levels, _ms_eccentricities
 from conftest import cycle
 from oracles import floyd_distances, naive_bridges, naive_girth, naive_radius_diameter
 
@@ -203,6 +208,139 @@ class TestReachKernel:
                     f(c8, v, 1)
             with pytest.raises(ValueError, match="non-negative"):
                 f(c8, 0, -1)
+
+
+def random_bipartite(a, b, p, seed):
+    rng = random.Random(seed)
+    edges = [(u, a + v) for u in range(a) for v in range(b) if rng.random() < p]
+    return build_graph(a + b, edges)
+
+
+def random_forest(n, seed):
+    rng = random.Random(seed)
+    # every vertex but the roots hangs off a lower one
+    edges = [(v, rng.randrange(v)) for v in range(1, n) if rng.random() < 0.85]
+    return build_graph(n, edges)
+
+
+def floyd_eccentricities(G):
+    dist = floyd_distances(G.n, list(G.edges()))
+    eccs = [max(row) for row in dist]
+    return None if math.inf in eccs else eccs
+
+
+def oracle_girth(G):
+    g = naive_girth(G.n, list(G.edges()))
+    return INFINITE if g == math.inf else g
+
+
+def bipartite(G):
+    return _bipartite(G.adj, _levels(G.adj, G.n))
+
+
+def to_nx(G):
+    H = nx.Graph()
+    H.add_nodes_from(range(G.n))
+    H.add_edges_from(G.edges())
+    return H
+
+
+class TestMetricKernel:
+    """Both eccentricity paths and the girth cutoff, called directly, against
+    Floyd-Warshall and cycle enumeration."""
+
+    GRAPHS = (
+        [random_graph(5 + seed % 9, 0.1 + 0.07 * seed, seed=500 + seed) for seed in range(12)]
+        + [random_bipartite(3 + seed % 4, 4 + seed % 3, 0.3 + 0.1 * seed, seed=600 + seed)
+           for seed in range(6)]
+        + [random_forest(8 + seed, seed=700 + seed) for seed in range(4)]
+        + [
+            build_graph(0, []),
+            build_graph(1, []),
+            build_graph(2, []),
+            build_graph(2, [(0, 1)]),
+            build_graph(7, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 3)]),  # three components
+            build_graph(9, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 8), (8, 4)]),
+        ]
+    )
+
+    def test_inputs_cover_the_shapes(self):
+        assert {is_connected(G) for G in self.GRAPHS} == {True, False}
+        assert {bipartite(G) for G in self.GRAPHS} == {True, False}
+        assert any(G.n and oracle_girth(G) == INFINITE for G in self.GRAPHS)
+
+    @pytest.mark.parametrize("width", [1, 3, 64, graph_module._MS_BFS_WIDTH])
+    @pytest.mark.parametrize("G", GRAPHS)
+    def test_ms_bfs_matches_floyd(self, G, width, monkeypatch):
+        # narrow blocks split the sources over several MS-BFS blocks
+        monkeypatch.setattr(graph_module, "_MS_BFS_WIDTH", width)
+        assert _ms_eccentricities(G.adj, G.n) == floyd_eccentricities(G)
+
+    @pytest.mark.parametrize("G", GRAPHS)
+    def test_queue_bfs_matches_floyd(self, G):
+        assert _eccentricities(G.adj, G.n) == floyd_eccentricities(G)
+
+    @pytest.mark.parametrize("G", GRAPHS)
+    def test_bipartite_matches_networkx(self, G):
+        assert bipartite(G) == nx.is_bipartite(to_nx(G))
+
+    @pytest.mark.parametrize("G", GRAPHS)
+    def test_girth_cutoff_matches_cycle_enumeration(self, G):
+        assert _girth(G.adj, G.n, bipartite(G)) == oracle_girth(G)
+
+    @pytest.mark.parametrize("G", [G for G in GRAPHS if bipartite(G)])
+    def test_loose_cutoff_on_bipartite_graphs(self, G):
+        # the general cutoff is one level looser and must agree
+        assert _girth(G.adj, G.n, False) == oracle_girth(G)
+
+    @pytest.mark.parametrize("n", [50, 51])
+    def test_cycles_closed_forms(self, n):
+        C = cycle(n)
+        assert _ms_eccentricities(C.adj, n) == [n // 2] * n
+        assert _eccentricities(C.adj, n) == [n // 2] * n
+        assert _girth(C.adj, n, n % 2 == 0) == n
+        assert bipartite(C) == (n % 2 == 0)
+
+    @pytest.mark.parametrize("span", [0, 10**9])
+    @pytest.mark.parametrize("G", GRAPHS)
+    def test_metric_summary_on_either_path(self, G, span, monkeypatch):
+        # span 0 always takes MS-BFS, a huge span always the queue BFS
+        monkeypatch.setattr(graph_module, "_MS_BFS_SPAN", span)
+        ms = metric_summary(G)
+        r, d = naive_radius_diameter(G.n, list(G.edges())) if G.n else (None, None)
+        assert (ms.radius, ms.diameter, ms.girth) == (r, d, oracle_girth(G))
+        eccs = floyd_eccentricities(G) if G.n else None
+        assert ms.centers == (tuple(v for v, e in enumerate(eccs) if e == r) if eccs else ())
+
+    def test_triangle_check_skips_eccentricities(self):
+        C = cycle(3000)
+        assert is_triangle_free(C)
+        assert "metrics" not in C._cache
+        assert C._cache["girth"] == 3000
+        assert metric_summary(C).girth == 3000
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(0, 12))
+    p = draw(st.floats(0.1, 0.9))
+    bits = draw(st.lists(st.floats(0, 1), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    pairs = list(combinations(range(n), 2))
+    return build_graph(n, [e for e, x in zip(pairs, bits) if x < p])
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs())
+def test_metric_summary_property(G):
+    ms = metric_summary(G)
+    edges = list(G.edges())
+    r, d = naive_radius_diameter(G.n, edges) if G.n else (None, None)
+    assert (ms.radius, ms.diameter) == (r, d)
+    assert ms.girth == oracle_girth(G)
+    assert ms.min_degree == min(G.degrees(), default=0)
+    if r is not None:
+        dist = floyd_distances(G.n, edges)
+        assert ms.centers == tuple(v for v in range(G.n) if max(dist[v]) == r)
 
 
 class TestBridges:

@@ -3,6 +3,8 @@ from itertools import combinations
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radgraph import (
     build_graph,
@@ -12,7 +14,9 @@ from radgraph import (
     to_dot,
     to_edgelist_text,
 )
+from radgraph.io import graph6_bytes_from_rows
 from conftest import cycle
+from oracles import graph6_reference
 
 
 def random_graph(n, p, seed):
@@ -48,6 +52,32 @@ def test_graph6_bit_exact_vs_networkx(G):
     H.add_edges_from(G.edges())
     expected = nx.to_graph6_bytes(H, header=False).strip()
     assert graph6_bytes(G) == expected
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 6, 7, 62, 63, 64, 130])
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.7, 1.0])
+def test_graph6_matches_bit_loop_reference(n, p):
+    G = random_graph(n, p, seed=n * 31 + int(p * 10))
+    expected = graph6_reference(n, list(G.edges()))
+    assert graph6_bytes(G) == expected
+    assert graph6_bytes_from_rows(n, G.rows) == expected
+
+
+@st.composite
+def graphs_around_the_long_header(draw):
+    n = draw(st.integers(55, 70))
+    pairs = list(combinations(range(n), 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), max_size=120))
+    return build_graph(n, chosen)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs_around_the_long_header())
+def test_graph6_round_trip_property(G):
+    data = graph6_bytes(G)
+    assert data == graph6_reference(G.n, list(G.edges()))
+    assert (data[0] == 126) == (G.n > 62)
+    assert from_graph6(data) == G
 
 
 def test_graph6_accepts_format_header():
