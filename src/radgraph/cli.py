@@ -42,22 +42,20 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 
-def _open_text(path):
+def _open_input(path):
+    """The input file, or stdin for ``-``, as a binary stream (stdin's text
+    stream when it has no binary buffer)."""
     if path == "-":
-        return contextlib.nullcontext(sys.stdin)
-    return open(path, "r", encoding="ascii")
-
-
-def _read_text(path):
-    with _open_text(path) as fh:
-        return fh.read()
+        return contextlib.nullcontext(getattr(sys.stdin, "buffer", sys.stdin))
+    return open(path, "rb")
 
 
 def _load_graph(path, fmt="graph6"):
-    text = _read_text(path)
+    with _open_input(path) as fh:
+        data = fh.read()
     if fmt == "edgelist":
-        return gio.from_edgelist_text(text)
-    return gio.from_graph6(text)
+        return gio.from_edgelist_text(data.decode("ascii") if isinstance(data, bytes) else data)
+    return gio.from_graph6(data)
 
 
 def _render_graph(G, fmt):
@@ -289,7 +287,7 @@ def _cmd_search(args):
         table = verify_theorem_main_small(args.n_max, deltas, jobs=args.jobs)
         _print_json(table, args.pretty)
         return EXIT_OK if table["all_equal"] else EXIT_CHECK_FAILED
-    with _open_text(args.input) as fh:
+    with _open_input(args.input) as fh:
         report = stream_verify(fh, args.delta, args.g)
     _print_json(report, args.pretty)
     return EXIT_OK if not report["bound_violations"] else EXIT_CHECK_FAILED

@@ -354,15 +354,21 @@ def _girth(adj, n, bipartite):
     return best
 
 
-def _girth_of(G: Graph, depth=None):
+def _levels_of(G: Graph):
+    """``_levels`` of G, memoised because the girth and the metric summary
+    both start from it."""
+    depth = G._cache.get("levels")
+    if depth is None:
+        depth = G._cache["levels"] = _levels(G.adj, G.n)
+    return depth
+
+
+def _girth_of(G: Graph):
     """Girth of G, memoised apart from the metric summary so that callers
-    needing only the girth skip the eccentricities.  ``depth`` is
-    ``_levels(G.adj, G.n)`` when the caller already has it."""
+    needing only the girth skip the eccentricities."""
     girth = G._cache.get("girth")
     if girth is None:
-        if depth is None:
-            depth = _levels(G.adj, G.n)
-        girth = G._cache["girth"] = _girth(G.adj, G.n, _bipartite(G.adj, depth))
+        girth = G._cache["girth"] = _girth(G.adj, G.n, _bipartite(G.adj, _levels_of(G)))
     return girth
 
 
@@ -380,8 +386,8 @@ def metric_summary(G: Graph) -> MetricSummary:
         return cached
     n = G.n
     min_degree = min((len(row) for row in G.adj), default=0)
-    depth = _levels(G.adj, n)
-    girth = _girth_of(G, depth)
+    depth = _levels_of(G)
+    girth = _girth_of(G)
     if depth.count(0) != 1:  # one root per component, none when n = 0
         summary = MetricSummary(None, None, girth, min_degree, ())
     else:

@@ -5,11 +5,19 @@ bytes up to n = 258047, '~~' plus six 6-bit bytes beyond), followed by the
 upper-triangle adjacency bits in column-major order -- for every column
 j = 1..n-1 the bits (0,j), (1,j), ..., (j-1,j) -- packed big-endian into
 6-bit groups, each group offset by 63.  Padding bits must be zero.
+
+Both directions of the codec go through base64, whose 6-bit groups map one
+to one onto graph6 bytes by ``bytes.translate``: the encoder appends
+columns of ``Graph.rows`` to a bit accumulator and flushes it through
+``b64encode``; the decoder checks the header, the body length and every
+body byte (in that order, each with its own ``ValueError``), decodes the
+body in fixed slices through ``b64decode``, takes each column's bits off a
+small accumulator, and last rejects non-zero padding.
 """
 
 from __future__ import annotations
 
-from base64 import b64encode
+from base64 import b64decode, b64encode
 
 from .graph import Graph, build_graph
 
@@ -64,10 +72,13 @@ def _decode_size(data: bytes) -> tuple:
 
 #: base64 writes each 6-bit group as one character of this alphabet; graph6
 #: writes it as the byte 63 + group.
-_SIXBIT = bytes.maketrans(
-    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/",
-    bytes(range(63, 127)),
-)
+_BASE64_ALPHABET = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_GRAPH6_BYTES = bytes(range(63, 127))
+_SIXBIT = bytes.maketrans(_BASE64_ALPHABET, _GRAPH6_BYTES)
+_BASE64 = bytes.maketrans(_GRAPH6_BYTES, _BASE64_ALPHABET)
+
+#: Body bytes decoded per base64 call; a whole number of 4-byte quanta.
+_DECODE_SLICE = 4096
 
 
 def graph6_bytes(G: Graph) -> bytes:
@@ -100,40 +111,52 @@ def graph6_bytes_from_rows(n: int, rows) -> bytes:
 
 
 def from_graph6(data) -> Graph:
-    """Decode one graph6 value (accepts str or bytes, optional format header)."""
+    """Decode one graph6 value (accepts str or bytes, optional format header).
+
+    Columns come in increasing j and a column's bits in increasing row, so
+    the neighbour lists are built already sorted, with no ``build_graph``.
+    """
     if isinstance(data, str):
         data = data.encode("ascii")
     data = data.strip()
     if data.startswith(_HEADER):
         data = data[len(_HEADER):]
     n, pos = _decode_size(data)
-    body = data[pos:]
-    nbits = n * (n - 1) // 2
-    expect = (nbits + 5) // 6
-    if len(body) != expect:
+    expect = (n * (n - 1) // 2 + 5) // 6
+    if len(data) - pos != expect:
         raise ValueError(
-            f"graph6 body has {len(body)} bytes, expected {expect} for n={n}"
+            f"graph6 body has {len(data) - pos} bytes, expected {expect} for n={n}"
         )
-    for b in body:
-        if not 63 <= b <= 126:
-            raise ValueError(f"invalid graph6 byte {b!r}")
-    edges = []
-    idx = 0
-    bits = 0
-    acc = 0
+    # the size bytes are already checked, so only body bytes can be left over
+    bad = data.translate(None, _GRAPH6_BYTES)
+    if bad:
+        raise ValueError(f"invalid graph6 byte {bad[0]!r}")
+    adj = [[] for _ in range(n)]
+    edge_count = acc = fill = 0
     for j in range(1, n):
-        for i in range(j):
-            if bits == 0:
-                acc = body[idx] - 63
-                idx += 1
-                bits = 6
-            bits -= 1
-            if (acc >> bits) & 1:
-                edges.append((i, j))
+        while fill < j:
+            chunk = data[pos:pos + _DECODE_SLICE].translate(_BASE64)
+            pos += _DECODE_SLICE
+            # zero groups complete the last base64 quantum
+            raw = b64decode(chunk + b"A" * (-len(chunk) % 4))
+            acc = (acc << 8 * len(raw)) | int.from_bytes(raw, "big")
+            fill += 8 * len(raw)
+        fill -= j
+        col = acc >> fill
+        if col:
+            acc ^= col << fill
+            row = adj[j]
+            while col:
+                top = col.bit_length()
+                i = j - top
+                row.append(i)
+                adj[i].append(j)
+                edge_count += 1
+                col ^= 1 << (top - 1)
     # padding bits must be zero for a bit-exact round trip
-    if bits and acc & ((1 << bits) - 1):
+    if acc:
         raise ValueError("non-zero padding bits in graph6 data")
-    return build_graph(n, edges)
+    return Graph(n, tuple(map(tuple, adj)), edge_count)
 
 
 def to_edgelist_text(G: Graph) -> str:

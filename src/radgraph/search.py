@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from . import io as gio
 from .bounds import upper_bound_radius
 from .constructions import bipartite_radius2, box_graph, radius3_graph
-from .graph import Graph, _reach, build_graph, metric_summary
+from .graph import Graph, _girth_of, _reach, build_graph, metric_summary
 
 __all__ = [
     "DEFAULT_CAP",
@@ -292,8 +292,15 @@ def stream_verify(lines, delta: int, g: int) -> dict:
     Members must be connected with min degree >= delta and girth >= g; every
     accepted graph is additionally checked against the universal radius upper
     bound for each even girth floor g' <= its girth, and any violator is
-    reported verbatim (there should never be one).  Malformed lines are
-    skipped and counted.
+    reported verbatim (there should never be one).  Blank lines are skipped;
+    lines that do not decode are counted as malformed.
+
+    The filters run cheapest first: the minimum degree, then the memoised
+    girth, and only then ``metric_summary``, which reuses that girth and
+    answers ``radius is None`` for a disconnected graph before any
+    eccentricity is computed, so only accepted graphs pay for their
+    eccentricities.  Lines may be str or bytes; only accepted lines are
+    decoded to text, for the report.
     """
     total = malformed = filtered_out = accepted = 0
     by_n: dict = {}
@@ -309,8 +316,8 @@ def stream_verify(lines, delta: int, g: int) -> dict:
         except ValueError:
             malformed += 1
             continue
-        ms = metric_summary(G)
-        if ms.radius is None or ms.min_degree < delta or ms.girth < g:
+        if (min(G.degrees(), default=0) < delta or _girth_of(G) < g
+                or (ms := metric_summary(G)).radius is None):
             filtered_out += 1
             continue
         accepted += 1

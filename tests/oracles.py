@@ -7,6 +7,8 @@ bridges from per-edge deletion.  These stay deliberately slow and obvious.
 
 from itertools import combinations
 
+from radgraph import build_graph
+
 INF = float("inf")
 
 
@@ -145,3 +147,50 @@ def graph6_reference(n, edges):
     if fill:
         out.append((acc << (6 - fill)) + 63)
     return bytes(out)
+
+
+def from_graph6_reference(data):
+    """graph6 decoding by the plain bit loop, one adjacency bit per step,
+    with its own size-header parser; raises ValueError for a malformed size
+    header, body length, body byte or non-zero padding."""
+    if isinstance(data, str):
+        data = data.encode("ascii")
+    data = data.strip()
+    if data.startswith(b">>graph6<<"):
+        data = data[len(b">>graph6<<"):]
+    if not data:
+        raise ValueError("empty graph6 data")
+    if data[0] != 126:
+        width, pos = 1, 0
+    elif len(data) >= 2 and data[1] != 126:
+        width, pos = 3, 1
+    else:
+        width, pos = 6, 2
+    if len(data) < pos + width:
+        raise ValueError("truncated graph6 size field")
+    n = 0
+    for b in data[pos:pos + width]:
+        if not 63 <= b <= 126:
+            raise ValueError(f"invalid graph6 size byte {b!r}")
+        n = (n << 6) | (b - 63)
+    body = data[pos + width:]
+    expect = (n * (n - 1) // 2 + 5) // 6
+    if len(body) != expect:
+        raise ValueError(f"graph6 body has {len(body)} bytes, expected {expect} for n={n}")
+    for b in body:
+        if not 63 <= b <= 126:
+            raise ValueError(f"invalid graph6 byte {b!r}")
+    edges = []
+    idx = bits = acc = 0
+    for j in range(1, n):
+        for i in range(j):
+            if bits == 0:
+                acc = body[idx] - 63
+                idx += 1
+                bits = 6
+            bits -= 1
+            if (acc >> bits) & 1:
+                edges.append((i, j))
+    if bits and acc & ((1 << bits) - 1):
+        raise ValueError("non-zero padding bits in graph6 data")
+    return build_graph(n, edges)

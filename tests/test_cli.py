@@ -206,6 +206,21 @@ class TestSearch:
         assert code == 0 and data["total"] == 3 and data["malformed"] == 1
         assert data["accepted"] == 2 and data["max_radius"] == 4
 
+    def test_stream_non_ascii_line_is_malformed(self, capsys, monkeypatch, tmp_path):
+        import io
+
+        data = b"\n".join([graph6_bytes(cycle(8)), b"G\xe9??", graph6_bytes(cycle(5)), b""])
+        path = tmp_path / "catalogue.g6"
+        path.write_bytes(data)
+        argv = ("search", "stream", "--delta", "2", "--g", "4")
+        file_code, file_out, _ = run(capsys, *argv, "--input", str(path))
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="ascii"))
+        stdin_code, stdin_out, _ = run(capsys, *argv)
+        assert file_code == stdin_code == 0
+        assert file_out == stdin_out
+        report = json.loads(file_out)
+        assert report["total"] == 3 and report["malformed"] == 1 and report["accepted"] == 2
+
 
 class TestExtract:
     def test_extract_json(self, capsys, tmp_path):

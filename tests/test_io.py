@@ -16,7 +16,7 @@ from radgraph import (
 )
 from radgraph.io import graph6_bytes_from_rows
 from conftest import cycle
-from oracles import graph6_reference
+from oracles import from_graph6_reference, graph6_reference
 
 
 def random_graph(n, p, seed):
@@ -80,6 +80,53 @@ def test_graph6_round_trip_property(G):
     assert from_graph6(data) == G
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 6, 7, 62, 63, 64, 130, 300])  # 300: several decode slices
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.7, 1.0])
+def test_graph6_decoder_matches_bit_loop_reference(n, p):
+    G = random_graph(n, p, seed=n * 37 + int(p * 10))
+    data = graph6_reference(n, list(G.edges()))
+    for form in (data, b" >>graph6<<" + data + b"\n", data.decode("ascii")):
+        H = from_graph6(form)
+        assert H == from_graph6_reference(form) == G
+        assert H.edge_count == G.edge_count
+        assert all(list(row) == sorted(row) for row in H.adj)
+
+
+@st.composite
+def mutated_encodings(draw):
+    """Valid encodings of small graphs with one byte overwritten, inserted or
+    removed, so that many draws stay near the valid set."""
+    n = draw(st.sampled_from([0, 1, 2, 3, 5, 7, 11, 62, 63, 64]))
+    pairs = list(combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=40)) if pairs else []
+    data = bytearray(graph6_bytes(build_graph(n, edges)))
+    at = draw(st.integers(0, len(data)))
+    byte = draw(st.integers(0, 255))
+    kind = draw(st.sampled_from(["keep", "overwrite", "insert", "remove"]))
+    if kind == "overwrite" and at < len(data):
+        data[at] = byte
+    elif kind == "insert":
+        data.insert(at, byte)
+    elif kind == "remove" and at < len(data):
+        del data[at]
+    return bytes(data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.binary(max_size=24), mutated_encodings()))
+def test_graph6_decoder_property(data):
+    """Both decoders return equal graphs, or both raise the same ValueError."""
+    try:
+        expected = from_graph6_reference(data)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as caught:
+            from_graph6(data)
+        assert str(caught.value) == str(exc)
+        return
+    H = from_graph6(data)
+    assert H == expected and H.edge_count == expected.edge_count
+
+
 def test_graph6_accepts_format_header():
     G = cycle(5)
     data = b">>graph6<<" + graph6_bytes(G)
@@ -106,10 +153,30 @@ def test_graph6_extended_size_header():
         b"Dqq",        # one byte too many
         b"D\x19",      # body byte below offset 63
         bytes([66, 0b111111 + 63]),  # n=3: padding bits must be zero
+        b"A\x7f",      # body byte above 126
+        "A\u00e9",     # a str that is not ASCII
+        b"~??",        # the four-byte size header cut short
+        bytes([65, 0b000001 + 63]),  # n=2: one bit, then non-zero padding
     ],
 )
 def test_graph6_malformed_rejected(bad):
     with pytest.raises(ValueError):
+        from_graph6(bad)
+
+
+@pytest.mark.parametrize(
+    "bad,message",
+    [
+        (b"~??", "truncated graph6 size field"),
+        (b"F?!??", "invalid graph6 byte 33"),
+        (b"F??\x7f?", "invalid graph6 byte 127"),
+        (b"F?\xe9??", "invalid graph6 byte 233"),
+        (b"F?????", "graph6 body has 5 bytes, expected 4 for n=7"),
+        (bytes([65, 0b000001 + 63]), "non-zero padding bits"),
+    ],
+)
+def test_graph6_malformed_message(bad, message):
+    with pytest.raises(ValueError, match=message):
         from_graph6(bad)
 
 

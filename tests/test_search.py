@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import networkx as nx
@@ -8,10 +9,11 @@ from radgraph import (
     exact_radius_formula_g4,
     graph6_bytes,
     metric_summary,
+    upper_bound_radius,
 )
 from radgraph.search import enumerate_extremal, stream_verify, verify_theorem_main_small
 from conftest import cycle
-from oracles import naive_girth, naive_radius_diameter
+from oracles import INF, from_graph6_reference, naive_girth, naive_radius_diameter
 
 
 def brute_force_reference(n, delta, g):
@@ -161,3 +163,131 @@ class TestStreamVerify:
     def test_blank_lines_ignored(self):
         report = stream_verify(["", "  ", graph6_bytes(cycle(6)).decode()], 2, 4)
         assert report["total"] == 1 and report["accepted"] == 1
+
+
+def stream_corpus():
+    """Seeded graph6 lines: random graphs on 0..8 vertices at every density
+    (many disconnected), cycles, pairs of disjoint cycles, complete bipartite
+    graphs, malformed and blank lines, some of them as bytes."""
+    rng = random.Random(2024)
+    lines = []
+    for _ in range(160):
+        roll = rng.random()
+        if roll < 0.5:
+            n = rng.randint(0, 8)
+            p = rng.random()
+            G = build_graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+        elif roll < 0.65:
+            G = cycle(rng.randint(3, 9))
+        elif roll < 0.75:
+            a, b = rng.randint(3, 5), rng.randint(3, 5)
+            G = build_graph(a + b, [(i, (i + 1) % a) for i in range(a)]
+                            + [(a + i, a + (i + 1) % b) for i in range(b)])
+        elif roll < 0.85:
+            a, b = rng.randint(1, 4), rng.randint(1, 4)
+            G = build_graph(a + b, [(u, a + v) for u in range(a) for v in range(b)])
+        elif roll < 0.93:
+            lines.append(rng.choice(["C!", "D", "Dqq", "A\x7f", "~??", "\u00e9", "Bw~"]))
+            continue
+        else:
+            lines.append(rng.choice(["", "  ", "\n"]))
+            continue
+        text = graph6_bytes(G).decode("ascii")
+        lines.append(text.encode("ascii") + b"\n" if rng.random() < 0.3 else text)
+    return lines
+
+
+def line_facts(lines):
+    """Per line: None when blank, "malformed", or (text, n, radius, min
+    degree, girth) from the brute-force oracles."""
+    facts = []
+    for raw in lines:
+        line = raw.strip()
+        if not line:
+            facts.append(None)
+            continue
+        try:
+            G = from_graph6_reference(line)
+        except ValueError:
+            facts.append("malformed")
+            continue
+        edges = list(G.edges())
+        radius = naive_radius_diameter(G.n, edges)[0] if G.n else None
+        text = line if isinstance(line, str) else line.decode("ascii")
+        facts.append((text, G.n, radius, min(G.degrees(), default=0), naive_girth(G.n, edges)))
+    return facts
+
+
+def stream_reference(facts, delta, g):
+    """The report stream_verify must give, built from the oracle facts."""
+    report = {"delta": delta, "g": g, "total": 0, "malformed": 0, "filtered_out": 0,
+              "accepted": 0, "max_radius": None, "witness": None, "by_n": {},
+              "bound_violations": []}
+    by_n = {}
+    for fact in facts:
+        if fact is None:
+            continue
+        report["total"] += 1
+        if fact == "malformed":
+            report["malformed"] += 1
+            continue
+        text, n, radius, min_degree, girth = fact
+        if radius is None or min_degree < delta or girth < g:
+            report["filtered_out"] += 1
+            continue
+        report["accepted"] += 1
+        if min_degree >= 2 and girth != INF and any(
+            radius > upper_bound_radius(n, min_degree, ge) for ge in range(4, girth + 1, 2)
+        ):
+            report["bound_violations"].append(text)
+        slot = by_n.setdefault(n, {"count": 0, "max_radius": -1, "witness": None})
+        slot["count"] += 1
+        if radius > slot["max_radius"]:
+            slot["max_radius"], slot["witness"] = radius, text
+        if report["max_radius"] is None or radius > report["max_radius"]:
+            report["max_radius"], report["witness"] = radius, text
+    report["by_n"] = {str(k): v for k, v in sorted(by_n.items())}
+    return report
+
+
+@pytest.fixture(scope="module")
+def corpus_facts():
+    lines = stream_corpus()
+    return lines, line_facts(lines)
+
+
+class TestStreamVerifyOracle:
+    @pytest.mark.parametrize("delta", [0, 1, 2, 3])
+    @pytest.mark.parametrize("g", [3, 4, 5, 6])
+    def test_matches_oracle_report(self, corpus_facts, delta, g):
+        lines, facts = corpus_facts
+        assert stream_verify(lines, delta, g) == stream_reference(facts, delta, g)
+
+    def test_corpus_covers_every_filter(self, corpus_facts):
+        _, facts = corpus_facts
+        graphs = [f for f in facts if isinstance(f, tuple)]
+        assert None in facts and "malformed" in facts
+        assert {0, 1, 2} <= {f[1] for f in graphs}
+        assert any(f[2] is None and f[1] > 1 for f in graphs)  # disconnected
+        assert {3, 4, 5, 6, INF} <= {f[4] for f in graphs}
+        assert {0, 1, 2, 3} <= {f[3] for f in graphs}
+
+    @pytest.mark.parametrize("delta,g", [(0, 3), (2, 4), (3, 5), (1, 6)])
+    def test_metric_summary_only_after_cheap_filters(self, corpus_facts, monkeypatch, delta, g):
+        import radgraph.search
+
+        lines, facts = corpus_facts
+        summarised = []
+
+        def spy(G):
+            summarised.append(G)
+            return metric_summary(G)
+
+        monkeypatch.setattr(radgraph.search, "metric_summary", spy)
+        report = stream_verify(lines, delta, g)
+        assert report == stream_reference(facts, delta, g)
+        for G in summarised:
+            assert min(G.degrees(), default=0) >= delta
+            assert naive_girth(G.n, list(G.edges())) >= g
+        passing = [f for f in facts if isinstance(f, tuple) and f[3] >= delta and f[4] >= g]
+        assert len(summarised) == len(passing)
