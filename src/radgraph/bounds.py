@@ -35,19 +35,24 @@ class BoundReport:
     details: dict = field(default_factory=dict, compare=False)
 
     def to_json_dict(self) -> dict:
-        claimed = self.claimed
-        if isinstance(claimed, Fraction):
-            claimed = int(claimed) if claimed.denominator == 1 else float(claimed)
         witness = None
         if self.witness is not None:
             witness = list(getattr(self.witness, "vertices", self.witness))
         return {
             "kind": self.kind,
-            "claimed": claimed,
+            "claimed": _json_number(self.claimed),
             "measured": self.measured,
             "pass": self.passed,
             "witness": witness,
         }
+
+
+def _json_number(value):
+    """A Fraction as an int when it is integral and as a float otherwise;
+    any other value unchanged."""
+    if isinstance(value, Fraction):
+        return int(value) if value.denominator == 1 else float(value)
+    return value
 
 
 def exact_radius_formula_g4(n: int, delta: int) -> int | None:
@@ -74,6 +79,8 @@ def exact_radius_formula_g4(n: int, delta: int) -> int | None:
 def upper_bound_radius(n: int, delta: int, g: int) -> Fraction:
     """Universal radius upper bound n*k / (2*delta*(delta-1)^(k-2)) + 3*k
     for girth at least g = 2k (k >= 2).  Exact rational."""
+    if n < 1:
+        raise ValueError(f"order must be >= 1, got {n}")
     if delta < 2:
         raise ValueError(f"minimum degree must be >= 2, got {delta}")
     if g % 2:
@@ -92,6 +99,8 @@ def cage_lower_bound(n: int, delta: int, g: int) -> Fraction:
       g = 8:   2n / (d^3 - 2 d^2 + 2 d) - 4
       g = 12:  3n / (((d-1)^3 + 1) (d^2 - d + 1)) - 6
     """
+    if n < 1:
+        raise ValueError(f"order must be >= 1, got {n}")
     if delta < 2:
         raise ValueError(f"minimum degree must be >= 2, got {delta}")
     d = delta

@@ -12,10 +12,9 @@ import contextlib
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import io as gio
-from .bounds import cage_lower_bound, exact_radius_formula_g4, upper_bound_radius
+from .bounds import _json_number, cage_lower_bound, exact_radius_formula_g4, upper_bound_radius
 from .constructions import (
     bipartite_radius2,
     box_graph,
@@ -88,12 +87,6 @@ def _metrics_dict(G):
         "min_degree": ms.min_degree,
         "centers": list(ms.centers),
     }
-
-
-def _num(value):
-    if isinstance(value, Fraction):
-        return int(value) if value.denominator == 1 else float(value)
-    return value
 
 
 def _print_json(obj, pretty=False):
@@ -229,9 +222,9 @@ def _cmd_bound(args):
         exact = exact_radius_formula_g4(args.n, args.delta)
         out["exact"] = "nonexistent" if exact is None else exact
     if args.g % 2 == 0 and args.g >= 4:
-        out["upper"] = _num(upper_bound_radius(args.n, args.delta, args.g))
+        out["upper"] = _json_number(upper_bound_radius(args.n, args.delta, args.g))
     if args.g in (6, 8, 12):
-        out["cage_lower"] = _num(cage_lower_bound(args.n, args.delta, args.g))
+        out["cage_lower"] = _json_number(cage_lower_bound(args.n, args.delta, args.g))
     _print_json(out, args.pretty)
     return EXIT_OK
 

@@ -11,8 +11,9 @@ allowed).  Isomorph rejection is deliberately absent: the maximum over a
 superset with relabelled duplicates is the same maximum, and the labelled
 walk stays auditable.
 
-One walker serves both the full enumeration and the ``jobs`` split, which
-stops it at a fixed depth and hands the partial assignments to workers.  All
+Every enumeration takes one path: the walker stops at a fixed depth, and the
+completions of each partial assignment found there are enumerated in turn,
+in process or on a worker pool, so ``jobs`` cannot change the result.  All
 reachability -- the far-neighbour masks, connectivity and eccentricities of
 each leaf -- runs through the bitset frontier sweep of :mod:`radgraph.graph`.
 """
@@ -83,15 +84,23 @@ def _seed_radii(n, delta, g):
                 candidates.append(box_graph(r, delta, n - base))
             except ValueError:
                 pass
-    radii = []
-    for G in candidates:
-        if G.n != n:
-            continue
-        ms = metric_summary(G)
-        if ms.radius is None or ms.min_degree < delta or ms.girth < g:
-            continue
-        radii.append(ms.radius)
-    return radii
+    return [ms.radius for G in candidates
+            if G.n == n and (ms := _admissible_summary(G, delta, g)) is not None]
+
+
+def _admissible_summary(G, delta, g):
+    """``metric_summary(G)`` when G is connected with minimum degree >= delta
+    and girth >= g, else None.
+
+    The tests run cheapest first: the minimum degree, then the memoised
+    girth, and only then ``metric_summary``, which reuses that girth and
+    answers ``radius is None`` for a disconnected graph before any
+    eccentricity is computed.
+    """
+    if min(G.degrees(), default=0) < delta or _girth_of(G) < g:
+        return None
+    ms = metric_summary(G)
+    return None if ms.radius is None else ms
 
 
 def _walk(n, delta, g, rows, deg, start_v, stop_v, visit):
@@ -156,10 +165,7 @@ def _enumerate_span(n, delta, g, rows, deg, start_v, best_r_init):
 
     def leaf():
         nonlocal best_r, best_key, count
-        if n > 1 and min(deg) < delta:
-            return
-        if n == 1 and delta > 0:
-            return
+        # the walk's degree prune leaves every degree >= delta here
         seen, radius = _reach(rows, 1, n)
         if seen != full:
             return
@@ -172,11 +178,8 @@ def _enumerate_span(n, delta, g, rows, deg, start_v, best_r_init):
         if radius < best_r:
             return
         key = gio.graph6_bytes_from_rows(n, rows)
-        if radius > best_r:
-            best_r = radius
-            best_key = key
-        elif best_key is None or key < best_key:
-            best_key = key
+        if radius > best_r or best_key is None or key < best_key:
+            best_r, best_key = radius, key
 
     _walk(n, delta, g, rows, deg, start_v, n, leaf)
     return best_r, best_key, count
@@ -208,10 +211,10 @@ def enumerate_extremal(
     with minimum degree >= delta and girth >= g, with one witness graph.
 
     n is capped at 8 by default; n = 9 requires ``allow_long`` and may take
-    hours.  With jobs > 1 the backtracking forest is split at the first
-    decision levels across a process pool; ties between equal-radius
-    witnesses always resolve to the smallest graph6 encoding, so the result
-    does not depend on the worker count.
+    hours.  The backtracking forest is always split after the first
+    min(n, 4) vertices, and the tasks run in process for jobs <= 1 and on a
+    pool of ``jobs`` processes otherwise; ties between equal-radius witnesses
+    resolve to the smallest graph6 encoding.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -225,34 +228,20 @@ def enumerate_extremal(
         raise ValueError(f"degree floor must be >= 0, got {delta}")
 
     best_r_init = max(_seed_radii(n, delta, g), default=-1)
-    if jobs > 1 and n >= 4:
-        split_v = 4
-        prefixes = _collect_prefixes(n, delta, g, split_v)
-        tasks = [
-            (n, delta, g, rows, deg, split_v, best_r_init)
-            for rows, deg in prefixes
-        ]
-        results = []
+    split_v = min(n, 4)
+    tasks = [(n, delta, g, rows, deg, split_v, best_r_init)
+             for rows, deg in _collect_prefixes(n, delta, g, split_v)]
+    if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_span_task, tasks, chunksize=1))
     else:
-        results = [_enumerate_span(n, delta, g, (0,) * n, (0,) * n, 0, best_r_init)]
-
-    best_r = -1
-    best_key = None
-    count = 0
-    for r, key, c in results:
-        count += c
-        if key is None:
-            continue
-        if r > best_r:
-            best_r, best_key = r, key
-        elif r == best_r and key < best_key:
-            best_key = key
+        results = list(map(_span_task, tasks))
+    count = sum(c for _, _, c in results)
     if count == 0:
         return SearchResult(n, delta, g, None, None, 0)
-    witness = gio.from_graph6(best_key)
-    return SearchResult(n, delta, g, best_r, witness, count)
+    # larger radius first, then the smaller graph6 encoding
+    neg_r, best_key = min((-r, key) for r, key, _ in results if key is not None)
+    return SearchResult(n, delta, g, -neg_r, gio.from_graph6(best_key), count)
 
 
 def verify_theorem_main_small(n_max: int, delta_set, *, jobs: int = 1) -> dict:
@@ -293,14 +282,9 @@ def stream_verify(lines, delta: int, g: int) -> dict:
     accepted graph is additionally checked against the universal radius upper
     bound for each even girth floor g' <= its girth, and any violator is
     reported verbatim (there should never be one).  Blank lines are skipped;
-    lines that do not decode are counted as malformed.
-
-    The filters run cheapest first: the minimum degree, then the memoised
-    girth, and only then ``metric_summary``, which reuses that girth and
-    answers ``radius is None`` for a disconnected graph before any
-    eccentricity is computed, so only accepted graphs pay for their
-    eccentricities.  Lines may be str or bytes; only accepted lines are
-    decoded to text, for the report.
+    lines that do not decode are counted as malformed.  Only accepted graphs
+    pay for their eccentricities (see ``_admissible_summary``).  Lines may be
+    str or bytes; only accepted lines are decoded to text, for the report.
     """
     total = malformed = filtered_out = accepted = 0
     by_n: dict = {}
@@ -316,8 +300,8 @@ def stream_verify(lines, delta: int, g: int) -> dict:
         except ValueError:
             malformed += 1
             continue
-        if (min(G.degrees(), default=0) < delta or _girth_of(G) < g
-                or (ms := metric_summary(G)).radius is None):
+        ms = _admissible_summary(G, delta, g)
+        if ms is None:
             filtered_out += 1
             continue
         accepted += 1

@@ -41,6 +41,10 @@ class TestExactFormula:
         with pytest.raises(ValueError):
             exact_radius_formula_g4(10, 1)
 
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_empty_order_is_nonexistent(self, n):
+        assert exact_radius_formula_g4(n, 3) is None
+
 
 class TestUpperBound:
     @pytest.mark.parametrize(
@@ -61,6 +65,11 @@ class TestUpperBound:
     def test_tiny_girth_rejected(self):
         with pytest.raises(ValueError):
             upper_bound_radius(10, 3, 2)
+
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_empty_order_rejected(self, n):
+        with pytest.raises(ValueError):
+            upper_bound_radius(n, 3, 6)
 
     def test_formula_consistency_with_exact(self):
         # the exact triangle-free value never exceeds the universal bound
@@ -96,6 +105,11 @@ class TestCageLowerBound:
     def test_unsupported_girth_rejected(self):
         with pytest.raises(ValueError):
             cage_lower_bound(100, 3, 10)
+
+    @pytest.mark.parametrize("n,g", [(0, 8), (-5, 6), (0, 12)])
+    def test_empty_order_rejected(self, n, g):
+        with pytest.raises(ValueError):
+            cage_lower_bound(n, 3, g)
 
     def test_returns_exact_rationals(self):
         val = cage_lower_bound(15, 3, 6)

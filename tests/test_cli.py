@@ -108,6 +108,11 @@ class TestBound:
         code, out, _ = run(capsys, "bound", "--n", "5", "--delta", "3", "--g", "4")
         assert json.loads(out)["exact"] == "nonexistent"
 
+    @pytest.mark.parametrize("n,delta,g", [("-5", "3", "6"), ("0", "3", "8"), ("0", "3", "4")])
+    def test_empty_order_exit_2(self, capsys, n, delta, g):
+        code, out, err = run(capsys, "bound", "--n", n, "--delta", delta, "--g", g)
+        assert code == 2 and out == "" and "order must be >= 1" in err
+
 
 class TestWitness:
     def test_check_tf_pass(self, capsys, tmp_path):

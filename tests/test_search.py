@@ -1,8 +1,11 @@
 import random
+from functools import lru_cache
 from itertools import combinations
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radgraph import (
     build_graph,
@@ -13,7 +16,7 @@ from radgraph import (
 )
 from radgraph.search import enumerate_extremal, stream_verify, verify_theorem_main_small
 from conftest import cycle
-from oracles import INF, from_graph6_reference, naive_girth, naive_radius_diameter
+from oracles import INF, from_graph6_reference, graph6_reference, naive_girth, naive_radius_diameter
 
 
 def brute_force_reference(n, delta, g):
@@ -110,6 +113,61 @@ class TestEnumerateExtremal:
     def test_single_vertex(self):
         res = enumerate_extremal(1, 0, 4)
         assert res.max_radius == 0 and res.graphs_considered == 1
+
+
+@lru_cache(maxsize=None)
+def labelled_scan(n):
+    """Map (min degree, radius, girth) to (count, smallest graph6 encoding)
+    over all 2^C(n,2) labelled graphs on n vertices; radius, girth and the
+    encoding are None for a disconnected graph."""
+    pairs = list(combinations(range(n), 2))
+    facts = {}
+    for mask in range(1 << len(pairs)):
+        edges = [pairs[i] for i in range(len(pairs)) if (mask >> i) & 1]
+        degs = [0] * n
+        for u, v in edges:
+            degs[u] += 1
+            degs[v] += 1
+        radius, _ = naive_radius_diameter(n, edges)
+        girth = key = None
+        if radius is not None:
+            girth, key = naive_girth(n, edges), graph6_reference(n, edges)
+        fact = (min(degs), radius, girth)
+        count, smallest = facts.get(fact, (0, key))
+        facts[fact] = (count + 1, smallest if key is None else min(smallest, key))
+    return facts
+
+
+def scan_reference(n, delta, g):
+    """(max radius, count, witness encoding) over the connected graphs of
+    ``labelled_scan(n)`` with minimum degree >= delta and girth >= g; the
+    witness is the smallest encoding among those of maximum radius."""
+    valid = [(radius, count, key) for (min_degree, radius, girth), (count, key) in labelled_scan(n).items()
+             if radius is not None and min_degree >= delta and girth >= g]
+    if not valid:
+        return None, 0, None
+    best = max(r for r, _, _ in valid)
+    return best, sum(c for _, c, _ in valid), min(k for r, _, k in valid if r == best)
+
+
+search_params = st.tuples(st.integers(1, 6), st.integers(0, 3), st.integers(3, 6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(search_params)
+def test_enumerate_extremal_property(params):
+    res = enumerate_extremal(*params)
+    witness = None if res.extremal_witness is None else graph6_bytes(res.extremal_witness)
+    assert (res.max_radius, res.graphs_considered, witness) == scan_reference(*params)
+
+
+@settings(max_examples=5, deadline=None)
+@given(search_params)
+def test_enumerate_extremal_jobs_property(params):
+    seq = enumerate_extremal(*params, jobs=1)
+    par = enumerate_extremal(*params, jobs=2)
+    assert (seq.max_radius, seq.graphs_considered, seq.extremal_witness) == (
+        par.max_radius, par.graphs_considered, par.extremal_witness)
 
 
 class TestVerifyTheorem:

@@ -1,4 +1,8 @@
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radgraph import (
     WitnessKind,
@@ -21,7 +25,7 @@ from radgraph import (
     validate_geodesic_observations,
 )
 from conftest import barbell, cycle
-from oracles import max_general_witness_size
+from oracles import floyd_distances, max_general_witness_size
 
 
 class TestGeneralWitness:
@@ -164,6 +168,44 @@ class TestFindWitness:
         limited = find_witness(G, 2, budget=50)
         assert len(limited.vertices) <= len(full.vertices)
         check_witness_general(G, limited.vertices, 2)
+
+
+@st.composite
+def graphs_with_girth_2k(draw):
+    """(G, k) with G on at most 12 vertices and girth >= 2k: a drawn run of
+    candidate pairs, each kept only when its ends are still at distance
+    >= 2k - 1, so that it closes no cycle shorter than 2k."""
+    n = draw(st.integers(0, 12))
+    k = draw(st.integers(2, 4))
+    pairs = draw(st.permutations(list(combinations(range(n), 2))))
+    edges = []
+    for u, w in pairs[:draw(st.integers(0, len(pairs)))]:
+        if floyd_distances(n, edges)[u][w] >= 2 * k - 1:
+            edges.append((u, w))
+    return build_graph(n, edges), k
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs_with_girth_2k())
+def test_find_witness_is_maximum_property(case):
+    G, k = case
+    ws = find_witness(G, k)
+    assert len(ws.vertices) == max_general_witness_size(G.n, list(G.edges()), k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs_with_girth_2k(), st.data())
+def test_check_witness_general_property(case, data):
+    G, k = case
+    T = sorted(data.draw(st.sets(st.integers(0, max(G.n - 1, 0)), max_size=G.n)))
+    dist = floyd_distances(G.n, list(G.edges()))
+    bad = [(u, w) for u, w in combinations(T, 2) if dist[u][w] != 1 and dist[u][w] < 2 * k - 1]
+    if bad:
+        with pytest.raises(WitnessValidationError) as err:
+            check_witness_general(G, T, k)
+        assert err.value.pair in bad
+    else:
+        assert check_witness_general(G, T, k).witness.vertices == tuple(T)
 
 
 class TestEasycasesPattern:
