@@ -10,16 +10,14 @@ from .bounds import (
 from .constructions import (
     BoxSpec,
     ExtractionResult,
-    GlueSpec,
     bipartite_radius2,
     box_graph,
     box_spec,
     extract_dense_subgraph,
     glue_cycle,
-    glue_spec,
     radius3_graph,
 )
-from .fields import SUPPORTED_ORDERS, FieldElement, FiniteField, field_make
+from .fields import SUPPORTED_ORDERS, FiniteField, field_make
 from .geometry import (
     CageValidationError,
     import_cage,

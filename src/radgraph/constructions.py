@@ -21,14 +21,12 @@ from .graph import (
 
 __all__ = [
     "BoxSpec",
-    "GlueSpec",
     "ExtractionResult",
     "box_spec",
     "box_graph",
     "bipartite_radius2",
     "radius3_graph",
     "glue_cycle",
-    "glue_spec",
     "extract_dense_subgraph",
 ]
 
@@ -47,15 +45,6 @@ class BoxSpec:
     delta: int
     c: int
     box_sizes: tuple
-
-
-@dataclass(frozen=True)
-class GlueSpec:
-    """A base graph, the copy count, and the cycle edge cut before chaining."""
-
-    base: Graph
-    copies: int
-    cut_edge: tuple
 
 
 @dataclass(frozen=True)
@@ -190,13 +179,6 @@ def glue_cycle(H: Graph, m: int) -> Graph:
         edges.extend((off + a, off + b) for a, b in base_edges)
         edges.append((off + v, ((i + 1) % m) * n + w))
     return build_graph(m * n, edges)
-
-
-def glue_spec(H: Graph, m: int) -> GlueSpec:
-    """The parameters :func:`glue_cycle` would use, without building the graph."""
-    if m < 2:
-        raise ValueError(f"need at least 2 copies, got {m}")
-    return GlueSpec(H, m, _lex_smallest_non_bridge(H))
 
 
 def extract_dense_subgraph(G: Graph, k: int) -> ExtractionResult:

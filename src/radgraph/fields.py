@@ -1,14 +1,20 @@
-"""Arithmetic in GF(q) for the prime powers backing the incidence geometries.
+"""GF(q) as integer tables for the prime powers backing the incidence geometries.
 
-Elements are stored in the polynomial basis over the prime subfield and
-identified with the integers 0..q-1 via base-p digits (digit i is the
-coefficient of x^i).  Multiplication and inversion are table-driven, which is
-cheap for the supported orders.
+Elements are the integers 0..q-1; the base-p digits of x are the coefficients
+of a polynomial over Z_p (digit i is the coefficient of x^i), multiplied modulo
+a fixed monic reduction polynomial f.  The geometry builds read the addition,
+negation, multiplication and inverse tables directly.
+
+Integer tables; the inverse check proves the field: Z_p[x]/(f) is a finite
+commutative ring for every p and monic f, and such a ring is a field exactly
+when every non-zero element has an inverse.  The table build looks up every
+inverse and fails otherwise, so a composite order or a reducible polynomial is
+rejected without a separate primality or irreducibility test.
 """
 
 from __future__ import annotations
 
-__all__ = ["SUPPORTED_ORDERS", "FiniteField", "FieldElement", "field_make"]
+__all__ = ["SUPPORTED_ORDERS", "FiniteField", "field_make"]
 
 #: Orders with either prime modular arithmetic or a fixed reduction polynomial.
 SUPPORTED_ORDERS = frozenset({2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27})
@@ -24,17 +30,6 @@ _REDUCTION = {
 }
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def _poly_trim(a):
     while a and a[-1] == 0:
         a = a[:-1]
@@ -42,7 +37,7 @@ def _poly_trim(a):
 
 
 def _poly_mod(a, b, p):
-    """Remainder of a by b over GF(p); b must be non-zero."""
+    """Remainder of a by b over Z_p; b must have an invertible leading coefficient."""
     a = list(a)
     db = len(_poly_trim(tuple(b))) - 1
     binv = pow(b[db], -1, p)
@@ -55,117 +50,15 @@ def _poly_mod(a, b, p):
     return tuple(_poly_trim(tuple(a[:db])))
 
 
-def _irreducible(poly, p) -> bool:
-    """Exhaustive trial division by all monic polynomials of degree <= e//2."""
-    e = len(poly) - 1
-    for deg in range(1, e // 2 + 1):
-        for code in range(p ** deg):
-            divisor = []
-            c = code
-            for _ in range(deg):
-                divisor.append(c % p)
-                c //= p
-            divisor.append(1)  # monic
-            if not _poly_mod(poly, divisor, p):
-                return False
-    return True
-
-
-class FieldElement:
-    """Element of a :class:`FiniteField`, hashable and immutable."""
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field: "FiniteField", value: int):
-        self.field = field
-        self.value = value
-
-    @property
-    def coeffs(self) -> tuple:
-        """Polynomial-basis coefficients, constant term first."""
-        p, e, v = self.field.p, self.field.e, self.value
-        out = []
-        for _ in range(e):
-            out.append(v % p)
-            v //= p
-        return tuple(out)
-
-    def _lift(self, other):
-        if isinstance(other, FieldElement):
-            if other.field is not self.field and other.field != self.field:
-                raise ValueError("elements belong to different fields")
-            return other.value
-        if isinstance(other, int):
-            return other % self.field.q if 0 <= other < self.field.p else None
-        return None
-
-    def __add__(self, other):
-        v = self._lift(other)
-        if v is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field._add[self.value][v])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field._neg[self.value])
-
-    def __sub__(self, other):
-        v = self._lift(other)
-        if v is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field._add[self.value][self.field._neg[v]])
-
-    def __mul__(self, other):
-        v = self._lift(other)
-        if v is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field._mul[self.value][v])
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v = self._lift(other)
-        if v is None:
-            return NotImplemented
-        if v == 0:
-            raise ZeroDivisionError("division by the zero field element")
-        return FieldElement(self.field, self.field._mul[self.value][self.field._inv[v]])
-
-    def inverse(self) -> "FieldElement":
-        if self.value == 0:
-            raise ZeroDivisionError("the zero field element has no inverse")
-        return FieldElement(self.field, self.field._inv[self.value])
-
-    def __pow__(self, exponent: int):
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result = self.field.one
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
-        return result
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.value == other.value and self.field == other.field
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field.q, self.value))
-
-    def __repr__(self):
-        return f"GF({self.field.q}):{self.value}"
+def _undigits(ds, p) -> int:
+    v = 0
+    for d in reversed(ds):
+        v = v * p + d
+    return v
 
 
 class FiniteField:
-    """GF(q) with total add/mul/inverse tables; build via :func:`field_make`."""
+    """GF(q) with total add/neg/mul/inverse tables; build via :func:`field_make`."""
 
     __slots__ = ("q", "p", "e", "reduction_polynomial", "_add", "_neg", "_mul", "_inv")
 
@@ -177,13 +70,9 @@ class FiniteField:
             poly = _REDUCTION[q]
             e = len(poly) - 1
             p = round(q ** (1.0 / e))
-            if p ** e != q or not _is_prime(p):
+            if p ** e != q:
                 raise ValueError(f"order {q} is not a prime power")
-            if not _irreducible(poly, p):
-                raise ValueError(f"reduction polynomial for GF({q}) is reducible")
         else:
-            if not _is_prime(q):
-                raise ValueError(f"order {q} is not a prime power")
             p, e, poly = q, 1, (0, 1)
         self.q = q
         self.p = p
@@ -191,45 +80,24 @@ class FiniteField:
         self.reduction_polynomial = poly
         self._build_tables()
 
-    # -- table construction -------------------------------------------------
-
-    def _digits(self, v: int) -> list:
-        out = []
-        for _ in range(self.e):
-            out.append(v % self.p)
-            v //= self.p
-        return out
-
-    def _undigits(self, ds) -> int:
-        v = 0
-        for d in reversed(ds):
-            v = v * self.p + d
-        return v
-
     def _build_tables(self):
-        q, p, e = self.q, self.p, self.e
+        q, p, e, poly = self.q, self.p, self.e, self.reduction_polynomial
+        digits = [[x // p ** i % p for i in range(e)] for x in range(q)]
         self._add = [
-            [
-                self._undigits([(a + b) % p for a, b in zip(self._digits(x), self._digits(y))])
-                for y in range(q)
-            ]
-            for x in range(q)
+            [_undigits([(a + b) % p for a, b in zip(dx, dy)], p) for dy in digits]
+            for dx in digits
         ]
-        self._neg = [self._undigits([(-a) % p for a in self._digits(x)]) for x in range(q)]
+        self._neg = [_undigits([(-a) % p for a in dx], p) for dx in digits]
         mul = []
-        for x in range(q):
-            dx = self._digits(x)
+        for dx in digits:
             row = []
-            for y in range(q):
-                dy = self._digits(y)
-                prod = [0] * (2 * e - 1) if e > 1 else [dx[0] * dy[0] % p]
-                if e > 1:
-                    for i, a in enumerate(dx):
-                        if a:
-                            for j, b in enumerate(dy):
-                                prod[i + j] = (prod[i + j] + a * b) % p
-                    prod = list(_poly_mod(tuple(prod), self.reduction_polynomial, p))
-                row.append(self._undigits(prod + [0] * (e - len(prod))))
+            for dy in digits:
+                prod = [0] * (2 * e - 1)
+                for i, a in enumerate(dx):
+                    if a:
+                        for j, b in enumerate(dy):
+                            prod[i + j] = (prod[i + j] + a * b) % p
+                row.append(_undigits(_poly_mod(prod, poly, p), p))
             mul.append(row)
         self._mul = mul
         inv = [0] * q
@@ -242,48 +110,10 @@ class FiniteField:
                 raise ValueError(f"element {x} of GF({q}) has no inverse")
         self._inv = inv
 
-    # -- public surface ------------------------------------------------------
-
-    @property
-    def zero(self) -> FieldElement:
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> FieldElement:
-        return FieldElement(self, 1)
-
-    def element(self, x) -> FieldElement:
-        """Element from an integer 0..q-1 or a coefficient sequence."""
-        if isinstance(x, FieldElement):
-            if x.field != self:
-                raise ValueError("element belongs to a different field")
-            return x
-        if isinstance(x, int):
-            if not 0 <= x < self.q:
-                raise ValueError(f"integer {x} outside 0..{self.q - 1}")
-            return FieldElement(self, x)
-        coeffs = list(x)
-        if len(coeffs) > self.e:
-            raise ValueError(f"too many coefficients for GF({self.q})")
-        coeffs += [0] * (self.e - len(coeffs))
-        return FieldElement(self, self._undigits([c % self.p for c in coeffs]))
-
-    def elements(self):
-        """All q elements in increasing integer order."""
-        return (FieldElement(self, v) for v in range(self.q))
-
-    def __eq__(self, other):
-        if isinstance(other, FiniteField):
-            return self.q == other.q and self.reduction_polynomial == other.reduction_polynomial
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.q, self.reduction_polynomial))
-
     def __repr__(self):
         return f"GF({self.q})"
 
 
 def field_make(q: int) -> FiniteField:
-    """Construct GF(q) for a supported order, with verified reduction polynomial."""
+    """Construct GF(q) for a supported order; the inverse check proves it a field."""
     return FiniteField(q)

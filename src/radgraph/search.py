@@ -21,6 +21,7 @@ each leaf -- runs through the bitset frontier sweep of :mod:`radgraph.graph`.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 from . import io as gio
@@ -199,6 +200,39 @@ def _span_task(args):
     return _enumerate_span(*args)
 
 
+def _pool(jobs):
+    return ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext()
+
+
+def _extremal(n, delta, g, allow_long, pool):
+    """:func:`enumerate_extremal` on ``pool``, or in process when it is None."""
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    cap = HARD_CAP if allow_long else DEFAULT_CAP
+    if n > cap:
+        hint = "" if allow_long else " (pass allow_long=True to go up to 9)"
+        raise ValueError(f"n = {n} above the enumeration cap {cap}{hint}")
+    if g < 3:
+        raise ValueError(f"girth floor must be >= 3, got {g}")
+    if delta < 0:
+        raise ValueError(f"degree floor must be >= 0, got {delta}")
+
+    best_r_init = max(_seed_radii(n, delta, g), default=-1)
+    split_v = min(n, 4)
+    tasks = [(n, delta, g, rows, deg, split_v, best_r_init)
+             for rows, deg in _collect_prefixes(n, delta, g, split_v)]
+    if pool is None:
+        results = list(map(_span_task, tasks))
+    else:
+        results = list(pool.map(_span_task, tasks, chunksize=1))
+    count = sum(c for _, _, c in results)
+    if count == 0:
+        return SearchResult(n, delta, g, None, None, 0)
+    # larger radius first, then the smaller graph6 encoding
+    neg_r, best_key = min((-r, key) for r, key, _ in results if key is not None)
+    return SearchResult(n, delta, g, -neg_r, gio.from_graph6(best_key), count)
+
+
 def enumerate_extremal(
     n: int,
     delta: int,
@@ -216,32 +250,8 @@ def enumerate_extremal(
     pool of ``jobs`` processes otherwise; ties between equal-radius witnesses
     resolve to the smallest graph6 encoding.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    cap = HARD_CAP if allow_long else DEFAULT_CAP
-    if n > cap:
-        hint = "" if allow_long else " (pass allow_long=True to go up to 9)"
-        raise ValueError(f"n = {n} above the enumeration cap {cap}{hint}")
-    if g < 3:
-        raise ValueError(f"girth floor must be >= 3, got {g}")
-    if delta < 0:
-        raise ValueError(f"degree floor must be >= 0, got {delta}")
-
-    best_r_init = max(_seed_radii(n, delta, g), default=-1)
-    split_v = min(n, 4)
-    tasks = [(n, delta, g, rows, deg, split_v, best_r_init)
-             for rows, deg in _collect_prefixes(n, delta, g, split_v)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_span_task, tasks, chunksize=1))
-    else:
-        results = list(map(_span_task, tasks))
-    count = sum(c for _, _, c in results)
-    if count == 0:
-        return SearchResult(n, delta, g, None, None, 0)
-    # larger radius first, then the smaller graph6 encoding
-    neg_r, best_key = min((-r, key) for r, key, _ in results if key is not None)
-    return SearchResult(n, delta, g, -neg_r, gio.from_graph6(best_key), count)
+    with _pool(jobs) as pool:
+        return _extremal(n, delta, g, allow_long, pool)
 
 
 def verify_theorem_main_small(n_max: int, delta_set, *, jobs: int = 1) -> dict:
@@ -250,28 +260,30 @@ def verify_theorem_main_small(n_max: int, delta_set, *, jobs: int = 1) -> dict:
 
     Returns {"rows": [...], "all_equal": bool}; each row carries the
     enumerated value, the formula value and an EQUAL/MISMATCH verdict
-    (both sides use None for "no such graph").
+    (both sides use None for "no such graph").  With jobs > 1 every row
+    runs on one shared pool of ``jobs`` processes.
     """
     from .bounds import exact_radius_formula_g4
 
     rows = []
     all_equal = True
-    for delta in sorted(delta_set):
-        for n in range(1, n_max + 1):
-            enumerated = enumerate_extremal(n, delta, 4, jobs=jobs).max_radius
-            formula = exact_radius_formula_g4(n, delta)
-            verdict = "EQUAL" if enumerated == formula else "MISMATCH"
-            if verdict != "EQUAL":
-                all_equal = False
-            rows.append(
-                {
-                    "n": n,
-                    "delta": delta,
-                    "enumerated": enumerated,
-                    "formula": formula,
-                    "verdict": verdict,
-                }
-            )
+    with _pool(jobs) as pool:
+        for delta in sorted(delta_set):
+            for n in range(1, n_max + 1):
+                enumerated = _extremal(n, delta, 4, False, pool).max_radius
+                formula = exact_radius_formula_g4(n, delta)
+                verdict = "EQUAL" if enumerated == formula else "MISMATCH"
+                if verdict != "EQUAL":
+                    all_equal = False
+                rows.append(
+                    {
+                        "n": n,
+                        "delta": delta,
+                        "enumerated": enumerated,
+                        "formula": formula,
+                        "verdict": verdict,
+                    }
+                )
     return {"rows": rows, "all_equal": all_equal}
 
 

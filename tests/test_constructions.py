@@ -10,13 +10,13 @@ from radgraph import (
     build_graph,
     extract_dense_subgraph,
     glue_cycle,
-    glue_spec,
     is_connected,
     metric_summary,
     projective_plane_incidence_graph,
     radius3_graph,
     symplectic_quadrangle_incidence_graph,
 )
+from radgraph.constructions import _lex_smallest_non_bridge
 from conftest import cycle
 from oracles import floyd_distances
 
@@ -124,7 +124,7 @@ class TestGlueCycle:
         for H in (projective_plane_incidence_graph(2), cycle(6),
                   symplectic_quadrangle_incidence_graph(2)):
             g = metric_summary(H).girth
-            v, w = glue_spec(H, 2).cut_edge
+            v, w = _lex_smallest_non_bridge(H)
             rest = [e for e in H.edges() if e != (v, w)]
             Hprime = build_graph(H.n, rest)
             assert is_connected(Hprime)
@@ -136,8 +136,7 @@ class TestGlueCycle:
         assert bridges(H) == {(0, 3), (3, 4)}
         with pytest.raises(ValueError):
             glue_cycle(H, 2)  # min degree 1
-        spec = glue_spec(build_graph(3, [(0, 1), (1, 2), (0, 2)]), 2)
-        assert spec.cut_edge == (0, 1)
+        assert _lex_smallest_non_bridge(build_graph(3, [(0, 1), (1, 2), (0, 2)])) == (0, 1)
 
     def test_degree_multiset_preserved(self):
         H = projective_plane_incidence_graph(2)

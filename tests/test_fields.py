@@ -2,7 +2,7 @@ from itertools import product
 
 import pytest
 
-from radgraph import SUPPORTED_ORDERS, field_make
+from radgraph import SUPPORTED_ORDERS, field_make, fields
 
 
 def test_unsupported_order_names_supported_set():
@@ -20,13 +20,14 @@ def test_non_members_rejected(q):
 
 def test_gf5_inverse_of_two():
     F = field_make(5)
-    assert (F.one / F.element(2)).value == 3
+    assert F._mul[1][F._inv[2]] == 3
 
 
 def test_gf4_generator_square():
     F = field_make(4)
-    x = F.element((0, 1))  # the polynomial generator
-    assert (x * x).coeffs == (1, 1)  # x^2 = x + 1 under x^2 + x + 1
+    x = 2  # the polynomial generator: digits (0, 1)
+    assert F._mul[x][x] == 3  # digits (1, 1): x^2 = x + 1 under x^2 + x + 1
+    assert F._mul[x][x] == F._add[x][1]
 
 
 def test_structure_constants():
@@ -40,54 +41,63 @@ def test_structure_constants():
 @pytest.mark.parametrize("q", sorted(SUPPORTED_ORDERS))
 def test_field_axioms_exhaustive(q):
     F = field_make(q)
-    elems = list(F.elements())
-    zero, one = F.zero, F.one
+    add, neg, mul, inv = F._add, F._neg, F._mul, F._inv
+    elems = range(q)
+    # the tables are total and closed over 0..q-1
+    for table in (add, mul):
+        assert len(table) == q
+        assert all(len(row) == q and set(row) <= set(elems) for row in table)
+    assert len(neg) == len(inv) == q and set(neg) | set(inv) <= set(elems)
     for a in elems:
-        assert a + zero == a and a * one == a
-        assert a + (-a) == zero
-        if a != zero:
-            assert a * a.inverse() == one
+        assert add[a][0] == a and mul[a][1] == a
+        assert add[a][neg[a]] == 0
+        if a:
+            assert mul[a][inv[a]] == 1
     for a, b in product(elems, repeat=2):
-        assert a + b == b + a
-        assert a * b == b * a
+        assert add[a][b] == add[b][a]
+        assert mul[a][b] == mul[b][a]
     # associativity and distributivity on all triples
     for a, b, c in product(elems, repeat=3):
-        assert (a + b) + c == a + (b + c)
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
+        assert add[add[a][b]][c] == add[a][add[b][c]]
+        assert mul[mul[a][b]][c] == mul[a][mul[b][c]]
+        assert mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]]
 
 
 @pytest.mark.parametrize("q", sorted(SUPPORTED_ORDERS))
 def test_multiplicative_group_order(q):
     F = field_make(q)
-    for a in F.elements():
-        if a:
-            assert (a ** (q - 1)) == F.one
+    for a in range(1, q):
+        power = 1
+        for _ in range(q - 1):
+            power = F._mul[power][a]
+        assert power == 1
 
 
-def test_element_integer_round_trip():
-    F = field_make(27)
-    for v in range(27):
-        e = F.element(v)
-        assert F.element(e.coeffs).value == v
+@pytest.mark.parametrize(
+    "q,poly",
+    [
+        (4, (0, 0, 1)),        # x^2
+        (8, (1, 0, 0, 1)),     # x^3 + 1 = (x + 1)(x^2 + x + 1)
+        (9, (2, 0, 1)),        # x^2 - 1 = (x - 1)(x + 1)
+        (16, (1, 0, 1, 0, 1)),  # (x^2 + x + 1)^2, reducible without a root
+        (25, (1, 0, 1)),       # x^2 + 1 = (x - 2)(x + 2)
+        (27, (0, 1, 0, 1)),    # x (x^2 + 1)
+        # composite characteristic: Z_6, Z_15 and Z_4[x]/(x^2 + x + 1)
+        (6, None),
+        (15, None),
+        (16, (1, 1, 1)),
+    ],
+)
+def test_non_field_rejected(monkeypatch, q, poly):
+    """Reducible polynomials and composite orders fail the inverse check."""
+    monkeypatch.setattr(fields, "SUPPORTED_ORDERS", fields.SUPPORTED_ORDERS | {q})
+    if poly is not None:
+        monkeypatch.setitem(fields._REDUCTION, q, poly)
+    with pytest.raises(ValueError, match="has no inverse"):
+        field_make(q)
 
 
-def test_element_range_checked():
-    F = field_make(9)
-    with pytest.raises(ValueError):
-        F.element(9)
-    with pytest.raises(ValueError):
-        F.element((1, 2, 1))  # too many coefficients
-
-
-def test_mixed_field_arithmetic_rejected():
-    a = field_make(4).one
-    b = field_make(9).one
-    with pytest.raises(ValueError):
-        _ = a + b
-
-
-def test_division_by_zero():
-    F = field_make(7)
-    with pytest.raises(ZeroDivisionError):
-        _ = F.one / F.zero
+def test_degree_must_match_order(monkeypatch):
+    monkeypatch.setitem(fields._REDUCTION, 8, (1, 1, 1))  # degree 2, but 8 is no square
+    with pytest.raises(ValueError, match="not a prime power"):
+        field_make(8)

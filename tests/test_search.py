@@ -14,6 +14,7 @@ from radgraph import (
     metric_summary,
     upper_bound_radius,
 )
+from radgraph import search
 from radgraph.search import enumerate_extremal, stream_verify, verify_theorem_main_small
 from conftest import cycle
 from oracles import INF, from_graph6_reference, graph6_reference, naive_girth, naive_radius_diameter
@@ -30,7 +31,7 @@ def brute_force_reference(n, delta, g):
         for u, v in edges:
             degs[u] += 1
             degs[v] += 1
-        if min(degs, default=0) < delta and n > 1:
+        if min(degs, default=0) < delta:
             continue
         radius, _ = naive_radius_diameter(n, edges)
         if radius is None:
@@ -45,7 +46,7 @@ def brute_force_reference(n, delta, g):
 
 class TestEnumerateExtremal:
     @pytest.mark.parametrize("n,delta,g", [(4, 2, 4), (5, 2, 4), (5, 2, 5), (6, 2, 4), (6, 3, 4), (5, 3, 4), (6, 2, 6),
-                                           (5, 3, 3), (5, 2, 3), (6, 2, 3)])
+                                           (5, 3, 3), (5, 2, 3), (6, 2, 3), (1, 0, 4), (1, 1, 4), (1, 3, 4)])
     def test_matches_brute_force(self, n, delta, g):
         expected_radius, expected_count = brute_force_reference(n, delta, g)
         res = enumerate_extremal(n, delta, g)
@@ -180,6 +181,19 @@ class TestVerifyTheorem:
         assert rows[(4, 2)]["enumerated"] == 2
         assert rows[(6, 2)]["enumerated"] == 3
         assert rows[(6, 3)]["enumerated"] == 2
+
+    def test_jobs_share_one_pool(self, monkeypatch):
+        pools = []
+
+        class CountingPool(search.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(search, "ProcessPoolExecutor", CountingPool)
+        table = verify_theorem_main_small(5, [2, 3], jobs=2)
+        assert len(pools) == 1
+        assert table == verify_theorem_main_small(5, [2, 3], jobs=1)
 
     def test_rows_match_formula_object(self):
         table = verify_theorem_main_small(6, [2])
