@@ -10,11 +10,28 @@ ecc(0) and bipartiteness.  The girth comes from per-root BFS with a depth
 cutoff one level tighter on bipartite graphs and with finished roots
 deleted; it is memoised on its own (``_girth_of``) so that
 ``is_triangle_free`` and the witness checkers never pay for eccentricities.
-The eccentricities of a connected graph come from bit-parallel multi-source
+
+On a connected graph, ``_shift_period`` then looks for a label shift
+v -> (v + d) mod n that is an automorphism, checking each divisor d of n in
+increasing order row by row and stopping at the first row that disagrees.
+The shifts that are automorphisms form a subgroup of Z_n; it is generated
+by its least positive element, which divides n, so the first d that
+verifies has the finest orbits a shift can give: the residue classes mod d.
+Eccentricity is constant on an orbit, so only the sources 0..d-1 are
+computed, and d = n (no shift) computes every source as before.
+``glue_cycle`` labels copy i as i * |H| + v, so every ring it writes has
+such a shift: Heawood x200 (n = 2800) needs 14 BFSs, Tutte-Coxeter x30
+(n = 900) 30 and the cycle C_2000 one, each after one ``_levels`` sweep,
+and PG(2,27) (n = 1514) has the point/line swap d = 757, so its MS-BFS
+runs half the sources.  The successful check on Heawood x200 takes about
+4 ms; a graph with no shift, such as W(9) or a randomly relabelled ring,
+pays one failed check per divisor, most of them at the first row.
+
+The eccentricities of those sources come from bit-parallel multi-source
 BFS (MS-BFS: Then et al., "The More the Merrier", VLDB 2014) when
 8 * ecc(0) <= n, and from one queue BFS per source otherwise.  Seconds per
-eccentricity list, single runs on a 2-core Xeon with CPython 3.11, MS-BFS
-at three block widths:
+eccentricity list of all n sources, single runs on a 2-core Xeon with
+CPython 3.11, MS-BFS at three block widths:
 
     graph                 n  ecc(0)  n/ecc(0)  queue   w=512  w=2048  w=4096
     PG(2,27)           1514       3     505    2.64    0.039   0.025   0.022
@@ -224,11 +241,11 @@ def _distances(adj, v, dist):
     return dist
 
 
-def _eccentricities(adj, n):
-    """Per-vertex eccentricity list by one queue BFS per source, or None if
-    the graph is disconnected."""
+def _eccentricities(adj, n, k):
+    """Eccentricities of the sources 0..k-1 by one queue BFS each, or None
+    if the graph is disconnected."""
     eccs = []
-    for v in range(n):
+    for v in range(k):
         dist = _distances(adj, v, [UNREACHABLE] * n)
         if UNREACHABLE in dist:
             return None
@@ -236,19 +253,19 @@ def _eccentricities(adj, n):
     return eccs
 
 
-def _ms_eccentricities(adj, n):
-    """Per-vertex eccentricity list by bit-parallel multi-source BFS, or None
-    if the graph is disconnected.
+def _ms_eccentricities(adj, n, k):
+    """Eccentricities of the sources 0..k-1 by bit-parallel multi-source
+    BFS, or None if the graph is disconnected.
 
     Sources are taken _MS_BFS_WIDTH at a time; bit i of ``seen[w]`` and
     ``frontier[w]`` stands for source lo + i, so one OR per edge advances
     every source of the block by one level.  A source's eccentricity is the
     last level at which its bit still reached a new vertex.
     """
-    eccs = [0] * n
+    eccs = [0] * k
     vertices = range(n)
-    for lo in range(0, n, _MS_BFS_WIDTH):
-        hi = min(n, lo + _MS_BFS_WIDTH)
+    for lo in range(0, k, _MS_BFS_WIDTH):
+        hi = min(k, lo + _MS_BFS_WIDTH)
         full = (1 << (hi - lo)) - 1
         seen = [0] * n
         for s in range(lo, hi):
@@ -372,14 +389,31 @@ def _girth_of(G: Graph):
     return girth
 
 
+def _shift_period(adj, n):
+    """Least d dividing n for which v -> (v + d) mod n maps every row
+    ``adj[v]`` onto ``adj[(v + d) % n]``, so is an automorphism; n when no
+    shorter shift is.  The residue classes mod d are then the finest orbits
+    any label shift gives (see the module docstring)."""
+    for d in range(1, n):
+        if n % d == 0 and all(
+            tuple(sorted((w + d) % n for w in row)) == adj[(v + d) % n]
+            for v, row in enumerate(adj)
+        ):
+            return d
+    return n
+
+
 def metric_summary(G: Graph) -> MetricSummary:
     """Radius/diameter (all-source BFS), girth, min degree and centres.
 
     One BFS sweep per component (``_levels``) decides connectivity, ecc(0)
-    and bipartiteness; the eccentricities then come from MS-BFS when
+    and bipartiteness.  On a connected graph, ``_shift_period`` finds the
+    least label shift d that is an automorphism, and the eccentricities of
+    the orbit representatives 0..d-1 come from MS-BFS when
     _MS_BFS_SPAN * ecc(0) <= n and from one queue BFS per source otherwise
-    (see the module docstring).  The result is memoised on the graph, which
-    is safe because graphs are immutable.
+    (see the module docstring); vertex v inherits the eccentricity of
+    v mod d.  The result is memoised on the graph, which is safe because
+    graphs are immutable.
     """
     cached = G._cache.get("metrics")
     if cached is not None:
@@ -391,11 +425,12 @@ def metric_summary(G: Graph) -> MetricSummary:
     if depth.count(0) != 1:  # one root per component, none when n = 0
         summary = MetricSummary(None, None, girth, min_degree, ())
     else:
+        d = _shift_period(G.adj, n)
         fast = _MS_BFS_SPAN * max(depth) <= n
-        eccs = (_ms_eccentricities if fast else _eccentricities)(G.adj, n)
-        radius = min(eccs)
-        diameter = max(eccs)
-        centers = tuple(v for v, e in enumerate(eccs) if e == radius)
+        reps = (_ms_eccentricities if fast else _eccentricities)(G.adj, n, d)
+        radius = min(reps)
+        diameter = max(reps)
+        centers = tuple(v for v in range(n) if reps[v % d] == radius)
         summary = MetricSummary(radius, diameter, girth, min_degree, centers)
     G._cache["metrics"] = summary
     return summary

@@ -176,12 +176,17 @@ def from_edgelist_text(text: str) -> Graph:
     n, m = int(head[0]), int(head[1])
     if len(lines) - 1 != m:
         raise ValueError(f"edge-list declares {m} edges but has {len(lines) - 1}")
-    edges = []
+    edges = set()
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
             raise ValueError(f"bad edge line {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        u, v = int(parts[0]), int(parts[1])
+        pair = (u, v) if u < v else (v, u)
+        if pair in edges:
+            # build_graph would merge it, leaving fewer edges than declared
+            raise ValueError(f"edge-list repeats edge {pair}")
+        edges.add(pair)
     return build_graph(n, edges)
 
 

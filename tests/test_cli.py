@@ -92,6 +92,13 @@ class TestAnalyze:
         code, out, _ = run(capsys, "analyze", "--graph", str(path))
         assert json.loads(out)["girth"] == "infinite"
 
+    @pytest.mark.parametrize("text", ["3 3\n0 1\n1 2\n0 1\n", "3 2\n0 1\n1 0\n"])
+    def test_analyze_repeated_edge_exit_2(self, capsys, tmp_path, text):
+        path = tmp_path / "dup.edges"
+        path.write_text(text)
+        code, out, err = run(capsys, "analyze", "--graph", str(path), "--input-format", "edgelist")
+        assert code == 2 and out == "" and "repeats edge (0, 1)" in err
+
 
 class TestBound:
     def test_g4(self, capsys):

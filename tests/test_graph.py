@@ -1,6 +1,7 @@
 import math
 import random
 from itertools import combinations
+from unittest.mock import patch
 
 import networkx as nx
 import pytest
@@ -15,13 +16,22 @@ from radgraph import (
     bfs,
     bridges,
     build_graph,
+    glue_cycle,
     induced_subgraph,
     is_connected,
     is_triangle_free,
     metric_summary,
+    projective_plane_incidence_graph,
     sphere,
 )
-from radgraph.graph import _bipartite, _eccentricities, _girth, _levels, _ms_eccentricities
+from radgraph.graph import (
+    _bipartite,
+    _eccentricities,
+    _girth,
+    _levels,
+    _ms_eccentricities,
+    _shift_period,
+)
 from conftest import cycle
 from oracles import floyd_distances, naive_bridges, naive_girth, naive_radius_diameter
 
@@ -238,6 +248,11 @@ def bipartite(G):
     return _bipartite(G.adj, _levels(G.adj, G.n))
 
 
+def fresh(G):
+    """An equal graph with an empty memo, so metric_summary recomputes."""
+    return build_graph(G.n, G.edges())
+
+
 def to_nx(G):
     H = nx.Graph()
     H.add_nodes_from(range(G.n))
@@ -274,11 +289,11 @@ class TestMetricKernel:
     def test_ms_bfs_matches_floyd(self, G, width, monkeypatch):
         # narrow blocks split the sources over several MS-BFS blocks
         monkeypatch.setattr(graph_module, "_MS_BFS_WIDTH", width)
-        assert _ms_eccentricities(G.adj, G.n) == floyd_eccentricities(G)
+        assert _ms_eccentricities(G.adj, G.n, G.n) == floyd_eccentricities(G)
 
     @pytest.mark.parametrize("G", GRAPHS)
     def test_queue_bfs_matches_floyd(self, G):
-        assert _eccentricities(G.adj, G.n) == floyd_eccentricities(G)
+        assert _eccentricities(G.adj, G.n, G.n) == floyd_eccentricities(G)
 
     @pytest.mark.parametrize("G", GRAPHS)
     def test_bipartite_matches_networkx(self, G):
@@ -296,8 +311,8 @@ class TestMetricKernel:
     @pytest.mark.parametrize("n", [50, 51])
     def test_cycles_closed_forms(self, n):
         C = cycle(n)
-        assert _ms_eccentricities(C.adj, n) == [n // 2] * n
-        assert _eccentricities(C.adj, n) == [n // 2] * n
+        assert _ms_eccentricities(C.adj, n, n) == [n // 2] * n
+        assert _eccentricities(C.adj, n, n) == [n // 2] * n
         assert _girth(C.adj, n, n % 2 == 0) == n
         assert bipartite(C) == (n % 2 == 0)
 
@@ -306,7 +321,7 @@ class TestMetricKernel:
     def test_metric_summary_on_either_path(self, G, span, monkeypatch):
         # span 0 always takes MS-BFS, a huge span always the queue BFS
         monkeypatch.setattr(graph_module, "_MS_BFS_SPAN", span)
-        ms = metric_summary(G)
+        ms = metric_summary(fresh(G))  # a memoised summary would hide the path
         r, d = naive_radius_diameter(G.n, list(G.edges())) if G.n else (None, None)
         assert (ms.radius, ms.diameter, ms.girth) == (r, d, oracle_girth(G))
         eccs = floyd_eccentricities(G) if G.n else None
@@ -318,6 +333,170 @@ class TestMetricKernel:
         assert "metrics" not in C._cache
         assert C._cache["girth"] == 3000
         assert metric_summary(C).girth == 3000
+
+
+def circulant(n, jumps):
+    return build_graph(n, [(v, (v + s) % n) for v in range(n) for s in jumps if s % n])
+
+
+def near_miss(n, jumps):
+    """C_n(jumps), jumps holding 1 but not 2, with the edge (n-2, n-1) moved
+    to (n-3, n-1): every shift check passes up to the last few rows."""
+    edges = set(circulant(n, jumps).edges())
+    edges.remove((n - 2, n - 1))
+    edges.add((n - 3, n - 1))
+    return build_graph(n, edges)
+
+
+def oracle_period(G):
+    """Least d dividing n whose shift maps the edge set onto itself."""
+    n = G.n
+    edges = set(G.edges())
+    for d in range(1, n + 1):
+        shifted = {tuple(sorted(((u + d) % n, (v + d) % n))) for u, v in edges}
+        if n % d == 0 and shifted == edges:
+            return d
+    return n
+
+
+def oracle_summary(G):
+    """(radius, diameter, min degree, centres) from Floyd-Warshall."""
+    eccs = [max(row) for row in floyd_distances(G.n, list(G.edges()))]
+    min_degree = min(G.degrees(), default=0)
+    if not eccs or math.inf in eccs:
+        return (None, None, min_degree, ())
+    r = min(eccs)
+    return (r, max(eccs), min_degree, tuple(v for v, e in enumerate(eccs) if e == r))
+
+
+def summary_tuple(G, span):
+    with patch.object(graph_module, "_MS_BFS_SPAN", span):
+        ms = metric_summary(fresh(G))
+    return (ms.radius, ms.diameter, ms.min_degree, ms.centers)
+
+
+def _petersen():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return build_graph(10, outer + inner + [(i, i + 5) for i in range(5)])
+
+
+_HEAWOOD = build_graph(14, [(i, (i + 1) % 14) for i in range(14)] + [(i, (i + 5) % 14) for i in range(0, 14, 2)])
+_K33 = build_graph(6, [(i, 3 + j) for i in range(3) for j in range(3)])
+_K4_MINUS_EDGE = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])  # rings of it are not self-centred
+_NEAR_MISSES = [near_miss(n, jumps) for n, jumps in ((12, (1, 5)), (15, (1, 3, 7)), (20, (1, 4)), (31, (1, 5, 11)))]
+
+
+def _random_circulants():
+    rng = random.Random(800)
+    out = []
+    for _ in range(8):
+        n = rng.randrange(1, 41)
+        out.append(circulant(n, [s for s in range(1, n // 2 + 1) if rng.random() < 0.3]))
+    return out
+
+
+class TestShiftPeriod:
+    """The verified label shift of metric_summary against a brute-force
+    period and Floyd-Warshall, on both eccentricity kernels."""
+
+    GRAPHS = (
+        _random_circulants()
+        + [glue_cycle(_petersen(), m) for m in (2, 3, 5)]
+        + [glue_cycle(_HEAWOOD, m) for m in (2, 4)]
+        + [glue_cycle(_K33, m) for m in (3, 6)]
+        + [glue_cycle(_K4_MINUS_EDGE, m) for m in (2, 3, 4)]
+        + [projective_plane_incidence_graph(q) for q in (2, 3, 4)]
+        + [cycle(n) for n in (3, 4, 9, 16)]
+        + [build_graph(1, []), build_graph(2, [(0, 1)])]
+        + _NEAR_MISSES
+        + TestReachKernel.GRAPHS
+        + list(TestMetricKernel.GRAPHS)
+    )
+
+    @pytest.mark.parametrize("G", GRAPHS)
+    def test_period_matches_brute_force(self, G):
+        assert _shift_period(G.adj, G.n) == oracle_period(G)
+
+    def test_inputs_cover_the_shapes(self):
+        shapes = [(oracle_period(G), G) for G in self.GRAPHS if G.n > 1]
+        assert any(d == 1 for d, G in shapes)  # a circulant
+        assert any(d == G.n for d, G in shapes)  # no shift
+        # a shift whose orbits differ in eccentricity, so the centres are a proper subset
+        assert any(1 < d < G.n and 0 < len(oracle_summary(G)[3]) < G.n for d, G in shapes)
+        # PG(2,q) swaps points and lines: n = 2(q^2+q+1), period q^2+q+1
+        assert [oracle_period(projective_plane_incidence_graph(q)) for q in (2, 3, 4)] == [7, 13, 21]
+
+    @pytest.mark.parametrize("G", _NEAR_MISSES)
+    def test_near_miss_fails_only_at_the_last_rows(self, G):
+        n = G.n
+        bad = [v for v in range(n) if tuple(sorted((w + 1) % n for w in G.adj[v])) != G.adj[(v + 1) % n]]
+        assert bad and min(bad) >= n - 4
+        assert oracle_period(G) == n
+
+    @pytest.mark.parametrize("span", [0, 10**9])
+    @pytest.mark.parametrize("G", GRAPHS)
+    def test_metric_summary_matches_floyd(self, G, span):
+        # span 0 always takes MS-BFS, a huge span always the queue BFS
+        assert summary_tuple(G, span) == oracle_summary(G)
+
+    def test_one_bfs_per_orbit(self, monkeypatch):
+        ring = glue_cycle(_HEAWOOD, 40)
+        rng = random.Random(17)
+        perm = list(range(ring.n))
+        rng.shuffle(perm)
+        relabelled = build_graph(ring.n, [(perm[u], perm[v]) for u, v in ring.edges()])
+        calls = []
+        real = graph_module._distances
+
+        def spy(adj, v, dist):
+            calls.append(v)
+            return real(adj, v, dist)
+
+        monkeypatch.setattr(graph_module, "_distances", spy)
+        ms = metric_summary(ring)
+        # one _levels sweep, then one queue BFS per residue class mod 14
+        assert len(calls) == 1 + 14
+        calls.clear()
+        ms2 = metric_summary(relabelled)
+        # the relabelling hides the shift: one BFS per vertex, as without it
+        assert len(calls) == 1 + 560
+        assert (ms2.radius, ms2.diameter, ms2.girth, ms2.min_degree) == (
+            ms.radius, ms.diameter, ms.girth, ms.min_degree)
+        assert ms2.centers == tuple(sorted(perm[v] for v in ms.centers))
+
+
+@st.composite
+def perturbed_circulants(draw):
+    """A block circulant (m blocks of k vertices, every edge repeated under
+    the shift by k; k = 1 gives a circulant C_n(S)), then optionally one
+    edge moved and optionally a random relabelling."""
+    k = draw(st.integers(1, 4))
+    n = k * draw(st.integers(1, 8))
+    pattern = draw(st.sets(st.tuples(st.integers(0, k - 1), st.integers(0, n - 1)), max_size=5))
+    edges = {
+        tuple(sorted(((a + i) % n, (b + i) % n)))
+        for a, b in pattern
+        for i in range(0, n, k)
+        if a != b
+    }
+    absent = [e for e in combinations(range(n), 2) if e not in edges]
+    if edges and absent and draw(st.booleans()):
+        edges.remove(draw(st.sampled_from(sorted(edges))))
+        edges.add(draw(st.sampled_from(absent)))
+    if draw(st.booleans()):
+        perm = draw(st.permutations(range(n)))
+        edges = {(perm[u], perm[v]) for u, v in edges}
+    return build_graph(n, edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(perturbed_circulants())
+def test_shift_period_property(G):
+    assert _shift_period(G.adj, G.n) == oracle_period(G)
+    want = oracle_summary(G)
+    assert summary_tuple(G, 0) == want
+    assert summary_tuple(G, 10**9) == want
 
 
 @st.composite

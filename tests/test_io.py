@@ -190,6 +190,11 @@ def test_edgelist_header_mismatch_rejected():
         from_edgelist_text("3 2\n0 1\n")
     with pytest.raises(ValueError):
         from_edgelist_text("oops\n")
+    # a repeated edge, in either orientation, would leave fewer edges than declared
+    with pytest.raises(ValueError, match=r"repeats edge \(0, 1\)"):
+        from_edgelist_text("3 3\n0 1\n1 2\n0 1\n")
+    with pytest.raises(ValueError, match=r"repeats edge \(0, 1\)"):
+        from_edgelist_text("3 2\n0 1\n1 0\n")
 
 
 def test_dot_output():
