@@ -103,8 +103,20 @@ def _parse_vertex_set(text):
         raise argparse.ArgumentTypeError(f"bad vertex set {text!r}: expected e.g. 0,1,4,5")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that takes no abbreviated option names.
+
+    Sub-parsers are built with the class of their parent, so every command
+    inherits this; ``analyze --input g.edges`` is then an unknown option, not
+    a prefix of ``--input-format``.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="radgraph",
         description="Constructions, bounds and exhaustive checks for the maximum "
         "radius of connected graphs with degree and girth floors.",

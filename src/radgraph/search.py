@@ -7,15 +7,27 @@ assignment dies as soon as some settled vertex can no longer reach the degree
 floor with the slots it has left, and a new neighbour pair u, w for the
 incoming vertex is only allowed when d(u, w) >= g - 2 in the partial graph,
 which keeps every intermediate graph at girth >= g (at g = 3 every pair is
-allowed).  Isomorph rejection is deliberately absent: the maximum over a
-superset with relabelled duplicates is the same maximum, and the labelled
-walk stays auditable.
+allowed).
 
-Every enumeration takes one path: the walker stops at a fixed depth, and the
-completions of each partial assignment found there are enumerated in turn,
-in process or on a worker pool, so ``jobs`` cannot change the result.  All
-reachability -- the far-neighbour masks, connectivity and eccentricities of
-each leaf -- runs through the bitset frontier sweep of :mod:`radgraph.graph`.
+Every enumeration takes one path: the walker stops after s = min(n, 4)
+vertices, the partial assignments found there (the prefixes) are grouped into
+orbits under the permutations of vertices 0..s-1, and the completions of one
+prefix per orbit are enumerated, in process or on a worker pool, so ``jobs``
+cannot change the result.  This is exact.  The leaves under a prefix P are
+exactly the valid graphs whose induced subgraph on 0..s-1 is P, because every
+prune is sound.  A permutation of 0..s-1, extended by the identity on the
+other vertices, maps the completions of P one-to-one onto those of its image
+and keeps connectivity, degrees, girth and radius.  So every member of an
+orbit has the same count and the same maximum radius, and the count of the
+orbit's span is multiplied by the number of collected members.  The witness
+is kept too: every completion's graph6 body starts with the C(s, 2) prefix
+bits in column order, so the member with the smallest encoding on s vertices
+holds the orbit's smallest encoding of maximum radius, and that member is the
+one enumerated.  Isomorph rejection beyond the prefix stays absent.
+
+All reachability -- the far-neighbour masks, connectivity and eccentricities
+of each leaf -- runs through the bitset frontier sweep of
+:mod:`radgraph.graph`.
 """
 
 from __future__ import annotations
@@ -23,6 +35,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import permutations
 
 from . import io as gio
 from .bounds import upper_bound_radius
@@ -48,7 +61,9 @@ class SearchResult:
 
     ``max_radius`` is None when no connected graph with the requested degree
     and girth floors exists on n vertices.  ``graphs_considered`` counts the
-    connected, degree- and girth-valid labelled graphs that were evaluated.
+    connected, degree- and girth-valid labelled graphs; the search evaluates
+    the completions of one prefix per orbit and counts the others by
+    weight, so fewer graphs are evaluated than counted.
     """
 
     n: int
@@ -196,6 +211,32 @@ def _collect_prefixes(n, delta, g, split_v):
     return prefixes
 
 
+def _prefix_orbits(prefixes, s):
+    """Group prefixes into orbits under the permutations of vertices 0..s-1.
+
+    Returns (rows, deg, weight) per orbit: the member with the smallest
+    graph6 encoding on s vertices and the number of collected members.  The
+    orbits with the fewest prefix edges come first: an emptier prefix leaves
+    more to choose, so its span tends to be the longest, and a pool ends
+    sooner when its longest tasks start first.
+    """
+    perms = list(permutations(range(s)))
+    groups = {}
+    for rows, deg in prefixes:
+        canon = min(gio.graph6_bytes_from_rows(s, _relabel(rows, perm)) for perm in perms)
+        groups.setdefault(canon, []).append((gio.graph6_bytes_from_rows(s, rows), rows, deg))
+    orbits = [(*min(members)[1:], len(members)) for members in groups.values()]
+    return sorted(orbits, key=lambda orbit: sum(orbit[1]))
+
+
+def _relabel(rows, perm):
+    """The first len(perm) rows with vertex u renamed perm[u]."""
+    out = [0] * len(perm)
+    for u, p in enumerate(perm):
+        out[p] = sum(1 << perm[w] for w in range(len(perm)) if rows[u] >> w & 1)
+    return out
+
+
 def _span_task(args):
     return _enumerate_span(*args)
 
@@ -219,13 +260,13 @@ def _extremal(n, delta, g, allow_long, pool):
 
     best_r_init = max(_seed_radii(n, delta, g), default=-1)
     split_v = min(n, 4)
-    tasks = [(n, delta, g, rows, deg, split_v, best_r_init)
-             for rows, deg in _collect_prefixes(n, delta, g, split_v)]
+    orbits = _prefix_orbits(_collect_prefixes(n, delta, g, split_v), split_v)
+    tasks = [(n, delta, g, rows, deg, split_v, best_r_init) for rows, deg, _ in orbits]
     if pool is None:
         results = list(map(_span_task, tasks))
     else:
         results = list(pool.map(_span_task, tasks, chunksize=1))
-    count = sum(c for _, _, c in results)
+    count = sum(weight * c for (_, _, weight), (_, _, c) in zip(orbits, results))
     if count == 0:
         return SearchResult(n, delta, g, None, None, 0)
     # larger radius first, then the smaller graph6 encoding
@@ -244,11 +285,13 @@ def enumerate_extremal(
     """Exact maximum radius over all connected labelled graphs on n vertices
     with minimum degree >= delta and girth >= g, with one witness graph.
 
-    n is capped at 8 by default; n = 9 requires ``allow_long`` and may take
-    hours.  The backtracking forest is always split after the first
-    min(n, 4) vertices, and the tasks run in process for jobs <= 1 and on a
-    pool of ``jobs`` processes otherwise; ties between equal-radius witnesses
-    resolve to the smallest graph6 encoding.
+    n is capped at 8 by default; n = 9 requires ``allow_long``, and
+    (9, 2, 4) took 70 s with jobs = 1 and 34-39 s with jobs = 2 on a 2-core
+    Xeon under CPython 3.11.  The backtracking forest is always split after
+    the first min(n, 4) vertices, one prefix per orbit of the split is
+    enumerated, and the tasks run in process for jobs <= 1 and on a pool of
+    ``jobs`` processes otherwise; ties between equal-radius witnesses resolve
+    to the smallest graph6 encoding.
     """
     with _pool(jobs) as pool:
         return _extremal(n, delta, g, allow_long, pool)

@@ -263,3 +263,16 @@ def test_seed_flag_accepted(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["witness", "find", "--graph", str(path), "--k", "2", "--jobs", "2"])
     assert exc.value.code == 2
+
+
+def test_option_names_are_not_abbreviated(capsys, tmp_path):
+    # --input is search stream's file option; for analyze it used to be read
+    # as a prefix of --input-format
+    path = tmp_path / "c8.g6"
+    path.write_text(graph6_bytes(cycle(8)).decode())
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--graph", str(path), "--input", str(path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --input" in capsys.readouterr().err
+    code, out, _ = run(capsys, "search", "stream", "--delta", "2", "--g", "4", "--input", str(path))
+    assert code == 0 and json.loads(out)["accepted"] == 1

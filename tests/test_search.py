@@ -1,6 +1,7 @@
+import math
 import random
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 
 import networkx as nx
 import pytest
@@ -74,8 +75,6 @@ class TestEnumerateExtremal:
     def test_labelled_count_matches_atlas(self, n):
         """Exhaustiveness cross-check: the labelled count must equal the sum
         of n!/|Aut| over the isomorphism classes in the published atlas."""
-        import math
-
         res = enumerate_extremal(n, 2, 4)
         total = 0
         for A in nx.graph_atlas_g():
@@ -105,6 +104,19 @@ class TestEnumerateExtremal:
             assert seq.graphs_considered == par.graphs_considered
             assert graph6_bytes(seq.extremal_witness) == graph6_bytes(par.extremal_witness)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("n,delta,g,expected", [
+        (8, 2, 4, (4, 833539, b"G?LTE?")),
+        (8, 2, 5, (4, 41160, b"G?LTE?")),
+        (8, 3, 4, (3, 12411, b"G?]uf?")),
+        (9, 2, 6, (4, 201600, b"H?CidB?")),
+    ])
+    def test_pinned_beyond_brute_force(self, n, delta, g, expected, jobs):
+        """Values read from the enumeration before the prefix spans were
+        grouped into orbits, at orders the brute-force scan cannot reach."""
+        res = enumerate_extremal(n, delta, g, allow_long=n > 8, jobs=jobs)
+        assert (res.max_radius, res.graphs_considered, graph6_bytes(res.extremal_witness)) == expected
+
     def test_cap_enforced(self):
         with pytest.raises(ValueError):
             enumerate_extremal(9, 2, 4)
@@ -114,6 +126,53 @@ class TestEnumerateExtremal:
     def test_single_vertex(self):
         res = enumerate_extremal(1, 0, 4)
         assert res.max_radius == 0 and res.graphs_considered == 1
+
+
+def prefix_edges(rows, s):
+    return {(u, v) for v in range(s) for u in range(v) if rows[v] >> u & 1}
+
+
+def relabelled(edges, perm):
+    return {tuple(sorted((perm[u], perm[v]))) for u, v in edges}
+
+
+class TestPrefixOrbits:
+    """The split prefixes run as one span per orbit under the permutations
+    of vertices 0..s-1, weighted by the number of collected members."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("delta", range(4))
+    @pytest.mark.parametrize("g", range(3, 7))
+    def test_orbits_partition_the_prefixes(self, n, delta, g):
+        s = min(n, 4)
+        prefixes = search._collect_prefixes(n, delta, g, s)
+        orbits = search._prefix_orbits(prefixes, s)
+        assert sum(weight for _, _, weight in orbits) == len(prefixes)
+        collected = {graph6_reference(s, prefix_edges(rows, s)) for rows, _ in prefixes}
+        covered = set()
+        for rows, deg, weight in orbits:
+            edges = prefix_edges(rows, s)
+            assert list(deg) == [bin(row).count("1") for row in rows]
+            images = {graph6_reference(s, relabelled(edges, perm)) for perm in permutations(range(s))}
+            aut = sum(1 for perm in permutations(range(s)) if relabelled(edges, perm) == edges)
+            # the prefix prunes do not depend on labels, so whole orbits are collected
+            assert weight == len(images) == math.factorial(s) // aut
+            assert graph6_reference(s, edges) == min(images)
+            assert images <= collected and not images & covered
+            covered |= images
+        assert covered == collected
+
+    @pytest.mark.parametrize("n,delta,g,spans", [(8, 2, 4, 7), (9, 2, 6, 6)])
+    def test_one_span_per_orbit(self, monkeypatch, n, delta, g, spans):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return -1, None, 0
+
+        monkeypatch.setattr(search, "_enumerate_span", spy)
+        enumerate_extremal(n, delta, g, allow_long=True)
+        assert len(calls) == spans
 
 
 @lru_cache(maxsize=None)
