@@ -229,6 +229,10 @@ def _cmd_analyze(args):
 
 
 def _cmd_bound(args):
+    if args.n < 1:
+        raise ValueError(f"order must be >= 1, got {args.n}")
+    if args.g < 3:
+        raise ValueError(f"girth must be >= 3, got {args.g}")
     out = {}
     if args.g == 4:
         exact = exact_radius_formula_g4(args.n, args.delta)

@@ -22,37 +22,59 @@ computed, and d = n (no shift) computes every source as before.
 ``glue_cycle`` labels copy i as i * |H| + v, so every ring it writes has
 such a shift: Heawood x200 (n = 2800) needs 14 BFSs, Tutte-Coxeter x30
 (n = 900) 30 and the cycle C_2000 one, each after one ``_levels`` sweep,
-and PG(2,27) (n = 1514) has the point/line swap d = 757, so its MS-BFS
+and PG(2,27) (n = 1514) has the point/line swap d = 757, so ball growth
 runs half the sources.  The successful check on Heawood x200 takes about
 4 ms; a graph with no shift, such as W(9) or a randomly relabelled ring,
 pays one failed check per divisor, most of them at the first row.
 
-The eccentricities of those sources come from bit-parallel multi-source
-BFS (MS-BFS: Then et al., "The More the Merrier", VLDB 2014) when
-8 * ecc(0) <= n, and from one queue BFS per source otherwise.  Seconds per
-eccentricity list of all n sources, single runs on a 2-core Xeon with
-CPython 3.11, MS-BFS at three block widths:
+The eccentricities of those d sources come from bit-parallel ball growth
+when 2 * ecc(0) <= d, and from one queue BFS per source otherwise.  Ball
+growth takes the sources _BALL_WIDTH at a time: bit i of ``balls[v]`` is
+set once d(lo + i, v) <= level, one level sets balls[v] |= balls[w] for
+every neighbour w, and a source is finished at the first level where every
+mask holds its bit.  A level is one pass over the edges with no
+frontier/seen/next split, so a block costs about diameter * 2m ORs of
+width-bit masks however many sources it holds, against O(n + m) steps per
+source for the queue.  Seconds for all n sources, best of three in-process
+runs on a 2-core Xeon with CPython 3.11; the first two rows sum over the
+graphs that ``search stream`` passes to metric_summary in both its passes
+over the perfbench seed-7 catalogue, the other graphs are relabelled at
+random:
 
-    graph                 n  ecc(0)  n/ecc(0)  queue   w=512  w=2048  w=4096
-    PG(2,27)           1514       3     505    2.64    0.039   0.025   0.022
-    W(9)               1640       4     410    1.44    0.031   0.014   0.014
-    random cubic       6000      14     429   11.76    0.859   0.363   0.357
-    random cubic       2000      13     154    1.27    0.148   0.085   0.055
-    grid 20x100        2000     118      17    1.23    0.539   0.185   0.212
-    grid 8x300         2400     306     7.8    1.81    2.129   1.041   0.596
-    Tutte-Coxeter x30   900     120     7.5    0.19    0.142   0.093   0.095
-    Tutte-Coxeter x100 3000     400     7.5    2.40    2.438   1.717   1.381
-    Heawood x100       1400     300     4.7    0.49    0.593   0.360   0.385
-    Heawood x200       2800     600     4.7    2.52    3.613   2.544   1.866
-    cycle C_600         600     300       2    0.08    0.162   0.125   0.124
-    cycle C_2000       2000    1000       2    0.97    2.918   1.656   1.634
+    graph                        n  ecc(0)   queue    ball
+    4011 catalogue graphs    10-60    2-30   1.650   0.727
+    26 catalogue rings      91-364   27-88   0.402   0.126
+    PG(2,27)                  1514       3   1.927   0.008
+    W(9)                      1640       4   0.900   0.005
+    random cubic              6000      15  11.831   0.178
+    random cubic              2000      13   1.085   0.012
+    grid 20x100               2000     118   1.160   0.091
+    grid 8x300                2400     306   1.479   0.576
+    Tutte-Coxeter x30          900     120   0.150   0.026
+    Heawood x200              2800     600   2.083   1.029
+    cycle C_2000              2000    1000   1.059   0.634
 
-MS-BFS wins 6-100x from n/ecc(0) = 17 up, at most 2x near 7.5, and loses
-on glued Heawood rings and cycles.  The cut at 8 keeps every shape that can
-lose, and the glued rings just above them, on the queue BFS, whose memory
-stays O(n).  On the rows that take MS-BFS, width 2048 is at most 1.6x
-slower than 4096 with half the O(n * width) bits of masks, while 512 is
-1.6-3x slower than 2048.
+With k < n sources a level still sweeps every edge, so ball growth loses
+when the levels outnumber the sources.  Sources 0..k-1 of the rings as
+built:
+
+    graph            ecc(0)      k   queue    ball   ball/queue
+    cycle C_2000       1000    500   0.195   0.379      1.95
+                              1000   0.371   0.400      1.08
+                              1500   0.640   0.443      0.69
+                              2000   0.695   0.356      0.51
+    Heawood x200        600    300   0.136   0.297      2.19
+                               600   0.291   0.305      1.05
+                               900   0.410   0.331      0.81
+                              1200   0.581   0.418      0.72
+                              2800   1.477   1.068      0.72
+
+The break-even sits near k = ecc(0); the cut at twice that leaves a margin
+for the spread between graphs, so every measured case on the ball side
+won, and the rings with few shift orbits (Heawood x200 at d = 14,
+Tutte-Coxeter x30 at d = 30, C_2000 at d = 1) keep the queue BFS, whose
+memory stays O(n).  Width 4096 was 1.2-1.9x faster than 2048 on the
+rows of n >= 2400 but doubles the O(n * width) bits of masks.
 """
 
 from __future__ import annotations
@@ -60,6 +82,8 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_
 
 __all__ = [
     "UNREACHABLE",
@@ -84,11 +108,8 @@ UNREACHABLE = -1
 #: Girth of an acyclic graph; compares greater than every integer.
 INFINITE = math.inf
 
-#: metric_summary takes MS-BFS when _MS_BFS_SPAN * ecc(0) <= n.
-_MS_BFS_SPAN = 8
-
-#: Sources per MS-BFS block; the masks take O(n * _MS_BFS_WIDTH) bits.
-_MS_BFS_WIDTH = 2048
+#: Sources per ball-growth block; the masks take O(n * _BALL_WIDTH) bits.
+_BALL_WIDTH = 2048
 
 
 class Graph:
@@ -253,50 +274,42 @@ def _eccentricities(adj, n, k):
     return eccs
 
 
-def _ms_eccentricities(adj, n, k):
-    """Eccentricities of the sources 0..k-1 by bit-parallel multi-source
-    BFS, or None if the graph is disconnected.
+def _ball_eccentricities(adj, n, k):
+    """Eccentricities of the sources 0..k-1 by bit-parallel ball growth, or
+    None if the graph is disconnected.
 
-    Sources are taken _MS_BFS_WIDTH at a time; bit i of ``seen[w]`` and
-    ``frontier[w]`` stands for source lo + i, so one OR per edge advances
-    every source of the block by one level.  A source's eccentricity is the
-    last level at which its bit still reached a new vertex.
+    Sources are taken _BALL_WIDTH at a time; bit i of ``balls[v]`` is set
+    once d(lo + i, v) <= level, so one level ORs each vertex's mask with its
+    neighbours' masks.  A source's eccentricity is the first level at which
+    every mask holds its bit; a level that changes no mask while a source is
+    unfinished means some vertex is out of its reach.
     """
     eccs = [0] * k
-    vertices = range(n)
-    for lo in range(0, k, _MS_BFS_WIDTH):
-        hi = min(k, lo + _MS_BFS_WIDTH)
-        full = (1 << (hi - lo)) - 1
-        seen = [0] * n
+    for lo in range(0, k, _BALL_WIDTH):
+        hi = min(k, lo + _BALL_WIDTH)
+        balls = [0] * n
         for s in range(lo, hi):
-            seen[s] = 1 << (s - lo)
-        frontier = seen[:]
-        active = full
+            balls[s] = 1 << (s - lo)
+        active = (1 << (hi - lo)) - 1
         level = 0
-        while active:
-            nxt = [0] * n
-            for v in vertices:
-                f = frontier[v]
-                if f:
-                    for w in adj[v]:
-                        nxt[w] |= f
-            reached = 0
-            for w in vertices:
-                f = nxt[w] & ~seen[w]
-                if f:
-                    seen[w] |= f
-                    reached |= f
-                nxt[w] = f
-            frontier = nxt
-            done = active & ~reached
+        while True:
+            done = reduce(and_, balls, active)
+            active ^= done
             while done:
                 b = done & -done
                 done ^= b
                 eccs[lo + b.bit_length() - 1] = level
-            active = reached
+            if not active:
+                break
+            grown = []
+            for mask, row in zip(balls, adj):
+                for w in row:
+                    mask |= balls[w]
+                grown.append(mask)
+            if grown == balls:
+                return None
+            balls = grown
             level += 1
-        if any(mask != full for mask in seen):
-            return None
     return eccs
 
 
@@ -409,11 +422,11 @@ def metric_summary(G: Graph) -> MetricSummary:
     One BFS sweep per component (``_levels``) decides connectivity, ecc(0)
     and bipartiteness.  On a connected graph, ``_shift_period`` finds the
     least label shift d that is an automorphism, and the eccentricities of
-    the orbit representatives 0..d-1 come from MS-BFS when
-    _MS_BFS_SPAN * ecc(0) <= n and from one queue BFS per source otherwise
-    (see the module docstring); vertex v inherits the eccentricity of
-    v mod d.  The result is memoised on the graph, which is safe because
-    graphs are immutable.
+    the orbit representatives 0..d-1 come from ball growth when
+    2 * ecc(0) <= d and from one queue BFS per source otherwise (see the
+    module docstring); vertex v inherits the eccentricity of v mod d.  The
+    result is memoised on the graph, which is safe because graphs are
+    immutable.
     """
     cached = G._cache.get("metrics")
     if cached is not None:
@@ -426,8 +439,8 @@ def metric_summary(G: Graph) -> MetricSummary:
         summary = MetricSummary(None, None, girth, min_degree, ())
     else:
         d = _shift_period(G.adj, n)
-        fast = _MS_BFS_SPAN * max(depth) <= n
-        reps = (_ms_eccentricities if fast else _eccentricities)(G.adj, n, d)
+        kernel = _ball_eccentricities if 2 * max(depth) <= d else _eccentricities
+        reps = kernel(G.adj, n, d)
         radius = min(reps)
         diameter = max(reps)
         centers = tuple(v for v in range(n) if reps[v % d] == radius)

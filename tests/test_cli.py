@@ -115,10 +115,20 @@ class TestBound:
         code, out, _ = run(capsys, "bound", "--n", "5", "--delta", "3", "--g", "4")
         assert json.loads(out)["exact"] == "nonexistent"
 
-    @pytest.mark.parametrize("n,delta,g", [("-5", "3", "6"), ("0", "3", "8"), ("0", "3", "4")])
+    @pytest.mark.parametrize("n,delta,g", [("-5", "3", "6"), ("0", "3", "8"), ("0", "3", "4"),
+                                           ("-5", "3", "5"), ("0", "3", "7"), ("0", "3", "3")])
     def test_empty_order_exit_2(self, capsys, n, delta, g):
         code, out, err = run(capsys, "bound", "--n", n, "--delta", delta, "--g", g)
         assert code == 2 and out == "" and "order must be >= 1" in err
+
+    @pytest.mark.parametrize("g", ["2", "-4"])
+    def test_girth_below_3_exit_2(self, capsys, g):
+        code, out, err = run(capsys, "bound", "--n", "15", "--delta", "3", "--g", g)
+        assert code == 2 and out == "" and "girth must be >= 3" in err
+
+    def test_girth_3_has_no_bound(self, capsys):
+        code, out, _ = run(capsys, "bound", "--n", "15", "--delta", "3", "--g", "3")
+        assert code == 0 and json.loads(out) == {}
 
 
 class TestWitness:

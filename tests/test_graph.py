@@ -25,11 +25,11 @@ from radgraph import (
     sphere,
 )
 from radgraph.graph import (
+    _ball_eccentricities,
     _bipartite,
     _eccentricities,
     _girth,
     _levels,
-    _ms_eccentricities,
     _shift_period,
 )
 from conftest import cycle
@@ -233,10 +233,26 @@ def random_forest(n, seed):
     return build_graph(n, edges)
 
 
-def floyd_eccentricities(G):
+def floyd_eccentricities(G, k=None):
+    """The eccentricities of the sources 0..k-1 (every vertex when k is
+    None) from Floyd-Warshall, or None when G is disconnected."""
     dist = floyd_distances(G.n, list(G.edges()))
     eccs = [max(row) for row in dist]
-    return None if math.inf in eccs else eccs
+    return None if math.inf in eccs else eccs[:k]
+
+
+def source_counts(n):
+    """The kernels' source counts k = 1, 2, n // 2 and n that fit in 0..n."""
+    return sorted({k for k in (1, 2, n // 2, n) if k <= n})
+
+
+def force_kernel(span):
+    """Route every eccentricity call of metric_summary to one kernel: ball
+    growth for span 0 and the queue BFS for any larger span, the two ends
+    of a cut span * ecc(0) <= k."""
+    if span == 0:
+        return patch.object(graph_module, "_eccentricities", graph_module._ball_eccentricities)
+    return patch.object(graph_module, "_ball_eccentricities", graph_module._eccentricities)
 
 
 def oracle_girth(G):
@@ -283,17 +299,22 @@ class TestMetricKernel:
         assert {is_connected(G) for G in self.GRAPHS} == {True, False}
         assert {bipartite(G) for G in self.GRAPHS} == {True, False}
         assert any(G.n and oracle_girth(G) == INFINITE for G in self.GRAPHS)
+        assert {0, 1} <= {G.n for G in self.GRAPHS}
 
-    @pytest.mark.parametrize("width", [1, 3, 64, graph_module._MS_BFS_WIDTH])
+    @pytest.mark.parametrize("width", [1, 3, 64, graph_module._BALL_WIDTH])
     @pytest.mark.parametrize("G", GRAPHS)
     def test_ms_bfs_matches_floyd(self, G, width, monkeypatch):
-        # narrow blocks split the sources over several MS-BFS blocks
-        monkeypatch.setattr(graph_module, "_MS_BFS_WIDTH", width)
-        assert _ms_eccentricities(G.adj, G.n, G.n) == floyd_eccentricities(G)
+        # ball growth is the bit-parallel multi-source BFS; narrow blocks
+        # split the sources over several blocks, and k < n is the
+        # orbit-representative mode of metric_summary
+        monkeypatch.setattr(graph_module, "_BALL_WIDTH", width)
+        for k in source_counts(G.n):
+            assert _ball_eccentricities(G.adj, G.n, k) == floyd_eccentricities(G, k)
 
     @pytest.mark.parametrize("G", GRAPHS)
     def test_queue_bfs_matches_floyd(self, G):
-        assert _eccentricities(G.adj, G.n, G.n) == floyd_eccentricities(G)
+        for k in source_counts(G.n):
+            assert _eccentricities(G.adj, G.n, k) == floyd_eccentricities(G, k)
 
     @pytest.mark.parametrize("G", GRAPHS)
     def test_bipartite_matches_networkx(self, G):
@@ -311,17 +332,16 @@ class TestMetricKernel:
     @pytest.mark.parametrize("n", [50, 51])
     def test_cycles_closed_forms(self, n):
         C = cycle(n)
-        assert _ms_eccentricities(C.adj, n, n) == [n // 2] * n
+        assert _ball_eccentricities(C.adj, n, n) == [n // 2] * n
         assert _eccentricities(C.adj, n, n) == [n // 2] * n
         assert _girth(C.adj, n, n % 2 == 0) == n
         assert bipartite(C) == (n % 2 == 0)
 
     @pytest.mark.parametrize("span", [0, 10**9])
     @pytest.mark.parametrize("G", GRAPHS)
-    def test_metric_summary_on_either_path(self, G, span, monkeypatch):
-        # span 0 always takes MS-BFS, a huge span always the queue BFS
-        monkeypatch.setattr(graph_module, "_MS_BFS_SPAN", span)
-        ms = metric_summary(fresh(G))  # a memoised summary would hide the path
+    def test_metric_summary_on_either_path(self, G, span):
+        with force_kernel(span):
+            ms = metric_summary(fresh(G))  # a memoised summary would hide the path
         r, d = naive_radius_diameter(G.n, list(G.edges())) if G.n else (None, None)
         assert (ms.radius, ms.diameter, ms.girth) == (r, d, oracle_girth(G))
         eccs = floyd_eccentricities(G) if G.n else None
@@ -370,9 +390,22 @@ def oracle_summary(G):
 
 
 def summary_tuple(G, span):
-    with patch.object(graph_module, "_MS_BFS_SPAN", span):
+    with force_kernel(span):
         ms = metric_summary(fresh(G))
     return (ms.radius, ms.diameter, ms.min_degree, ms.centers)
+
+
+def kernel_calls(monkeypatch):
+    """Spy on both eccentricity kernels; returns the list that collects
+    (kernel name, source count k) for each call."""
+    calls = []
+    for name in ("_ball_eccentricities", "_eccentricities"):
+        def spy(adj, n, k, name=name, real=getattr(graph_module, name)):
+            calls.append((name, k))
+            return real(adj, n, k)
+
+        monkeypatch.setattr(graph_module, name, spy)
+    return calls
 
 
 def _petersen():
@@ -437,7 +470,6 @@ class TestShiftPeriod:
     @pytest.mark.parametrize("span", [0, 10**9])
     @pytest.mark.parametrize("G", GRAPHS)
     def test_metric_summary_matches_floyd(self, G, span):
-        # span 0 always takes MS-BFS, a huge span always the queue BFS
         assert summary_tuple(G, span) == oracle_summary(G)
 
     def test_one_bfs_per_orbit(self, monkeypatch):
@@ -454,16 +486,43 @@ class TestShiftPeriod:
             return real(adj, v, dist)
 
         monkeypatch.setattr(graph_module, "_distances", spy)
+        kernels = kernel_calls(monkeypatch)
         ms = metric_summary(ring)
-        # one _levels sweep, then one queue BFS per residue class mod 14
+        # one _levels sweep, then one queue BFS per residue class mod 14,
+        # since 2 * ecc(0) = 240 > 14
         assert len(calls) == 1 + 14
+        assert kernels == [("_eccentricities", 14)]
         calls.clear()
+        kernels.clear()
         ms2 = metric_summary(relabelled)
-        # the relabelling hides the shift: one BFS per vertex, as without it
-        assert len(calls) == 1 + 560
+        # the relabelling hides the shift: the _levels sweep, then ball
+        # growth from every vertex, since 240 <= 560
+        assert len(calls) == 1
+        assert kernels == [("_ball_eccentricities", 560)]
         assert (ms2.radius, ms2.diameter, ms2.girth, ms2.min_degree) == (
             ms.radius, ms.diameter, ms.girth, ms.min_degree)
         assert ms2.centers == tuple(sorted(perm[v] for v in ms.centers))
+
+    def test_relabelled_cycle_with_chords_takes_ball_growth(self, monkeypatch):
+        n = 36
+        edges = [(v, (v + 1) % n) for v in range(n)] + [(0, 13), (5, 22), (17, 30)]
+        perm = random.Random(23).sample(range(n), n)
+        G = build_graph(n, [(perm[u], perm[v]) for u, v in edges])
+        assert _shift_period(G.adj, n) == n
+        kernels = kernel_calls(monkeypatch)
+        ms = metric_summary(G)
+        assert kernels == [("_ball_eccentricities", n)]
+        assert (ms.radius, ms.diameter, ms.min_degree, ms.centers) == oracle_summary(G)
+
+    @pytest.mark.parametrize("G,period,radius", [(cycle(2000), 1, 1000), (glue_cycle(_HEAWOOD, 200), 14, 600)],
+                             ids=["C_2000", "heawood_x200"])
+    def test_long_rings_take_the_queue_bfs(self, monkeypatch, G, period, radius):
+        # 2 * ecc(0) exceeds the d shift-orbit representatives
+        kernels = kernel_calls(monkeypatch)
+        ms = metric_summary(G)
+        assert kernels == [("_eccentricities", period)]
+        assert ms.radius == ms.diameter == radius
+        assert ms.centers == tuple(range(G.n))
 
 
 @st.composite
