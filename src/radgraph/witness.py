@@ -226,6 +226,29 @@ def check_witness_two_cycles(G: Graph, U, r: int) -> BoundReport:
 # -- witness search ----------------------------------------------------------
 
 
+def _witness_ceiling(compat):
+    """Number of cliques in a greedy partition of the conflict graph, an
+    upper bound on every witness with these compatibility masks.
+
+    Two distinct vertices conflict when they are not compatible (non-adjacent
+    at distance 2..2k-2).  Each clique starts at the lowest vertex left and
+    grows by the lowest vertex left that conflicts with all its members.  A
+    witness holds at most one vertex of each clique: the cliques are colour
+    classes of the compatibility graph, so this is the colouring bound of
+    Tomita & Seki (DMTCS 2003) taken once at the root.
+    """
+    rest = (1 << len(compat)) - 1
+    count = 0
+    while rest:
+        common = rest
+        while common:
+            low = common & -common
+            rest ^= low
+            common &= rest & ~compat[low.bit_length() - 1]
+        count += 1
+    return count
+
+
 def find_witness(G: Graph, k: int, budget: int = 10**6) -> WitnessSet:
     """Best-effort maximum GENERAL_2K witness set.
 
@@ -235,9 +258,19 @@ def find_witness(G: Graph, k: int, budget: int = 10**6) -> WitnessSet:
     When the search completes it returns the lexicographically smallest
     maximum-size set; the result always validates under
     :func:`check_witness_general`.
+
+    The search also stops as soon as its best set reaches the root ceiling
+    of :func:`_witness_ceiling`, which no witness can exceed.  That cannot
+    change the result: the best set is only ever replaced by a strictly
+    larger one, so once at the ceiling the remaining nodes would leave it
+    as it is.  On the glued bipartite cages the ceiling equals the maximum,
+    so the search ends as soon as it finds one instead of spending its
+    budget.  A negative ``budget`` raises ValueError.
     """
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     girth = _girth_of(G)
     if girth < 2 * k:
         raise ValueError(f"girth {girth} is below the required {2 * k}")
@@ -264,6 +297,7 @@ def find_witness(G: Graph, k: int, budget: int = 10**6) -> WitnessSet:
     chosen: list = []
     stack = [(0, (1 << n) - 1)]
     nodes = budget
+    ceiling = _witness_ceiling(compat)
     while stack and nodes > 0:
         nodes -= 1
         size, cand = stack.pop()
@@ -271,6 +305,8 @@ def find_witness(G: Graph, k: int, budget: int = 10**6) -> WitnessSet:
         if not cand:
             if size > len(best):
                 best = chosen[:]
+                if size == ceiling:
+                    break
             continue
         if size + cand.bit_count() <= len(best):
             continue

@@ -123,6 +123,51 @@ def max_general_witness_size(n, edges, k):
     return best
 
 
+def find_witness_reference(n, edges, k, budget):
+    """The witness search as it was before its root ceiling: the same greedy
+    seed and budgeted branch and bound, with the centre, BFS layers and
+    compatibility masks taken from Floyd-Warshall distances.  Returns the
+    chosen vertex tuple."""
+    dist = floyd_distances(n, edges)
+    compat = [
+        sum(1 << w for w in range(n) if w != v and (dist[v][w] == 1 or dist[v][w] >= 2 * k - 1))
+        for v in range(n)
+    ]
+    eccs = [max(row) for row in dist]
+    center = eccs.index(min(eccs)) if n and max(eccs) < INF else 0
+    layer = [-1 if d == INF else d for d in dist[center]] if n else ()
+
+    order = sorted(range(n), key=lambda v: (layer[v], v))
+    greedy = []
+    greedy_mask = (1 << n) - 1
+    for v in order:
+        if (greedy_mask >> v) & 1:
+            greedy.append(v)
+            greedy_mask &= compat[v]
+    greedy.sort()
+
+    best = []
+    chosen = []
+    stack = [(0, (1 << n) - 1)]
+    nodes = budget
+    while stack and nodes > 0:
+        nodes -= 1
+        size, cand = stack.pop()
+        del chosen[size:]
+        if not cand:
+            if size > len(best):
+                best = chosen[:]
+            continue
+        if size + cand.bit_count() <= len(best):
+            continue
+        low = cand & -cand
+        stack.append((size, cand ^ low))
+        chosen.append(low.bit_length() - 1)
+        stack.append((size + 1, cand & compat[chosen[-1]]))
+
+    return tuple(min((greedy, best), key=lambda s: (-len(s), s)))
+
+
 def graph6_reference(n, edges):
     """graph6 bytes by the plain bit loop: the size header, then bit (i, j)
     for every column j = 1..n-1 and row i < j, packed big-endian into 6-bit

@@ -183,6 +183,14 @@ class TestWitness:
                              "--budget", "10000")
         assert code == 0 and json.loads(out)["pass"] and "Traceback" not in err
 
+    def test_find_negative_budget_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "c8.g6"
+        path.write_text(graph6_bytes(cycle(8)).decode())
+        code, out, err = run(capsys, "witness", "find", "--graph", str(path), "--k", "2",
+                             "--budget", "-5")
+        assert code == 2 and out == ""
+        assert err == "error: budget must be >= 0, got -5\n"
+
     def test_malformed_set_exit_2(self, capsys, tmp_path):
         path = tmp_path / "c8.g6"
         path.write_text(graph6_bytes(cycle(8)).decode())

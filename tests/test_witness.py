@@ -18,14 +18,17 @@ from radgraph import (
     easycases_configuration,
     easycases_pattern,
     find_witness,
+    from_graph6,
     glue_cycle,
     metric_summary,
     projective_plane_incidence_graph,
+    symplectic_quadrangle_incidence_graph,
     upper_bound_witness_pattern,
     validate_geodesic_observations,
 )
+from radgraph.witness import _compatible, _witness_ceiling
 from conftest import barbell, cycle
-from oracles import floyd_distances, max_general_witness_size
+from oracles import find_witness_reference, floyd_distances, max_general_witness_size
 
 
 class TestGeneralWitness:
@@ -169,6 +172,10 @@ class TestFindWitness:
         assert len(limited.vertices) <= len(full.vertices)
         check_witness_general(G, limited.vertices, 2)
 
+    def test_negative_budget_rejected(self, c8):
+        with pytest.raises(ValueError, match="budget must be >= 0"):
+            find_witness(c8, 2, budget=-5)
+
 
 @st.composite
 def graphs_with_girth_2k(draw):
@@ -191,6 +198,70 @@ def test_find_witness_is_maximum_property(case):
     G, k = case
     ws = find_witness(G, k)
     assert len(ws.vertices) == max_general_witness_size(G.n, list(G.edges()), k)
+
+
+def assert_matches_reference(G, k):
+    for budget in (0, 1, 5, 50, 10**4):
+        want = find_witness_reference(G.n, list(G.edges()), k, budget)
+        assert find_witness(G, k, budget).vertices == want, budget
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs_with_girth_2k())
+def test_find_witness_matches_reference_property(case):
+    assert_matches_reference(*case)
+
+
+PETERSEN = from_graph6("IheA@GUAo")
+RING_BASES = {
+    "pg22": (projective_plane_incidence_graph(2), 3),
+    "w2": (symplectic_quadrangle_incidence_graph(2), 4),
+    "petersen": (PETERSEN, 2),
+}
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(sorted(RING_BASES)), st.integers(2, 4))
+def test_find_witness_matches_reference_on_rings(base, m):
+    H, k = RING_BASES[base]
+    assert_matches_reference(glue_cycle(H, m), k)
+
+
+def witness_ceiling(G, k):
+    return _witness_ceiling([_compatible(G, v, k) for v in range(G.n)])
+
+
+class TestWitnessCeiling:
+    @settings(max_examples=80, deadline=None)
+    @given(graphs_with_girth_2k())
+    def test_bounds_the_exhaustive_maximum(self, case):
+        G, k = case
+        assert witness_ceiling(G, k) >= max_general_witness_size(G.n, list(G.edges()), k)
+
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_tight_on_glued_heawood(self, m):
+        G = glue_cycle(projective_plane_incidence_graph(2), m)
+        assert witness_ceiling(G, 3) == len(find_witness(G, 3).vertices) == 2 * m
+
+    @pytest.mark.parametrize("m", range(2, 5))
+    def test_tight_on_glued_tutte_coxeter(self, m):
+        G = glue_cycle(symplectic_quadrangle_incidence_graph(2), m)
+        assert witness_ceiling(G, 4) == len(find_witness(G, 4).vertices) == 2 * m
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_tight_on_cycles_of_length_4n(self, n):
+        # on C_(4n+2) the conflict graph is two odd cycles and the ceiling is
+        # two above the maximum, so only lengths divisible by four are tight
+        G = cycle(4 * n)
+        assert witness_ceiling(G, 2) == len(find_witness(G, 2).vertices) == 2 * n
+
+    def test_loose_on_glued_petersen(self):
+        G = glue_cycle(PETERSEN, 10)
+        assert witness_ceiling(G, 2) == 30
+        assert len(find_witness(G, 2).vertices) == 26
+
+    def test_empty_graph(self):
+        assert witness_ceiling(build_graph(0, []), 2) == 0
 
 
 @settings(max_examples=150, deadline=None)
