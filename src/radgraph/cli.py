@@ -103,6 +103,15 @@ def _parse_vertex_set(text):
         raise argparse.ArgumentTypeError(f"bad vertex set {text!r}: expected e.g. 0,1,4,5")
 
 
+def _at_least(lo):
+    """An argparse ``type=`` for the integers >= lo."""
+    def integer(text):
+        if int(text) < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {int(text)}")
+        return int(text)
+    return integer
+
+
 class _Parser(argparse.ArgumentParser):
     """An argument parser that takes no abbreviated option names.
 
@@ -180,16 +189,16 @@ def _build_parser():
     e.add_argument("--delta", type=int, required=True)
     e.add_argument("--g", type=int, default=4)
     e.add_argument("--long-run", action="store_true")
-    e.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    e.add_argument("--jobs", type=_at_least(1), default=os.cpu_count() or 1)
     e.add_argument("--pretty", action="store_true")
     v = ssub.add_parser("verify-theorem")
     v.add_argument("--n-max", type=int, required=True)
     v.add_argument("--deltas", default="2,3", help="comma-separated degree floors")
-    v.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    v.add_argument("--jobs", type=_at_least(1), default=os.cpu_count() or 1)
     v.add_argument("--pretty", action="store_true")
     s = ssub.add_parser("stream")
-    s.add_argument("--delta", type=int, required=True)
-    s.add_argument("--g", type=int, required=True)
+    s.add_argument("--delta", type=_at_least(0), required=True)
+    s.add_argument("--g", type=_at_least(3), required=True)
     s.add_argument("--input", default="-", help="graph6 lines, file or - for stdin")
     s.add_argument("--pretty", action="store_true")
 

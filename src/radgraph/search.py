@@ -1,13 +1,20 @@
 """Exhaustive determination of the maximum radius over small graphs, plus
 bulk verification over externally supplied graph6 streams.
 
-The enumerator walks labelled graphs vertex by vertex, deciding each new
-vertex's back-edges bit by bit.  Two prunes keep the tree small: a partial
-assignment dies as soon as some settled vertex can no longer reach the degree
-floor with the slots it has left, and a new neighbour pair u, w for the
-incoming vertex is only allowed when d(u, w) >= g - 2 in the partial graph,
-which keeps every intermediate graph at girth >= g (at g = 3 every pair is
-allowed).
+The enumerator walks labelled graphs vertex by vertex.  Each new vertex v
+picks its neighbours among 0..v-1 in increasing order from a mask of allowed
+vertices.  Two prunes keep the tree small.  The degree prune: the mask
+``need`` holds the settled vertices that can reach the degree floor only
+through v, so every pick lies at or below its lowest bit, and a branch dies
+once a needed vertex, or v itself, can no longer get enough neighbours.  The
+girth prune: two neighbours u, w of v must be at distance >= g - 2 in the
+partial graph, which keeps every intermediate graph at girth >= g (at g = 3
+every pair is allowed).  So a pick u narrows the mask to the vertices above
+u outside u's ball of radius g - 3, its far mask.  That mask is swept when u
+is first picked under v and kept for the rest of v's placement: u lies at
+distance >= g - 2 from every earlier pick, v is entered only through a pick,
+so a sweep of g - 3 levels never meets v and sees the graph on 0..v-1 in
+every branch.
 
 Every enumeration takes one path: the walker stops after s = min(n, 4)
 vertices, the partial assignments found there (the prefixes) are grouped into
@@ -32,7 +39,6 @@ of each leaf -- runs through the bitset frontier sweep of
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import permutations
@@ -126,41 +132,62 @@ def _walk(n, delta, g, rows, deg, start_v, stop_v, visit):
     ``rows``/``deg`` hold the decided blocks below ``start_v``; they are
     updated in place during the walk, so ``visit`` reads the current
     assignment from them, and are restored on return.
+
+    ``place(v)`` picks the neighbours of v in increasing order (the module
+    docstring has the prunes).  ``fars[u]`` memoises the far mask of u, the
+    vertices below v at distance >= g - 2 from u, from u's first pick to the
+    end of ``place(v)``.  That is exact: u is allowed only at distance
+    >= g - 2 from every earlier pick in the graph on 0..v-1, v is entered
+    only through a pick, so the sweep of g - 3 levels never meets v and sees
+    the graph on 0..v-1 in every branch.
     """
 
     def place(v):
         if v == stop_v:
             visit()
             return
-        future = n - 1 - v
+        # a vertex up to v with fewer than lack neighbours among 0..v stays
+        # below the degree floor even if every later vertex joins it
+        lack = delta - (n - 1 - v)
         vbit = 1 << v
         below = vbit - 1
-        # endpoints u, w of v must be at distance >= g - 2, or v closes a
-        # cycle shorter than g; a frontier sweep of g - 3 levels finds the
-        # vertices too close to u
-        fars = [below & ~_reach(rows, 1 << u, g - 3)[0] for u in range(v)]
+        need = 0
+        if lack > 0:
+            for u in range(v):
+                if deg[u] < lack:
+                    need |= 1 << u
+        fars = [-1] * v
 
-        def choose(u, cnt, allowed):
-            if cnt + (v - u) + future < delta:
+        def pick(cnt, allowed, need):
+            if need & ~allowed or cnt + allowed.bit_count() < lack:
                 return
-            if u == v:
-                place(v + 1)
-                return
-            ubit = 1 << u
-            if allowed & ubit:
+            if need:
+                cand = allowed & ((need & -need) << 1) - 1
+            else:
+                cand = allowed
+                if cnt >= lack:
+                    deg[v] = cnt
+                    place(v + 1)
+            cnt += 1
+            while cand:
+                b = cand & -cand
+                cand ^= b
+                # cand is the low end of allowed: allowed keeps the bits above u
+                allowed ^= b
+                u = b.bit_length() - 1
+                far = fars[u]
+                if far < 0:
+                    far = fars[u] = below & ~_reach(rows, b, g - 3)[0]
                 rows[u] |= vbit
-                rows[v] |= ubit
+                rows[v] |= b
                 deg[u] += 1
-                deg[v] += 1
-                choose(u + 1, cnt + 1, allowed & fars[u])
+                pick(cnt, allowed & far, need & ~b)
                 deg[u] -= 1
-                deg[v] -= 1
-                rows[u] &= ~vbit
-                rows[v] &= ~ubit
-            if deg[u] + future >= delta:
-                choose(u + 1, cnt, allowed)
+                rows[u] ^= vbit
+                rows[v] ^= b
 
-        choose(0, 0, below)
+        pick(0, below, need)
+        deg[v] = 0
 
     place(start_v)
 
@@ -242,7 +269,12 @@ def _span_task(args):
 
 
 def _pool(jobs):
-    return ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext()
+    if jobs <= 1:
+        return nullcontext()
+    # imported here, so that a run in process never loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=jobs)
 
 
 def _extremal(n, delta, g, allow_long, pool):
@@ -286,8 +318,8 @@ def enumerate_extremal(
     with minimum degree >= delta and girth >= g, with one witness graph.
 
     n is capped at 8 by default; n = 9 requires ``allow_long``, and
-    (9, 2, 4) took 70 s with jobs = 1 and 34-39 s with jobs = 2 on a 2-core
-    Xeon under CPython 3.11.  The backtracking forest is always split after
+    (9, 2, 4) took 23 s with jobs = 1 and 12 s with jobs = 2 on a 2-core
+    box under CPython 3.11.  The backtracking forest is always split after
     the first min(n, 4) vertices, one prefix per orbit of the split is
     enumerated, and the tasks run in process for jobs <= 1 and on a pool of
     ``jobs`` processes otherwise; ties between equal-radius witnesses resolve

@@ -168,6 +168,56 @@ def find_witness_reference(n, edges, k, budget):
     return tuple(min((greedy, best), key=lambda s: (-len(s), s)))
 
 
+def ball_reference(rows, u, radius):
+    """Mask of the vertices within ``radius`` hops of u over the adjacency
+    bitmasks ``rows``, one vertex at a time."""
+    seen = frontier = {u}
+    for _ in range(radius):
+        frontier = {w for x in frontier for w in range(len(rows)) if rows[x] >> w & 1} - seen
+        seen = seen | frontier
+    return sum(1 << w for w in seen)
+
+
+def walk_reference(n, delta, g, rows, deg, start_v, stop_v, visit):
+    """The labelled walk as it was before its pick loop: vertex v decides
+    its back-edges to u = 0, 1, ..., v-1 in turn, first with the edge and
+    then without it, and sweeps the far mask of every u < v on entry.  Same
+    contract as ``search._walk``."""
+
+    def place(v):
+        if v == stop_v:
+            visit()
+            return
+        future = n - 1 - v
+        vbit = 1 << v
+        below = vbit - 1
+        fars = [below & ~ball_reference(rows, u, g - 3) for u in range(v)]
+
+        def choose(u, cnt, allowed):
+            if cnt + (v - u) + future < delta:
+                return
+            if u == v:
+                place(v + 1)
+                return
+            ubit = 1 << u
+            if allowed & ubit:
+                rows[u] |= vbit
+                rows[v] |= ubit
+                deg[u] += 1
+                deg[v] += 1
+                choose(u + 1, cnt + 1, allowed & fars[u])
+                deg[u] -= 1
+                deg[v] -= 1
+                rows[u] &= ~vbit
+                rows[v] &= ~ubit
+            if deg[u] + future >= delta:
+                choose(u + 1, cnt, allowed)
+
+        choose(0, 0, below)
+
+    place(start_v)
+
+
 def graph6_reference(n, edges):
     """graph6 bytes by the plain bit loop: the size header, then bit (i, j)
     for every column j = 1..n-1 and row i < j, packed big-endian into 6-bit

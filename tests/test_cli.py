@@ -217,6 +217,29 @@ class TestSearch:
         data = json.loads(out)
         assert code == 0 and data["all_equal"]
 
+    @pytest.mark.parametrize("argv,message", [
+        (("enumerate", "--n", "5", "--delta", "2", "--g", "4", "--jobs", "0"), "--jobs: must be >= 1, got 0"),
+        (("enumerate", "--n", "5", "--delta", "2", "--g", "4", "--jobs", "-3"), "--jobs: must be >= 1, got -3"),
+        (("verify-theorem", "--n-max", "4", "--deltas", "2", "--jobs", "0"), "--jobs: must be >= 1, got 0"),
+        (("verify-theorem", "--n-max", "4", "--deltas", "2", "--jobs", "-2"), "--jobs: must be >= 1, got -2"),
+        (("stream", "--delta", "-3", "--g", "4"), "--delta: must be >= 0, got -3"),
+        (("stream", "--delta", "2", "--g", "0"), "--g: must be >= 3, got 0"),
+        (("stream", "--delta", "2", "--g", "2"), "--g: must be >= 3, got 2"),
+    ])
+    def test_out_of_domain_exit_2(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["search", *argv])
+        out = capsys.readouterr()
+        assert exc.value.code == 2 and out.out == ""
+        assert [line for line in out.err.splitlines() if "error:" in line] == [
+            f"radgraph search {argv[0]}: error: argument {message}"]
+
+    def test_stream_domain_minimum_accepted(self, capsys, tmp_path):
+        path = tmp_path / "c5.g6"
+        path.write_text(graph6_bytes(cycle(5)).decode())
+        code, out, _ = run(capsys, "search", "stream", "--delta", "0", "--g", "3", "--input", str(path))
+        assert code == 0 and json.loads(out)["accepted"] == 1
+
     def test_stream_from_stdin(self, capsys, monkeypatch):
         import io
 

@@ -1,5 +1,7 @@
+import concurrent.futures
 import math
 import random
+import sys
 from functools import lru_cache
 from itertools import combinations, permutations
 
@@ -18,7 +20,15 @@ from radgraph import (
 from radgraph import search
 from radgraph.search import enumerate_extremal, stream_verify, verify_theorem_main_small
 from conftest import cycle
-from oracles import INF, from_graph6_reference, graph6_reference, naive_girth, naive_radius_diameter
+from oracles import (
+    INF,
+    ball_reference,
+    from_graph6_reference,
+    graph6_reference,
+    naive_girth,
+    naive_radius_diameter,
+    walk_reference,
+)
 
 
 def brute_force_reference(n, delta, g):
@@ -110,6 +120,7 @@ class TestEnumerateExtremal:
         (8, 2, 5, (4, 41160, b"G?LTE?")),
         (8, 3, 4, (3, 12411, b"G?]uf?")),
         (9, 2, 6, (4, 201600, b"H?CidB?")),
+        (9, 2, 7, (4, 20160, b"H?CidB?")),
     ])
     def test_pinned_beyond_brute_force(self, n, delta, g, expected, jobs):
         """Values read from the enumeration before the prefix spans were
@@ -126,6 +137,57 @@ class TestEnumerateExtremal:
     def test_single_vertex(self):
         res = enumerate_extremal(1, 0, 4)
         assert res.max_radius == 0 and res.graphs_considered == 1
+
+
+def visited(walk, n, delta, g, stop_v):
+    """The sorted assignments ``walk`` visits from the empty graph up to
+    stop_v, each as the bytes of rows + deg."""
+    rows, deg = [0] * n, [0] * n
+    seen = []
+    walk(n, delta, g, rows, deg, 0, stop_v, lambda: seen.append(bytes(rows + deg)))
+    assert rows == deg == [0] * n
+    return sorted(seen)
+
+
+# the n = 7, g = 3 walks to the leaves visit 1-2 million graphs for delta <= 2,
+# too many for a unit test; their prefixes are compared, and delta = 3 is
+WALK_CASES = [(n, delta, g, stop_v)
+              for n in range(1, 8) for delta in range(4) for g in range(3, 9)
+              for stop_v in sorted({min(n, 4), n})
+              if (n, g, stop_v) != (7, 3, 7) or delta == 3]
+
+
+class TestWalk:
+    """The pick loop against the include/exclude walk it replaced."""
+
+    @pytest.mark.parametrize("n,delta,g,stop_v", WALK_CASES)
+    def test_same_assignments_as_reference(self, n, delta, g, stop_v):
+        assert visited(search._walk, n, delta, g, stop_v) == visited(walk_reference, n, delta, g, stop_v)
+
+    # at g = 3 the sweep takes no level, so n = 6 is enough there
+    @pytest.mark.parametrize("n,delta,g", [(n, delta, g) for g in range(3, 9)
+                                           for n, delta in [(6, 0), (6, 3), (7, 1), (7, 2)]
+                                           if n == 6 or g > 3])
+    def test_far_masks_see_only_earlier_vertices(self, monkeypatch, n, delta, g):
+        reach = search._reach
+        sweeps = []
+
+        def spy(rows, seen, limit):
+            # the pick that sweeps holds the vertex v being placed and its memo
+            scope = sys._getframe(1).f_locals
+            v, fars = scope["v"], scope["fars"]
+            u = seen.bit_length() - 1
+            assert seen == 1 << u and u < v and limit == g - 3
+            assert fars[u] == -1  # swept once per place(v), when first picked
+            below = (1 << v) - 1
+            far = below & ~reach(rows, seen, limit)[0]
+            assert far == below & ~ball_reference([row & below for row in rows[:v]], u, g - 3)
+            sweeps.append(v)
+            return reach(rows, seen, limit)
+
+        monkeypatch.setattr(search, "_reach", spy)
+        search._walk(n, delta, g, [0] * n, [0] * n, 0, n, lambda: None)
+        assert sweeps
 
 
 def prefix_edges(rows, s):
@@ -244,12 +306,13 @@ class TestVerifyTheorem:
     def test_jobs_share_one_pool(self, monkeypatch):
         pools = []
 
-        class CountingPool(search.ProcessPoolExecutor):
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, *args, **kwargs):
                 pools.append(self)
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(search, "ProcessPoolExecutor", CountingPool)
+        # search imports the pool class only when it opens a pool
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
         table = verify_theorem_main_small(5, [2, 3], jobs=2)
         assert len(pools) == 1
         assert table == verify_theorem_main_small(5, [2, 3], jobs=1)
