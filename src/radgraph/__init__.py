@@ -8,7 +8,6 @@ from .bounds import (
     upper_bound_radius,
 )
 from .constructions import (
-    BoxSpec,
     ExtractionResult,
     bipartite_radius2,
     box_graph,
@@ -27,7 +26,6 @@ from .geometry import (
 from .graph import (
     INFINITE,
     UNREACHABLE,
-    DistanceVector,
     Graph,
     MetricSummary,
     ball,

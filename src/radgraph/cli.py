@@ -242,6 +242,8 @@ def _cmd_bound(args):
         raise ValueError(f"order must be >= 1, got {args.n}")
     if args.g < 3:
         raise ValueError(f"girth must be >= 3, got {args.g}")
+    if args.delta < 2:
+        raise ValueError(f"minimum degree must be >= 2, got {args.delta}")
     out = {}
     if args.g == 4:
         exact = exact_radius_formula_g4(args.n, args.delta)
@@ -254,6 +256,10 @@ def _cmd_bound(args):
     return EXIT_OK
 
 
+#: The one parameter option each ``witness check`` kind takes, if any.
+_CHECK_PARAMETER = {"general": "k", "tf": None, "cycles": "r"}
+
+
 def _cmd_witness(args):
     G = _load_graph(args.graph, args.input_format)
     if args.action == "find":
@@ -261,16 +267,18 @@ def _cmd_witness(args):
         report = check_witness_general(G, ws.vertices, args.k)
         _print_json(report.to_json_dict(), args.pretty)
         return EXIT_OK if report.passed else EXIT_CHECK_FAILED
+    takes = _CHECK_PARAMETER[args.what]
+    if takes and getattr(args, takes) is None:
+        raise ValueError(f"--{takes} is required for the {args.what} check")
+    for name in ("k", "r"):
+        if name != takes and getattr(args, name) is not None:
+            raise ValueError(f"--{name} does not apply to the {args.what} check")
     try:
         if args.what == "general":
-            if args.k is None:
-                raise ValueError("--k is required for the general check")
             report = check_witness_general(G, args.vertex_set, args.k)
         elif args.what == "tf":
             report = check_witness_triangle_free(G, args.vertex_set)
         else:
-            if args.r is None:
-                raise ValueError("--r is required for the cycles check")
             report = check_witness_two_cycles(G, args.vertex_set, args.r)
     except WitnessValidationError as exc:
         _print_json({"kind": f"witness-{args.what}", "error": str(exc),

@@ -20,7 +20,6 @@ from .graph import (
 )
 
 __all__ = [
-    "BoxSpec",
     "ExtractionResult",
     "box_spec",
     "box_graph",
@@ -29,22 +28,6 @@ __all__ = [
     "glue_cycle",
     "extract_dense_subgraph",
 ]
-
-
-@dataclass(frozen=True)
-class BoxSpec:
-    """Layout of the 2r vertex groups of a box graph.
-
-    Group sizes alternate between ceil(delta/2) (positions 0,1 mod 4) and
-    floor(delta/2) (positions 2,3 mod 4), which makes every base degree sum
-    to exactly delta; the c surplus vertices all go into group 0 so that the
-    minimum degree stays exactly delta for every parameter choice.
-    """
-
-    r: int
-    delta: int
-    c: int
-    box_sizes: tuple
 
 
 @dataclass(frozen=True)
@@ -66,7 +49,14 @@ class ExtractionResult:
     edge_bound: int
 
 
-def box_spec(r: int, delta: int, c: int) -> BoxSpec:
+def box_spec(r: int, delta: int, c: int) -> tuple:
+    """Sizes of the 2r vertex groups of a box graph, in ring order.
+
+    Group sizes alternate between ceil(delta/2) (positions 0,1 mod 4) and
+    floor(delta/2) (positions 2,3 mod 4), which makes every base degree sum
+    to exactly delta; the c surplus vertices all go into group 0 so that the
+    minimum degree stays exactly delta for every parameter choice.
+    """
     if r < 4:
         raise ValueError(f"box graphs need radius r >= 4, got {r}")
     if delta < 2:
@@ -77,7 +67,7 @@ def box_spec(r: int, delta: int, c: int) -> BoxSpec:
     small = delta // 2
     sizes = [big if i % 4 in (0, 1) else small for i in range(2 * r)]
     sizes[0] += c
-    return BoxSpec(r, delta, c, tuple(sizes))
+    return tuple(sizes)
 
 
 def box_graph(r: int, delta: int, c: int = 0) -> Graph:
@@ -90,8 +80,7 @@ def box_graph(r: int, delta: int, c: int = 0) -> Graph:
     plain cycle C_(2r); in every other case two vertices share a group and
     the girth is exactly 4.
     """
-    spec = box_spec(r, delta, c)
-    sizes = spec.box_sizes
+    sizes = box_spec(r, delta, c)
     offsets = []
     total = 0
     for s in sizes:
@@ -202,7 +191,7 @@ def extract_dense_subgraph(G: Graph, k: int) -> ExtractionResult:
     if delta < 2:
         raise ValueError(f"minimum degree must be >= 2, got {delta}")
     center = ms.centers[0]
-    dist = bfs(G, center).dist
+    dist = bfs(G, center)
     r = ms.radius
     target = min(v for v in range(G.n) if dist[v] == r)
     geodesic = _geodesic(G, dist, target)

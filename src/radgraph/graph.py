@@ -89,7 +89,6 @@ __all__ = [
     "UNREACHABLE",
     "INFINITE",
     "Graph",
-    "DistanceVector",
     "MetricSummary",
     "build_graph",
     "bfs",
@@ -166,17 +165,6 @@ class Graph:
 
 
 @dataclass(frozen=True)
-class DistanceVector:
-    """Hop distances from ``source``; UNREACHABLE marks other components."""
-
-    source: int
-    dist: tuple
-
-    def __getitem__(self, v: int) -> int:
-        return self.dist[v]
-
-
-@dataclass(frozen=True)
 class MetricSummary:
     """Radius, diameter, girth, minimum degree and the centre set of a graph.
 
@@ -240,11 +228,12 @@ def _reach(rows, seen, limit):
     return seen, levels
 
 
-def bfs(G: Graph, v: int) -> DistanceVector:
-    """Exact hop distances from v (UNREACHABLE outside v's component)."""
+def bfs(G: Graph, v: int) -> tuple:
+    """Exact hop distances from v, indexed by vertex (UNREACHABLE outside
+    v's component)."""
     if not 0 <= v < G.n:
         raise ValueError(f"vertex {v} out of range for graph on {G.n} vertices")
-    return DistanceVector(v, tuple(_distances(G.adj, v, [UNREACHABLE] * G.n)))
+    return tuple(_distances(G.adj, v, [UNREACHABLE] * G.n))
 
 
 def _distances(adj, v, dist):

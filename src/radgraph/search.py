@@ -336,14 +336,20 @@ def verify_theorem_main_small(n_max: int, delta_set, *, jobs: int = 1) -> dict:
     Returns {"rows": [...], "all_equal": bool}; each row carries the
     enumerated value, the formula value and an EQUAL/MISMATCH verdict
     (both sides use None for "no such graph").  With jobs > 1 every row
-    runs on one shared pool of ``jobs`` processes.
+    runs on one shared pool of ``jobs`` processes.  An n_max below 1 or an
+    empty delta_set raises ValueError: the table would check nothing.
     """
     from .bounds import exact_radius_formula_g4
 
+    deltas = sorted(delta_set)
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    if not deltas:
+        raise ValueError("delta_set names no degree floor")
     rows = []
     all_equal = True
     with _pool(jobs) as pool:
-        for delta in sorted(delta_set):
+        for delta in deltas:
             for n in range(1, n_max + 1):
                 enumerated = _extremal(n, delta, 4, False, pool).max_radius
                 formula = exact_radius_formula_g4(n, delta)

@@ -61,14 +61,12 @@ class WitnessSet:
 class WitnessValidationError(ValueError):
     """A proposed witness set violates its distance conditions.
 
-    ``pair`` names an offending vertex pair when one exists; ``detail``
-    carries structure information for the double-cycle check.
+    ``pair`` names an offending vertex pair when one exists.
     """
 
-    def __init__(self, message, *, pair=None, detail=None):
+    def __init__(self, message, *, pair=None):
         super().__init__(message)
         self.pair = pair
-        self.detail = detail
 
 
 def _clean_vertex_set(G, vertices):
@@ -112,7 +110,7 @@ def check_witness_general(G: Graph, T, k: int) -> BoundReport:
         clash = later & ~_compatible(G, u, k)
         if clash:
             w = (clash & -clash).bit_length() - 1
-            d = bfs(G, u).dist[w]
+            d = bfs(G, u)[w]
             raise WitnessValidationError(
                 f"vertices {u} and {w} are non-adjacent at distance {d} < {2 * k - 1}",
                 pair=(u, w),
@@ -152,7 +150,7 @@ def check_witness_triangle_free(G: Graph, T) -> BoundReport:
     """
     _require_triangle_free(G)
     T = _clean_vertex_set(G, T)
-    dist = {v: bfs(G, v).dist for v in T}
+    dist = {v: bfs(G, v) for v in T}
     for i, u in enumerate(T):
         for w in T[i + 1:]:
             if dist[u][w] == 2:
@@ -185,7 +183,7 @@ def check_witness_two_cycles(G: Graph, U, r: int) -> BoundReport:
         raise WitnessValidationError(
             f"witness has {len(U)} distinct vertices, need exactly 2r = {2 * r}"
         )
-    dist = {v: bfs(G, v).dist for v in U}
+    dist = {v: bfs(G, v) for v in U}
     aux = [0] * len(U)
     for i, u in enumerate(U):
         for j in range(i + 1, len(U)):
@@ -209,8 +207,7 @@ def check_witness_two_cycles(G: Graph, U, r: int) -> BoundReport:
         raise WitnessValidationError(
             "auxiliary distance-2 graph is not two disjoint "
             f"{r}-cycles: component sizes {sorted(comp_sizes)}, "
-            f"degrees range {degrees[0]}..{degrees[-1]}",
-            detail={"component_sizes": tuple(sorted(comp_sizes)), "degrees": tuple(degrees)},
+            f"degrees range {degrees[0]}..{degrees[-1]}"
         )
     delta = min(G.degrees(), default=0)
     claimed = 2 * ((r * delta + 1) // 2)
@@ -279,7 +276,7 @@ def find_witness(G: Graph, k: int, budget: int = 10**6) -> WitnessSet:
     compat = [_compatible(G, v, k) for v in range(n)]
 
     center = ms.centers[0] if ms.centers else 0
-    layer = bfs(G, center).dist if n else ()
+    layer = bfs(G, center) if n else ()
     order = sorted(range(n), key=lambda v: (layer[v], v))
     greedy: list = []
     greedy_mask = (1 << n) - 1
@@ -316,11 +313,7 @@ def find_witness(G: Graph, k: int, budget: int = 10**6) -> WitnessSet:
         stack.append((size + 1, cand & compat[chosen[-1]]))
 
     pick = min((greedy, best), key=lambda s: (-len(s), s))
-    result = WitnessSet(tuple(pick), WitnessKind.GENERAL_2K, k)
-    report = check_witness_general(G, result.vertices, k)
-    if report.witness.vertices != result.vertices:
-        raise RuntimeError("witness search produced an inconsistent set")
-    return result
+    return check_witness_general(G, pick, k).witness
 
 
 # -- geodesic index patterns ---------------------------------------------------
@@ -387,7 +380,7 @@ def _check_paths(G, path, vprime_path):
         raise ValueError("paths must be non-empty")
     if path[0] != vprime_path[0]:
         raise ValueError("both paths must start at the same centre vertex")
-    dist0 = bfs(G, path[0]).dist
+    dist0 = bfs(G, path[0])
     for name, p in (("path", path), ("vprime_path", vprime_path)):
         for i in range(len(p) - 1):
             if not G.has_edge(p[i], p[i + 1]):
@@ -438,15 +431,15 @@ def easycases_configuration(G: Graph) -> tuple:
         raise ValueError(f"configuration needs radius >= 4, got {r}")
     best = None
     for c in ms.centers:
-        count = sum(1 for d in bfs(G, c).dist if d == r)
+        count = sum(1 for d in bfs(G, c) if d == r)
         if best is None or (count, c) < best[:2]:
             best = (count, c)
     v0 = best[1]
-    dist0 = bfs(G, v0).dist
+    dist0 = bfs(G, v0)
     target = min(v for v in range(G.n) if dist0[v] == r)
     path = _geodesic(G, dist0, target)
     v3 = path[3]
-    dist3 = bfs(G, v3).dist
+    dist3 = bfs(G, v3)
     if max(dist3) > r:
         vprime = min(v for v in range(G.n) if dist3[v] > r)
     else:
@@ -531,7 +524,7 @@ def validate_geodesic_observations(
         raise ValueError(f"m must be within 1..{r - 1}, got {m}")
     t = r - (len(vprime_path) - 1)
     vprime = vprime_path[-1]
-    D = bfs(G, path[m]).dist[vprime]
+    D = bfs(G, path[m])[vprime]
 
     violations = []
     precondition = D >= r
@@ -541,7 +534,7 @@ def validate_geodesic_observations(
     if not shift_ok:
         violations.append(f"shift t = {t} exceeds m = {m}")
 
-    path_dist = [bfs(G, v).dist for v in path]
+    path_dist = [bfs(G, v) for v in path]
     distance_ok = True
     for i in range(r + 1):
         row = path_dist[i]

@@ -238,7 +238,7 @@ def _distance_two_vertex(G, T):
     any member it sits at distance < 2 from -- guaranteed to invalidate."""
     Tset = set(T)
     for t in T:
-        d = bfs(G, t).dist
+        d = bfs(G, t)
         for v in range(G.n):
             if v not in Tset and d[v] == 2:
                 return t, v
@@ -263,7 +263,7 @@ class Criterion6Harness:
             pair = err.value.pair
             assert pair is not None
             u, w = pair
-            d = bfs(G, u).dist[w]
+            d = bfs(G, u)[w]
             if fn is check_witness_triangle_free:
                 assert d == 2
             else:
@@ -298,7 +298,7 @@ def test_criterion_6_lemma_suite(heawood, tutte_coxeter):
                 G = box_graph(r, delta, c)
                 from radgraph import box_spec
 
-                sizes = box_spec(r, delta, c).box_sizes
+                sizes = box_spec(r, delta, c)
                 offs = [0]
                 for s in sizes[:-1]:
                     offs.append(offs[-1] + s)
@@ -383,12 +383,12 @@ def _configuration(G, m):
     ms = metric_summary(G)
     r = ms.radius
     v0 = ms.centers[0]
-    dist0 = bfs(G, v0).dist
+    dist0 = bfs(G, v0)
     target = min(v for v in range(G.n) if dist0[v] == r)
     path = tuple(_geodesic(G, dist0, target))
     if not 1 <= m <= r - 1:
         return None
-    dist_m = bfs(G, path[m]).dist
+    dist_m = bfs(G, path[m])
     far = [v for v in range(G.n) if dist_m[v] >= r]
     if not far:
         return None
@@ -454,10 +454,10 @@ def test_pattern_instantiations_on_families(heawood):
         ms = metric_summary(G)
         r = ms.radius
         v0 = ms.centers[0]
-        dist0 = bfs(G, v0).dist
+        dist0 = bfs(G, v0)
         target = min(v for v in range(G.n) if dist0[v] == r)
         path = tuple(_geodesic(G, dist0, target))
-        dist2k = bfs(G, path[2 * k]).dist
+        dist2k = bfs(G, path[2 * k])
         vprime = min(v for v in range(G.n) if dist2k[v] >= r)
         t = r - dist0[vprime]
         vpath = tuple(_geodesic(G, dist0, vprime))

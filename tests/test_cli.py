@@ -126,6 +126,13 @@ class TestBound:
         code, out, err = run(capsys, "bound", "--n", "15", "--delta", "3", "--g", g)
         assert code == 2 and out == "" and "girth must be >= 3" in err
 
+    @pytest.mark.parametrize("delta,g", [("0", "7"), ("1", "3"), ("1", "5"), ("-2", "3"),
+                                         ("1", "6"), ("0", "4")])
+    def test_degree_floor_below_2_exit_2(self, capsys, delta, g):
+        code, out, err = run(capsys, "bound", "--n", "15", "--delta", delta, "--g", g)
+        assert code == 2 and out == ""
+        assert err == f"error: minimum degree must be >= 2, got {delta}\n"
+
     def test_girth_3_has_no_bound(self, capsys):
         code, out, _ = run(capsys, "bound", "--n", "15", "--delta", "3", "--g", "3")
         assert code == 0 and json.loads(out) == {}
@@ -167,6 +174,24 @@ class TestWitness:
             "--set", "0,1,2,3,4,5,6,7", "--r", "4",
         )
         assert code == 0 and json.loads(out)["pass"]
+
+    @pytest.mark.parametrize("argv,message", [
+        (("tf", "--k", "3"), "--k does not apply to the tf check"),
+        (("tf", "--k", "9", "--r", "77"), "--k does not apply to the tf check"),
+        (("tf", "--r", "4"), "--r does not apply to the tf check"),
+        (("general", "--k", "2", "--r", "5"), "--r does not apply to the general check"),
+        (("cycles", "--r", "4", "--k", "2"), "--k does not apply to the cycles check"),
+        (("general",), "--k is required for the general check"),
+        (("general", "--r", "5"), "--k is required for the general check"),
+        (("cycles",), "--r is required for the cycles check"),
+        (("cycles", "--k", "2"), "--r is required for the cycles check"),
+    ])
+    def test_check_parameter_of_another_kind_exit_2(self, capsys, tmp_path, argv, message):
+        path = tmp_path / "c8.g6"
+        path.write_text(graph6_bytes(cycle(8)).decode())
+        code, out, err = run(capsys, "witness", "check", *argv, "--graph", str(path),
+                             "--set", "0,1,2,3,4,5,6,7")
+        assert code == 2 and out == "" and err == f"error: {message}\n"
 
     def test_find(self, capsys, tmp_path):
         path = tmp_path / "h.g6"
@@ -216,6 +241,16 @@ class TestSearch:
         )
         data = json.loads(out)
         assert code == 0 and data["all_equal"]
+
+    @pytest.mark.parametrize("argv,message", [
+        (("--n-max", "0"), "n_max must be >= 1, got 0"),
+        (("--n-max", "-3"), "n_max must be >= 1, got -3"),
+        (("--n-max", "4", "--deltas", ","), "delta_set names no degree floor"),
+        (("--n-max", "4", "--deltas", ""), "delta_set names no degree floor"),
+    ])
+    def test_verify_theorem_empty_table_exit_2(self, capsys, argv, message):
+        code, out, err = run(capsys, "search", "verify-theorem", *argv, "--jobs", "1")
+        assert code == 2 and out == "" and err == f"error: {message}\n"
 
     @pytest.mark.parametrize("argv,message", [
         (("enumerate", "--n", "5", "--delta", "2", "--g", "4", "--jobs", "0"), "--jobs: must be >= 1, got 0"),

@@ -23,11 +23,11 @@ from oracles import floyd_distances
 
 class TestBoxGraph:
     def test_spec_layout(self):
-        spec = box_spec(5, 3, 2)
-        assert len(spec.box_sizes) == 10
-        assert sum(spec.box_sizes) == 2 * ((5 * 3 + 1) // 2) + 2
+        sizes = box_spec(5, 3, 2)
+        assert len(sizes) == 10
+        assert sum(sizes) == 2 * ((5 * 3 + 1) // 2) + 2
         big, small = 2, 1
-        for i, size in enumerate(spec.box_sizes):
+        for i, size in enumerate(sizes):
             floor = big if i % 4 in (0, 1) else small
             assert size >= floor
 
@@ -128,7 +128,7 @@ class TestGlueCycle:
             rest = [e for e in H.edges() if e != (v, w)]
             Hprime = build_graph(H.n, rest)
             assert is_connected(Hprime)
-            assert bfs(Hprime, v).dist[w] >= g - 1
+            assert bfs(Hprime, v)[w] >= g - 1
 
     def test_cut_edge_is_lex_smallest_non_bridge(self):
         # a triangle with a pendant path: (3,4) and (4,5)-style edges are bridges
@@ -174,7 +174,7 @@ class TestExtractDenseSubgraph:
     def test_geodesic_is_shortest_path(self):
         G = glue_cycle(projective_plane_incidence_graph(2), 4)
         res = extract_dense_subgraph(G, 3)
-        dist = bfs(G, res.center).dist
+        dist = bfs(G, res.center)
         for i, v in enumerate(res.geodesic):
             assert dist[v] == i
         assert len(res.geodesic) == metric_summary(G).radius + 1

@@ -71,10 +71,10 @@ class TestBuildGraph:
 class TestBfs:
     def test_path(self):
         G = build_graph(3, [(0, 1), (1, 2)])
-        assert bfs(G, 0).dist == (0, 1, 2)
+        assert bfs(G, 0) == (0, 1, 2)
 
     def test_cycle_max_distance(self, c8):
-        assert max(bfs(c8, 0).dist) == 4
+        assert max(bfs(c8, 0)) == 4
 
     def test_unreachable(self):
         G = build_graph(4, [(0, 1), (2, 3)])
@@ -141,7 +141,7 @@ class TestMetricSummary:
 
     def test_triangle_inequality_sampled(self):
         G = random_graph(10, 0.4, seed=42)
-        dist = [bfs(G, v).dist for v in range(G.n)]
+        dist = [bfs(G, v) for v in range(G.n)]
         rng = random.Random(1)
         for _ in range(200):
             u, v, w = rng.randrange(10), rng.randrange(10), rng.randrange(10)

@@ -323,6 +323,16 @@ class TestVerifyTheorem:
             assert row["formula"] == exact_radius_formula_g4(row["n"], row["delta"])
             assert row["verdict"] == "EQUAL"
 
+    @pytest.mark.parametrize("n_max", [0, -3])
+    def test_empty_order_range_rejected(self, n_max):
+        with pytest.raises(ValueError, match=f"n_max must be >= 1, got {n_max}"):
+            verify_theorem_main_small(n_max, [2, 3])
+
+    @pytest.mark.parametrize("deltas", [[], (), iter([])])
+    def test_empty_delta_set_rejected(self, deltas):
+        with pytest.raises(ValueError, match="no degree floor"):
+            verify_theorem_main_small(4, deltas)
+
 
 class TestStreamVerify:
     def test_mixed_stream(self, petersen):

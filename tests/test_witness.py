@@ -101,7 +101,7 @@ class TestTriangleFreeWitness:
         from itertools import combinations
 
         G = glue_cycle(heawood_lcf, 2)
-        dist = {v: bfs(G, v).dist for v in range(G.n)}
+        dist = {v: bfs(G, v) for v in range(G.n)}
         triple = next(
             t
             for t in combinations(range(G.n), 3)
@@ -364,14 +364,14 @@ class TestEasycasesInstantiation:
                         continue
                     best = None
                     for c in ms.centers:
-                        cnt = sum(1 for d in bfs(G, c).dist if d == r)
+                        cnt = sum(1 for d in bfs(G, c) if d == r)
                         if best is None or (cnt, c) < best[:2]:
                             best = (cnt, c)
                     v0 = best[1]
-                    dist0 = bfs(G, v0).dist
+                    dist0 = bfs(G, v0)
                     target = min(v for v in range(G.n) if dist0[v] == r)
                     path = tuple(_geodesic(G, dist0, target))
-                    dist3 = bfs(G, path[3]).dist
+                    dist3 = bfs(G, path[3])
                     if max(dist3) > r:
                         admissible = [v for v in range(G.n) if dist3[v] >= r + 1]
                     else:
@@ -427,13 +427,13 @@ class TestUpperBoundWitnessPattern:
         ms = metric_summary(G)
         r = ms.radius
         v0 = ms.centers[0]
-        dist0 = bfs(G, v0).dist
+        dist0 = bfs(G, v0)
         target = min(v for v in range(G.n) if dist0[v] == r)
         path = [target]
         while dist0[path[-1]] > 0:
             path.append(min(w for w in G.adj[path[-1]] if dist0[w] == dist0[path[-1]] - 1))
         path.reverse()
-        dist2k = bfs(G, path[2 * k]).dist
+        dist2k = bfs(G, path[2 * k])
         vprime = min(v for v in range(G.n) if dist2k[v] >= r)
         t = r - dist0[vprime]
         vpath = [vprime]
@@ -454,7 +454,7 @@ class TestGeodesicObservations:
         G = cycle(20)
         path = tuple(range(11))
         m = 5
-        dist_m = bfs(G, path[m]).dist
+        dist_m = bfs(G, path[m])
         vprime = min(v for v in range(20) if dist_m[v] >= 10)
         assert vprime == 15
         vprime_path = tuple((-j) % 20 for j in range(6))
@@ -477,14 +477,14 @@ class TestGeodesicObservations:
         G = box_graph(6, 2, 0)
         ms = metric_summary(G)
         v0 = ms.centers[0]
-        dist0 = bfs(G, v0).dist
+        dist0 = bfs(G, v0)
         target = min(v for v in range(G.n) if dist0[v] == ms.radius)
         path = [target]
         while dist0[path[-1]] > 0:
             path.append(min(w for w in G.adj[path[-1]] if dist0[w] == dist0[path[-1]] - 1))
         path.reverse()
         m = 3
-        dist_m = bfs(G, path[m]).dist
+        dist_m = bfs(G, path[m])
         vprime = min(v for v in range(G.n) if dist_m[v] >= ms.radius)
         vpath = [vprime]
         while dist0[vpath[-1]] > 0:
