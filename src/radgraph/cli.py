@@ -30,10 +30,10 @@ from .graph import metric_summary
 from .search import enumerate_extremal, stream_verify, verify_theorem_main_small
 from .witness import (
     WitnessValidationError,
+    _find_witness_report,
     check_witness_general,
     check_witness_triangle_free,
     check_witness_two_cycles,
-    find_witness,
 )
 
 EXIT_OK = 0
@@ -263,8 +263,7 @@ _CHECK_PARAMETER = {"general": "k", "tf": None, "cycles": "r"}
 def _cmd_witness(args):
     G = _load_graph(args.graph, args.input_format)
     if args.action == "find":
-        ws = find_witness(G, args.k, budget=args.budget)
-        report = check_witness_general(G, ws.vertices, args.k)
+        report = _find_witness_report(G, args.k, args.budget)
         _print_json(report.to_json_dict(), args.pretty)
         return EXIT_OK if report.passed else EXIT_CHECK_FAILED
     takes = _CHECK_PARAMETER[args.what]

@@ -16,21 +16,30 @@ distance >= g - 2 from every earlier pick, v is entered only through a pick,
 so a sweep of g - 3 levels never meets v and sees the graph on 0..v-1 in
 every branch.
 
-Every enumeration takes one path: the walker stops after s = min(n, 4)
+Every enumeration takes one path: the walker stops after s = min(n, 5)
 vertices, the partial assignments found there (the prefixes) are grouped into
 orbits under the permutations of vertices 0..s-1, and the completions of one
 prefix per orbit are enumerated, in process or on a worker pool, so ``jobs``
-cannot change the result.  This is exact.  The leaves under a prefix P are
-exactly the valid graphs whose induced subgraph on 0..s-1 is P, because every
-prune is sound.  A permutation of 0..s-1, extended by the identity on the
-other vertices, maps the completions of P one-to-one onto those of its image
-and keeps connectivity, degrees, girth and radius.  So every member of an
-orbit has the same count and the same maximum radius, and the count of the
-orbit's span is multiplied by the number of collected members.  The witness
-is kept too: every completion's graph6 body starts with the C(s, 2) prefix
-bits in column order, so the member with the smallest encoding on s vertices
-holds the orbit's smallest encoding of maximum radius, and that member is the
-one enumerated.  Isomorph rejection beyond the prefix stays absent.
+cannot change the result.  This is exact for any s.  The leaves under a prefix
+P are exactly the valid graphs whose induced subgraph on 0..s-1 is P, because
+every prune is sound.  A permutation of 0..s-1, extended by the identity on
+the other vertices, maps the completions of P one-to-one onto those of its
+image and keeps connectivity, degrees, girth and radius.  So every member of
+an orbit has the same count and the same maximum radius, and the count of the
+orbit's span is multiplied by the number of collected members.  The witness is
+kept too: every completion's graph6 body starts with the C(s, 2) prefix bits
+in column order, so the member with the smallest encoding on s vertices holds
+the orbit's smallest encoding of maximum radius, and that member is the one
+enumerated.  Isomorph rejection beyond the prefix stays absent.
+
+Each orbit is generated once, from its first member: its s! relabellings
+are entered in a dict, so every later member costs one lookup (the orbit
+idea of McKay's isomorph-free generation, J. Algorithms 26, 1998, applied to
+the prefix only).  A deeper split shares each span among up to s! prefixes
+but pays s! relabels per orbit.  Best of 3 in process on a 2-core box under
+CPython 3.11, split after 4 / 5 / 6 vertices: (8, 2, 4) 0.79 / 0.16 /
+0.35 s, (8, 3, 4) 0.049 / 0.025 / 0.22 s, (9, 2, 6) 1.51 / 0.31 / 0.23 s
+and (9, 3, 4) 2.95 / 0.60 / 0.46 s.  So s = 5: depth 6 wins only at n = 9.
 
 All reachability -- the far-neighbour masks, connectivity and eccentricities
 of each leaf -- runs through the bitset frontier sweep of
@@ -44,7 +53,7 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from . import io as gio
-from .bounds import upper_bound_radius
+from .bounds import exact_radius_formula_g4, upper_bound_radius
 from .constructions import bipartite_radius2, box_graph, radius3_graph
 from .graph import Graph, _girth_of, _reach, build_graph, metric_summary
 
@@ -133,13 +142,10 @@ def _walk(n, delta, g, rows, deg, start_v, stop_v, visit):
     updated in place during the walk, so ``visit`` reads the current
     assignment from them, and are restored on return.
 
-    ``place(v)`` picks the neighbours of v in increasing order (the module
-    docstring has the prunes).  ``fars[u]`` memoises the far mask of u, the
-    vertices below v at distance >= g - 2 from u, from u's first pick to the
-    end of ``place(v)``.  That is exact: u is allowed only at distance
-    >= g - 2 from every earlier pick in the graph on 0..v-1, v is entered
-    only through a pick, so the sweep of g - 3 levels never meets v and sees
-    the graph on 0..v-1 in every branch.
+    ``place(v)`` picks the neighbours of v in increasing order.  ``fars[u]``
+    memoises the far mask of u, the vertices below v at distance >= g - 2
+    from u, from u's first pick to the end of ``place(v)`` (the module
+    docstring has the prunes and why the memo is exact).
     """
 
     def place(v):
@@ -241,18 +247,23 @@ def _collect_prefixes(n, delta, g, split_v):
 def _prefix_orbits(prefixes, s):
     """Group prefixes into orbits under the permutations of vertices 0..s-1.
 
-    Returns (rows, deg, weight) per orbit: the member with the smallest
-    graph6 encoding on s vertices and the number of collected members.  The
-    orbits with the fewest prefix edges come first: an emptier prefix leaves
-    more to choose, so its span tends to be the longest, and a pool ends
-    sooner when its longest tasks start first.
+    A prefix whose first s rows are not yet in ``orbit_of`` opens an orbit,
+    and all its relabellings are entered under it.  Returns (rows, deg,
+    weight) per orbit: the member with the smallest graph6 encoding on s
+    vertices and the number of collected members.  The orbits with the fewest
+    prefix edges come first: an emptier prefix leaves more to choose, so its
+    span tends to be the longest, and a pool ends sooner when its longest
+    tasks start first.
     """
     perms = list(permutations(range(s)))
-    groups = {}
+    orbit_of = {}
+    groups = []
     for rows, deg in prefixes:
-        canon = min(gio.graph6_bytes_from_rows(s, _relabel(rows, perm)) for perm in perms)
-        groups.setdefault(canon, []).append((gio.graph6_bytes_from_rows(s, rows), rows, deg))
-    orbits = [(*min(members)[1:], len(members)) for members in groups.values()]
+        if rows[:s] not in orbit_of:
+            groups.append([])
+            orbit_of.update((_relabel(rows, perm), groups[-1]) for perm in perms)
+        orbit_of[rows[:s]].append((gio.graph6_bytes_from_rows(s, rows), rows, deg))
+    orbits = [(*min(members)[1:], len(members)) for members in groups]
     return sorted(orbits, key=lambda orbit: sum(orbit[1]))
 
 
@@ -261,7 +272,7 @@ def _relabel(rows, perm):
     out = [0] * len(perm)
     for u, p in enumerate(perm):
         out[p] = sum(1 << perm[w] for w in range(len(perm)) if rows[u] >> w & 1)
-    return out
+    return tuple(out)
 
 
 def _span_task(args):
@@ -291,7 +302,7 @@ def _extremal(n, delta, g, allow_long, pool):
         raise ValueError(f"degree floor must be >= 0, got {delta}")
 
     best_r_init = max(_seed_radii(n, delta, g), default=-1)
-    split_v = min(n, 4)
+    split_v = min(n, 5)
     orbits = _prefix_orbits(_collect_prefixes(n, delta, g, split_v), split_v)
     tasks = [(n, delta, g, rows, deg, split_v, best_r_init) for rows, deg, _ in orbits]
     if pool is None:
@@ -318,9 +329,9 @@ def enumerate_extremal(
     with minimum degree >= delta and girth >= g, with one witness graph.
 
     n is capped at 8 by default; n = 9 requires ``allow_long``, and
-    (9, 2, 4) took 23 s with jobs = 1 and 12 s with jobs = 2 on a 2-core
+    (9, 2, 4) took 12 s with jobs = 1 and 6 s with jobs = 2 on a 2-core
     box under CPython 3.11.  The backtracking forest is always split after
-    the first min(n, 4) vertices, one prefix per orbit of the split is
+    the first min(n, 5) vertices, one prefix per orbit of the split is
     enumerated, and the tasks run in process for jobs <= 1 and on a pool of
     ``jobs`` processes otherwise; ties between equal-radius witnesses resolve
     to the smallest graph6 encoding.
@@ -331,7 +342,7 @@ def enumerate_extremal(
 
 def verify_theorem_main_small(n_max: int, delta_set, *, jobs: int = 1) -> dict:
     """Compare the enumerated maximum radius against the closed triangle-free
-    formula for every n <= n_max and delta in delta_set.
+    formula for every n <= n_max and every distinct delta in delta_set.
 
     Returns {"rows": [...], "all_equal": bool}; each row carries the
     enumerated value, the formula value and an EQUAL/MISMATCH verdict
@@ -339,33 +350,21 @@ def verify_theorem_main_small(n_max: int, delta_set, *, jobs: int = 1) -> dict:
     runs on one shared pool of ``jobs`` processes.  An n_max below 1 or an
     empty delta_set raises ValueError: the table would check nothing.
     """
-    from .bounds import exact_radius_formula_g4
-
-    deltas = sorted(delta_set)
+    deltas = sorted(set(delta_set))
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if not deltas:
         raise ValueError("delta_set names no degree floor")
     rows = []
-    all_equal = True
     with _pool(jobs) as pool:
         for delta in deltas:
             for n in range(1, n_max + 1):
                 enumerated = _extremal(n, delta, 4, False, pool).max_radius
                 formula = exact_radius_formula_g4(n, delta)
                 verdict = "EQUAL" if enumerated == formula else "MISMATCH"
-                if verdict != "EQUAL":
-                    all_equal = False
-                rows.append(
-                    {
-                        "n": n,
-                        "delta": delta,
-                        "enumerated": enumerated,
-                        "formula": formula,
-                        "verdict": verdict,
-                    }
-                )
-    return {"rows": rows, "all_equal": all_equal}
+                rows.append({"n": n, "delta": delta, "enumerated": enumerated,
+                             "formula": formula, "verdict": verdict})
+    return {"rows": rows, "all_equal": all(row["verdict"] == "EQUAL" for row in rows)}
 
 
 def stream_verify(lines, delta: int, g: int) -> dict:

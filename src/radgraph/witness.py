@@ -264,6 +264,12 @@ def find_witness(G: Graph, k: int, budget: int = 10**6) -> WitnessSet:
     so the search ends as soon as it finds one instead of spending its
     budget.  A negative ``budget`` raises ValueError.
     """
+    return _find_witness_report(G, k, budget).witness
+
+
+def _find_witness_report(G, k, budget):
+    """:func:`find_witness` with the :func:`check_witness_general` report of
+    the returned set, so that a caller that prints the report checks once."""
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
     if budget < 0:
@@ -313,7 +319,7 @@ def find_witness(G: Graph, k: int, budget: int = 10**6) -> WitnessSet:
         stack.append((size + 1, cand & compat[chosen[-1]]))
 
     pick = min((greedy, best), key=lambda s: (-len(s), s))
-    return check_witness_general(G, pick, k).witness
+    return check_witness_general(G, pick, k)
 
 
 # -- geodesic index patterns ---------------------------------------------------

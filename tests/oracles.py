@@ -5,7 +5,8 @@ Floyd-Warshall, girth from explicit enumeration of all simple cycles, and
 bridges from per-edge deletion.  These stay deliberately slow and obvious.
 """
 
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, permutations
 
 from radgraph import build_graph
 
@@ -216,6 +217,31 @@ def walk_reference(n, delta, g, rows, deg, start_v, stop_v, visit):
         choose(0, 0, below)
 
     place(start_v)
+
+
+@lru_cache(maxsize=None)
+def _canonical_prefix(s, rows):
+    """The smallest graph6 encoding of the s-vertex graph with adjacency
+    rows ``rows`` over all s! relabellings."""
+    edges = [(u, w) for w in range(s) for u in range(w) if rows[w] >> u & 1]
+    return min(graph6_reference(s, [(perm[u], perm[w]) for u, w in edges])
+               for perm in permutations(range(s)))
+
+
+def prefix_orbits_reference(prefixes, s):
+    """The split prefixes grouped into orbits as before the orbits were
+    generated from their first members: each prefix is keyed by its
+    canonical form under all s! permutations of vertices 0..s-1.  Same
+    contract as ``search._prefix_orbits``: (rows, deg, weight) per orbit, the
+    member with the smallest encoding on s vertices and the number of
+    members, fewest prefix edges first, ties in order of first appearance."""
+    groups = {}
+    for rows, deg in prefixes:
+        edges = [(u, w) for w in range(s) for u in range(w) if rows[w] >> u & 1]
+        member = (graph6_reference(s, edges), rows, deg)
+        groups.setdefault(_canonical_prefix(s, rows[:s]), []).append(member)
+    orbits = [(*min(members)[1:], len(members)) for members in groups.values()]
+    return sorted(orbits, key=lambda orbit: sum(orbit[1]))
 
 
 def graph6_reference(n, edges):

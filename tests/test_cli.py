@@ -2,7 +2,18 @@ import json
 
 import pytest
 
-from radgraph import build_graph, from_graph6, graph6_bytes, metric_summary
+import radgraph.cli
+import radgraph.witness
+from radgraph import (
+    build_graph,
+    check_witness_general,
+    find_witness,
+    from_graph6,
+    glue_cycle,
+    graph6_bytes,
+    metric_summary,
+    projective_plane_incidence_graph,
+)
 from radgraph.cli import main
 from conftest import cycle
 
@@ -200,6 +211,23 @@ class TestWitness:
         data = json.loads(out)
         assert code == 0 and len(data["witness"]) >= 2
 
+    def test_find_checks_once(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "ring.g6"
+        G = glue_cycle(projective_plane_incidence_graph(2), 4)
+        path.write_text(graph6_bytes(G).decode())
+        want = check_witness_general(G, find_witness(G, 3).vertices, 3).to_json_dict()
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return check_witness_general(*args)
+
+        monkeypatch.setattr(radgraph.witness, "check_witness_general", spy)
+        monkeypatch.setattr(radgraph.cli, "check_witness_general", spy)
+        code, out, _ = run(capsys, "witness", "find", "--graph", str(path), "--k", "3")
+        assert code == 0 and out == json.dumps(want, sort_keys=True) + "\n"
+        assert len(calls) == 1
+
     def test_find_on_long_cycle(self, capsys, tmp_path):
         # the branch and bound goes about n levels deep on a long cycle
         path = tmp_path / "c3000.g6"
@@ -241,6 +269,12 @@ class TestSearch:
         )
         data = json.loads(out)
         assert code == 0 and data["all_equal"]
+
+    def test_verify_theorem_repeated_delta_once(self, capsys):
+        code, out, _ = run(capsys, "search", "verify-theorem", "--n-max", "3", "--deltas", "2,2",
+                           "--jobs", "1")
+        data = json.loads(out)
+        assert code == 0 and [(row["n"], row["delta"]) for row in data["rows"]] == [(1, 2), (2, 2), (3, 2)]
 
     @pytest.mark.parametrize("argv,message", [
         (("--n-max", "0"), "n_max must be >= 1, got 0"),

@@ -27,6 +27,7 @@ from oracles import (
     graph6_reference,
     naive_girth,
     naive_radius_diameter,
+    prefix_orbits_reference,
     walk_reference,
 )
 
@@ -153,7 +154,7 @@ def visited(walk, n, delta, g, stop_v):
 # too many for a unit test; their prefixes are compared, and delta = 3 is
 WALK_CASES = [(n, delta, g, stop_v)
               for n in range(1, 8) for delta in range(4) for g in range(3, 9)
-              for stop_v in sorted({min(n, 4), n})
+              for stop_v in sorted({min(n, 4), min(n, 5), n})
               if (n, g, stop_v) != (7, 3, 7) or delta == 3]
 
 
@@ -206,7 +207,11 @@ class TestPrefixOrbits:
     @pytest.mark.parametrize("delta", range(4))
     @pytest.mark.parametrize("g", range(3, 7))
     def test_orbits_partition_the_prefixes(self, n, delta, g):
-        s = min(n, 4)
+        for s in sorted({min(n, 4), min(n, 5)}):
+            self.check_partition(n, delta, g, s)
+
+    @staticmethod
+    def check_partition(n, delta, g, s):
         prefixes = search._collect_prefixes(n, delta, g, s)
         orbits = search._prefix_orbits(prefixes, s)
         assert sum(weight for _, _, weight in orbits) == len(prefixes)
@@ -224,7 +229,30 @@ class TestPrefixOrbits:
             covered |= images
         assert covered == collected
 
-    @pytest.mark.parametrize("n,delta,g,spans", [(8, 2, 4, 7), (9, 2, 6, 6)])
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("delta", range(4))
+    @pytest.mark.parametrize("g", range(3, 7))
+    def test_same_orbits_as_reference(self, n, delta, g):
+        for s in sorted({min(n, 4), min(n, 5)}):
+            prefixes = search._collect_prefixes(n, delta, g, s)
+            assert search._prefix_orbits(prefixes, s) == prefix_orbits_reference(prefixes, s)
+
+    def test_one_relabel_per_permutation_per_orbit(self, monkeypatch):
+        relabel = search._relabel
+        calls = []
+
+        def spy(rows, perm):
+            calls.append(perm)
+            return relabel(rows, perm)
+
+        prefixes = search._collect_prefixes(8, 3, 4, 5)
+        monkeypatch.setattr(search, "_relabel", spy)
+        orbits = search._prefix_orbits(prefixes, 5)
+        # each orbit is generated once, from its first member
+        assert (len(prefixes), len(orbits)) == (388, 14)
+        assert len(calls) == 14 * 120
+
+    @pytest.mark.parametrize("n,delta,g,spans", [(8, 2, 4, 14), (9, 2, 6, 10)])
     def test_one_span_per_orbit(self, monkeypatch, n, delta, g, spans):
         calls = []
 
@@ -322,6 +350,11 @@ class TestVerifyTheorem:
         for row in table["rows"]:
             assert row["formula"] == exact_radius_formula_g4(row["n"], row["delta"])
             assert row["verdict"] == "EQUAL"
+
+    def test_repeated_delta_checked_once(self):
+        table = verify_theorem_main_small(3, [2, 2])
+        assert table == verify_theorem_main_small(3, [2])
+        assert len(table["rows"]) == 3
 
     @pytest.mark.parametrize("n_max", [0, -3])
     def test_empty_order_range_rejected(self, n_max):
