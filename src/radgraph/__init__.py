@@ -2,7 +2,6 @@
 radius of connected graphs with minimum-degree and girth floors."""
 
 from .bounds import (
-    BoundReport,
     cage_lower_bound,
     exact_radius_formula_g4,
     upper_bound_radius,
@@ -52,9 +51,8 @@ from .search import (
     verify_theorem_main_small,
 )
 from .witness import (
+    BoundReport,
     GeodesicObservationReport,
-    WitnessKind,
-    WitnessSet,
     WitnessValidationError,
     check_easycases_instantiation,
     check_witness_general,

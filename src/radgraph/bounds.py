@@ -1,58 +1,20 @@
 """Closed-form radius bounds for connected graphs with degree and girth floors.
 
-All bounds are exact rationals (``fractions.Fraction``); comparisons against
-measured integer radii therefore never suffer float rounding.
+This module holds the closed forms only.  Its bounds are exact rationals
+(``fractions.Fraction``), so comparisons against measured integer radii
+never suffer float rounding; the witness checks that stand behind them, and
+their :class:`~radgraph.witness.BoundReport`, live in :mod:`radgraph.witness`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 __all__ = [
-    "BoundReport",
     "exact_radius_formula_g4",
     "upper_bound_radius",
     "cage_lower_bound",
 ]
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Verdict of one bound or witness check.
-
-    ``passed`` is ``measured >= claimed`` for lower-bound style checks and
-    ``measured <= claimed`` for upper bounds; which direction applies is part
-    of the ``kind``.  ``details`` carries check-specific extras (for example
-    the sphere sizes behind a witness count) and is not serialised.
-    """
-
-    kind: str
-    claimed: object
-    measured: int
-    passed: bool
-    witness: object = None
-    details: dict = field(default_factory=dict, compare=False)
-
-    def to_json_dict(self) -> dict:
-        witness = None
-        if self.witness is not None:
-            witness = list(getattr(self.witness, "vertices", self.witness))
-        return {
-            "kind": self.kind,
-            "claimed": _json_number(self.claimed),
-            "measured": self.measured,
-            "pass": self.passed,
-            "witness": witness,
-        }
-
-
-def _json_number(value):
-    """A Fraction as an int when it is integral and as a float otherwise;
-    any other value unchanged."""
-    if isinstance(value, Fraction):
-        return int(value) if value.denominator == 1 else float(value)
-    return value
 
 
 def exact_radius_formula_g4(n: int, delta: int) -> int | None:

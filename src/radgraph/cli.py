@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import io as gio
-from .bounds import _json_number, cage_lower_bound, exact_radius_formula_g4, upper_bound_radius
+from .bounds import cage_lower_bound, exact_radius_formula_g4, upper_bound_radius
 from .constructions import (
     bipartite_radius2,
     box_graph,
@@ -30,10 +30,10 @@ from .graph import metric_summary
 from .search import enumerate_extremal, stream_verify, verify_theorem_main_small
 from .witness import (
     WitnessValidationError,
-    _find_witness_report,
     check_witness_general,
     check_witness_triangle_free,
     check_witness_two_cycles,
+    find_witness,
 )
 
 EXIT_OK = 0
@@ -89,6 +89,11 @@ def _metrics_dict(G):
     }
 
 
+def _json_number(value):
+    """A Fraction as an int when it is integral and as a float otherwise."""
+    return int(value) if value.denominator == 1 else float(value)
+
+
 def _print_json(obj, pretty=False):
     if pretty:
         sys.stdout.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
@@ -97,10 +102,14 @@ def _print_json(obj, pretty=False):
 
 
 def _parse_vertex_set(text):
+    """The comma-separated vertices of ``text``; a set with none is rejected."""
     try:
-        return [int(tok) for tok in text.split(",") if tok != ""]
+        vertices = [int(tok) for tok in text.split(",") if tok != ""]
     except ValueError:
+        vertices = []
+    if not vertices:
         raise argparse.ArgumentTypeError(f"bad vertex set {text!r}: expected e.g. 0,1,4,5")
+    return vertices
 
 
 def _at_least(lo):
@@ -256,34 +265,28 @@ def _cmd_bound(args):
     return EXIT_OK
 
 
-#: The one parameter option each ``witness check`` kind takes, if any.
-_CHECK_PARAMETER = {"general": "k", "tf": None, "cycles": "r"}
-
-
 def _cmd_witness(args):
     G = _load_graph(args.graph, args.input_format)
     if args.action == "find":
-        report = _find_witness_report(G, args.k, args.budget)
-        _print_json(report.to_json_dict(), args.pretty)
-        return EXIT_OK if report.passed else EXIT_CHECK_FAILED
-    takes = _CHECK_PARAMETER[args.what]
-    if takes and getattr(args, takes) is None:
-        raise ValueError(f"--{takes} is required for the {args.what} check")
-    for name in ("k", "r"):
-        if name != takes and getattr(args, name) is not None:
-            raise ValueError(f"--{name} does not apply to the {args.what} check")
-    try:
-        if args.what == "general":
-            report = check_witness_general(G, args.vertex_set, args.k)
-        elif args.what == "tf":
-            report = check_witness_triangle_free(G, args.vertex_set)
-        else:
-            report = check_witness_two_cycles(G, args.vertex_set, args.r)
-    except WitnessValidationError as exc:
-        _print_json({"kind": f"witness-{args.what}", "error": str(exc),
-                     "pair": list(exc.pair) if exc.pair else None, "pass": False},
-                    args.pretty)
-        return EXIT_CHECK_FAILED
+        report = find_witness(G, args.k, args.budget)
+    else:
+        # each check's checker and the one parameter option it takes, if any
+        check, takes = {"general": (check_witness_general, "k"),
+                        "tf": (check_witness_triangle_free, None),
+                        "cycles": (check_witness_two_cycles, "r")}[args.what]
+        if takes and getattr(args, takes) is None:
+            raise ValueError(f"--{takes} is required for the {args.what} check")
+        for name in ("k", "r"):
+            if name != takes and getattr(args, name) is not None:
+                raise ValueError(f"--{name} does not apply to the {args.what} check")
+        extra = [getattr(args, takes)] if takes else []
+        try:
+            report = check(G, args.vertex_set, *extra)
+        except WitnessValidationError as exc:
+            _print_json({"kind": exc.kind, "error": str(exc),
+                         "pair": list(exc.pair) if exc.pair else None, "pass": False},
+                        args.pretty)
+            return EXIT_CHECK_FAILED
     _print_json(report.to_json_dict(), args.pretty)
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 

@@ -1,20 +1,21 @@
 """Witness-set machinery: vertex collections whose pairwise distance
 structure forces lower bounds on the host graph's order.
 
-Three witness flavours are checked here.  A GENERAL_2K set may only contain
-pairs that are adjacent or at distance >= 2k-1 (girth >= 2k); it forces
-n >= |T| d (d-1)^(k-2), plus one more when |T| is odd.  A NO_DISTANCE_2 set
-in a triangle-free graph forbids pairs at distance exactly two and forces
-n >= 2 ceil(d |T| / 2).  A DOUBLE_CYCLE set U of size 2r whose distance-2
-auxiliary graph is two disjoint r-cycles forces n >= 2 ceil(r d / 2).
+Three witness flavours are checked here.  A general set (girth >= 2k) may
+only contain pairs that are adjacent or at distance >= 2k-1; it forces
+n >= |T| d (d-1)^(k-2), plus one more when |T| is odd.  A distance-2-free
+set in a triangle-free graph forbids pairs at distance exactly two and forces
+n >= 2 ceil(d |T| / 2).  A two-cycles set U of size 2r whose distance-2
+auxiliary graph is two disjoint r-cycles forces n >= 2 ceil(r d / 2).  Each
+checker returns a :class:`BoundReport` of its set, or raises
+:class:`WitnessValidationError` with the same ``kind``; :func:`find_witness`
+returns the report of the general set it finds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
+from dataclasses import dataclass, field
 
-from .bounds import BoundReport
 from .graph import (
     Graph,
     _geodesic,
@@ -27,8 +28,7 @@ from .graph import (
 )
 
 __all__ = [
-    "WitnessKind",
-    "WitnessSet",
+    "BoundReport",
     "WitnessValidationError",
     "GeodesicObservationReport",
     "check_witness_general",
@@ -42,30 +42,50 @@ __all__ = [
     "validate_geodesic_observations",
 ]
 
-
-class WitnessKind(Enum):
-    GENERAL_2K = "general-2k"
-    NO_DISTANCE_2 = "no-distance-2"
-    DOUBLE_CYCLE = "double-cycle"
+_GENERAL = "witness-general"
+_TRIANGLE_FREE = "witness-triangle-free"
+_TWO_CYCLES = "witness-two-cycles"
 
 
 @dataclass(frozen=True)
-class WitnessSet:
-    """A validated witness vertex set with its distance-condition tag."""
+class BoundReport:
+    """Verdict of one witness check: the set ``vertices`` forces the host
+    graph's order to be at least ``claimed``, and the order is ``measured``.
 
+    ``details`` carries check-specific extras (the sphere sizes behind a
+    general count) and is not serialised.
+    """
+
+    kind: str
     vertices: tuple
-    kind: WitnessKind
-    k_or_r: int
+    claimed: int
+    measured: int
+    details: dict = field(default_factory=dict, compare=False)
+
+    @property
+    def passed(self) -> bool:
+        return self.measured >= self.claimed
+
+    def to_json_dict(self) -> dict:
+        return {
+            "kind": self.kind,
+            "claimed": self.claimed,
+            "measured": self.measured,
+            "pass": self.passed,
+            "witness": list(self.vertices),
+        }
 
 
 class WitnessValidationError(ValueError):
     """A proposed witness set violates its distance conditions.
 
-    ``pair`` names an offending vertex pair when one exists.
+    ``kind`` is the kind of the check that raised it, and ``pair`` names an
+    offending vertex pair when one exists.
     """
 
-    def __init__(self, message, *, pair=None):
+    def __init__(self, message, *, kind, pair=None):
         super().__init__(message)
+        self.kind = kind
         self.pair = pair
 
 
@@ -78,7 +98,7 @@ def _clean_vertex_set(G, vertices):
 
 
 def _compatible(G, v, k):
-    """Mask of the vertices a GENERAL_2K set may hold next to v: those
+    """Mask of the vertices a general set may hold next to v: those
     adjacent to v or at distance >= 2k-1 (other components included)."""
     near = _reach(G.rows, 1 << v, 2 * k - 2)[0]
     return (~near | G.rows[v]) & ((1 << G.n) - 1)
@@ -90,7 +110,7 @@ def _require_triangle_free(G):
 
 
 def check_witness_general(G: Graph, T, k: int) -> BoundReport:
-    """Check a GENERAL_2K witness and the sphere counting behind its bound.
+    """Check a general witness and the sphere counting behind its bound.
 
     Validates that every non-adjacent pair of T is at distance >= 2k-1, then
     verifies the two counting facts the bound rests on -- the radius-(k-1)
@@ -113,6 +133,7 @@ def check_witness_general(G: Graph, T, k: int) -> BoundReport:
             d = bfs(G, u)[w]
             raise WitnessValidationError(
                 f"vertices {u} and {w} are non-adjacent at distance {d} < {2 * k - 1}",
+                kind=_GENERAL,
                 pair=(u, w),
             )
     delta = min(G.degrees(), default=0)
@@ -128,22 +149,15 @@ def check_witness_general(G: Graph, T, k: int) -> BoundReport:
     if any(len(s) < size_floor for s in spheres):
         raise RuntimeError("sphere size bound failed despite valid witness")
     claimed = len(T) * size_floor + (1 if len(T) % 2 else 0)
-    return BoundReport(
-        kind="witness-general",
-        claimed=claimed,
-        measured=G.n,
-        passed=G.n >= claimed,
-        witness=WitnessSet(tuple(T), WitnessKind.GENERAL_2K, k),
-        details={
-            "sphere_sizes": tuple(len(s) for s in spheres),
-            "spheres_disjoint": True,
-            "sphere_size_floor": size_floor,
-        },
-    )
+    return BoundReport(_GENERAL, tuple(T), claimed, G.n, details={
+        "sphere_sizes": tuple(len(s) for s in spheres),
+        "spheres_disjoint": True,
+        "sphere_size_floor": size_floor,
+    })
 
 
 def check_witness_triangle_free(G: Graph, T) -> BoundReport:
-    """Check a NO_DISTANCE_2 witness in a triangle-free graph.
+    """Check a distance-2-free witness in a triangle-free graph.
 
     No two set members may be at distance exactly 2; the forced bound is
     n >= 2 ceil(d |T| / 2).
@@ -156,21 +170,16 @@ def check_witness_triangle_free(G: Graph, T) -> BoundReport:
             if dist[u][w] == 2:
                 raise WitnessValidationError(
                     f"vertices {u} and {w} are at distance exactly 2",
+                    kind=_TRIANGLE_FREE,
                     pair=(u, w),
                 )
     delta = min(G.degrees(), default=0)
     claimed = 2 * ((delta * len(T) + 1) // 2)
-    return BoundReport(
-        kind="witness-triangle-free",
-        claimed=claimed,
-        measured=G.n,
-        passed=G.n >= claimed,
-        witness=WitnessSet(tuple(T), WitnessKind.NO_DISTANCE_2, len(T)),
-    )
+    return BoundReport(_TRIANGLE_FREE, tuple(T), claimed, G.n)
 
 
 def check_witness_two_cycles(G: Graph, U, r: int) -> BoundReport:
-    """Check a DOUBLE_CYCLE witness in a triangle-free graph.
+    """Check a two-cycles witness in a triangle-free graph.
 
     The auxiliary graph on U joining pairs at distance exactly 2 must be a
     disjoint union of two r-cycles; the forced bound is n >= 2 ceil(r d / 2).
@@ -181,7 +190,8 @@ def check_witness_two_cycles(G: Graph, U, r: int) -> BoundReport:
     U = _clean_vertex_set(G, U)
     if len(U) != 2 * r:
         raise WitnessValidationError(
-            f"witness has {len(U)} distinct vertices, need exactly 2r = {2 * r}"
+            f"witness has {len(U)} distinct vertices, need exactly 2r = {2 * r}",
+            kind=_TWO_CYCLES,
         )
     dist = {v: bfs(G, v) for v in U}
     aux = [0] * len(U)
@@ -207,17 +217,12 @@ def check_witness_two_cycles(G: Graph, U, r: int) -> BoundReport:
         raise WitnessValidationError(
             "auxiliary distance-2 graph is not two disjoint "
             f"{r}-cycles: component sizes {sorted(comp_sizes)}, "
-            f"degrees range {degrees[0]}..{degrees[-1]}"
+            f"degrees range {degrees[0]}..{degrees[-1]}",
+            kind=_TWO_CYCLES,
         )
     delta = min(G.degrees(), default=0)
     claimed = 2 * ((r * delta + 1) // 2)
-    return BoundReport(
-        kind="witness-two-cycles",
-        claimed=claimed,
-        measured=G.n,
-        passed=G.n >= claimed,
-        witness=WitnessSet(tuple(U), WitnessKind.DOUBLE_CYCLE, r),
-    )
+    return BoundReport(_TWO_CYCLES, tuple(U), claimed, G.n)
 
 
 # -- witness search ----------------------------------------------------------
@@ -246,15 +251,16 @@ def _witness_ceiling(compat):
     return count
 
 
-def find_witness(G: Graph, k: int, budget: int = 10**6) -> WitnessSet:
-    """Best-effort maximum GENERAL_2K witness set.
+def find_witness(G: Graph, k: int, budget: int = 10**6) -> BoundReport:
+    """Best-effort maximum general witness set, as the
+    :func:`check_witness_general` report of that set.
 
     A greedy pass seeded by BFS layers around the canonical centre produces a
     valid set; a branch-and-bound refinement over the pairwise-compatibility
     graph then searches for a larger one within ``budget`` branch nodes.
     When the search completes it returns the lexicographically smallest
-    maximum-size set; the result always validates under
-    :func:`check_witness_general`.
+    maximum-size set.  The set is the report's ``vertices``; the check runs
+    once, on the set returned.
 
     The search also stops as soon as its best set reaches the root ceiling
     of :func:`_witness_ceiling`, which no witness can exceed.  That cannot
@@ -264,12 +270,6 @@ def find_witness(G: Graph, k: int, budget: int = 10**6) -> WitnessSet:
     so the search ends as soon as it finds one instead of spending its
     budget.  A negative ``budget`` raises ValueError.
     """
-    return _find_witness_report(G, k, budget).witness
-
-
-def _find_witness_report(G, k, budget):
-    """:func:`find_witness` with the :func:`check_witness_general` report of
-    the returned set, so that a caller that prints the report checks once."""
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
     if budget < 0:
@@ -416,7 +416,8 @@ def check_easycases_instantiation(G: Graph, path, vprime_path) -> BoundReport:
     verts = [path[i] for i in unprimed] + [vprime_path[j] for j in primed]
     if len(set(verts)) != r:
         raise WitnessValidationError(
-            f"pattern instantiation produced {len(set(verts))} distinct vertices, expected {r}"
+            f"pattern instantiation produced {len(set(verts))} distinct vertices, expected {r}",
+            kind=_TRIANGLE_FREE,
         )
     return check_witness_triangle_free(G, verts)
 
@@ -503,7 +504,11 @@ class GeodesicObservationReport:
     distance_bounds_hold: bool
     distinctness_holds: bool
     violations: tuple
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return (self.precondition_holds and self.shift_bound_holds
+                and self.distance_bounds_hold and self.distinctness_holds)
 
 
 def validate_geodesic_observations(
@@ -567,7 +572,6 @@ def validate_geodesic_observations(
             elif 2 * i > m + r - t - D:
                 distinct_ok = False
                 violations.append(f"v_{i} coincides with v'_{i} beyond the prefix bound")
-    passed = precondition and shift_ok and distance_ok and distinct_ok
     return GeodesicObservationReport(
         r=r,
         t=t,
@@ -578,5 +582,4 @@ def validate_geodesic_observations(
         distance_bounds_hold=distance_ok,
         distinctness_holds=distinct_ok,
         violations=tuple(violations),
-        passed=passed,
     )

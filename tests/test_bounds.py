@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from radgraph import (
-    BoundReport,
     cage_lower_bound,
     exact_radius_formula_g4,
     upper_bound_radius,
@@ -116,19 +115,3 @@ class TestCageLowerBound:
         assert isinstance(val, Fraction)
         assert val == Fraction(45, 14) - 3
 
-
-class TestBoundReport:
-    def test_json_shape(self):
-        rep = BoundReport("witness-general", Fraction(25, 2), 14, True, None)
-        data = rep.to_json_dict()
-        assert data == {
-            "kind": "witness-general",
-            "claimed": 12.5,
-            "measured": 14,
-            "pass": True,
-            "witness": None,
-        }
-
-    def test_integral_fraction_becomes_int(self):
-        rep = BoundReport("witness-general", Fraction(8), 8, True, None)
-        assert rep.to_json_dict()["claimed"] == 8

@@ -122,6 +122,10 @@ class TestBound:
         data = json.loads(out)
         assert data["upper"] == 12.5 and data["cage_lower"] == 0
 
+    def test_integral_bound_prints_as_int(self, capsys):
+        code, out, _ = run(capsys, "bound", "--n", "15", "--delta", "3", "--g", "4")
+        assert code == 0 and out == '{"exact": 4, "upper": 11}\n'
+
     def test_nonexistent(self, capsys):
         code, out, _ = run(capsys, "bound", "--n", "5", "--delta", "3", "--g", "4")
         assert json.loads(out)["exact"] == "nonexistent"
@@ -203,6 +207,30 @@ class TestWitness:
         code, out, err = run(capsys, "witness", "check", *argv, "--graph", str(path),
                              "--set", "0,1,2,3,4,5,6,7")
         assert code == 2 and out == "" and err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("what,passing,failing", [
+        ("general", ("--set", "0,4", "--k", "2"), ("--set", "0,2", "--k", "2")),
+        ("tf", ("--set", "0,1,4,5"), ("--set", "0,2")),
+        ("cycles", ("--set", "0,1,2,3,4,5,6,7", "--r", "4"), ("--set", "0,1,2,3,4,5,6", "--r", "4")),
+    ])
+    def test_failing_check_prints_the_passing_kind(self, capsys, tmp_path, what, passing, failing):
+        path = tmp_path / "c8.g6"
+        path.write_text(graph6_bytes(cycle(8)).decode())
+        code, out, _ = run(capsys, "witness", "check", what, "--graph", str(path), *passing)
+        assert code == 0
+        kind = json.loads(out)["kind"]
+        code, out, _ = run(capsys, "witness", "check", what, "--graph", str(path), *failing)
+        assert code == 1 and json.loads(out)["kind"] == kind
+
+    @pytest.mark.parametrize("text", [",", "", ",,"])
+    def test_check_empty_set_exit_2(self, capsys, tmp_path, text):
+        path = tmp_path / "c8.g6"
+        path.write_text(graph6_bytes(cycle(8)).decode())
+        with pytest.raises(SystemExit) as exc:
+            main(["witness", "check", "general", "--graph", str(path), "--set", text, "--k", "2"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "bad vertex set" in captured.err
 
     def test_find(self, capsys, tmp_path):
         path = tmp_path / "h.g6"

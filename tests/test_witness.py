@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radgraph import (
-    WitnessKind,
+    BoundReport,
     WitnessValidationError,
     bfs,
     bipartite_radius2,
@@ -66,8 +66,20 @@ class TestGeneralWitness:
 
     def test_kind_tag(self, c8):
         rep = check_witness_general(c8, [0, 4], 2)
-        assert rep.witness.kind is WitnessKind.GENERAL_2K
-        assert rep.witness.k_or_r == 2
+        assert rep.kind == "witness-general"
+
+
+class TestBoundReport:
+    def test_json_shape(self):
+        rep = BoundReport("witness-general", (0, 4), 8, 8, details={"x": 1})
+        assert rep.to_json_dict() == {
+            "kind": "witness-general",
+            "claimed": 8,
+            "measured": 8,
+            "pass": True,
+            "witness": [0, 4],
+        }
+        assert not BoundReport("witness-general", (0, 4), 9, 8).passed
 
 
 class TestTriangleFreeWitness:
@@ -152,8 +164,13 @@ class TestFindWitness:
     def test_zero_budget_still_valid(self, heawood_lcf):
         ws = find_witness(heawood_lcf, 3, budget=0)
         rep = check_witness_general(heawood_lcf, ws.vertices, 3)
-        assert rep.witness.vertices == ws.vertices
+        assert rep.vertices == ws.vertices
         assert len(ws.vertices) >= 1
+
+    def test_returns_the_general_report_of_its_set(self, heawood_lcf):
+        ws = find_witness(heawood_lcf, 3)
+        assert ws == check_witness_general(heawood_lcf, ws.vertices, 3)
+        assert ws.kind == "witness-general" and ws.details["sphere_size_floor"] == 6
 
     def test_deterministic(self):
         G = glue_cycle(projective_plane_incidence_graph(2), 3)
@@ -163,7 +180,7 @@ class TestFindWitness:
         G = cycle(3000)
         ws = find_witness(G, 2, budget=10**4)
         rep = check_witness_general(G, ws.vertices, 2)
-        assert rep.passed and rep.witness.vertices == ws.vertices
+        assert rep.passed and rep.vertices == ws.vertices
 
     def test_budget_result_never_beats_full_search(self):
         G = cycle(20)
@@ -276,7 +293,7 @@ def test_check_witness_general_property(case, data):
             check_witness_general(G, T, k)
         assert err.value.pair in bad
     else:
-        assert check_witness_general(G, T, k).witness.vertices == tuple(T)
+        assert check_witness_general(G, T, k).vertices == tuple(T)
 
 
 class TestEasycasesPattern:
