@@ -29,7 +29,6 @@ from .graph import (
     MetricSummary,
     ball,
     bfs,
-    bridges,
     build_graph,
     induced_subgraph,
     is_connected,

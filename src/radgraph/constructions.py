@@ -10,9 +10,9 @@ from dataclasses import dataclass
 from .graph import (
     Graph,
     _geodesic,
+    _reach,
     ball,
     bfs,
-    bridges,
     build_graph,
     induced_subgraph,
     is_connected,
@@ -137,21 +137,15 @@ def radius3_graph(n: int, delta: int) -> Graph:
     return build_graph(n, edges)
 
 
-def _lex_smallest_non_bridge(H: Graph) -> tuple:
-    cut = bridges(H)
-    for e in H.edges():
-        if e not in cut:
-            return e
-    raise ValueError("graph has no cycle edge: every edge is a bridge")
-
-
 def glue_cycle(H: Graph, m: int) -> Graph:
     """Chain m copies of H (minus one cycle edge) into a ring.
 
-    The lexicographically smallest non-bridge edge (v, w) of H is deleted,
-    m disjoint copies are laid out, and copy i's v is joined to copy i+1's w
-    (cyclically).  Vertex count becomes m*|V(H)|, the minimum degree and the
-    girth of H are preserved, and the radius grows linearly in m.
+    The lexicographically smallest edge (v, w) of H that lies on a cycle,
+    the first whose deletion leaves v reaching w, is deleted; minimum degree
+    2 puts a cycle in H, so there is one.  m disjoint copies are laid out,
+    and copy i's v is joined to copy i+1's w (cyclically).  Vertex count
+    becomes m*|V(H)|, the minimum degree and the girth of H are preserved,
+    and the radius grows linearly in m.
     """
     if m < 2:
         raise ValueError(f"need at least 2 copies, got {m}")
@@ -159,7 +153,16 @@ def glue_cycle(H: Graph, m: int) -> Graph:
         raise ValueError("base graph must be connected")
     if min(H.degrees(), default=0) < 2:
         raise ValueError("base graph must have minimum degree >= 2")
-    v, w = _lex_smallest_non_bridge(H)
+    rows = list(H.rows)
+    for v, w in H.edges():
+        rows[v] ^= 1 << w
+        rows[w] ^= 1 << v
+        # (v, w) lies on a cycle exactly when v still reaches w without it
+        on_cycle = _reach(rows, 1 << v, H.n)[0] >> w & 1
+        rows[v] ^= 1 << w
+        rows[w] ^= 1 << v
+        if on_cycle:
+            break
     base_edges = [e for e in H.edges() if e != (v, w)]
     n = H.n
     edges = []

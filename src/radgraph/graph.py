@@ -37,9 +37,9 @@ frontier/seen/next split, so a block costs about diameter * 2m ORs of
 width-bit masks however many sources it holds, against O(n + m) steps per
 source for the queue.  Seconds for all n sources, best of three in-process
 runs on a 2-core Xeon with CPython 3.11; the first two rows sum over the
-graphs that ``search stream`` passes to metric_summary in both its passes
-over the perfbench seed-7 catalogue, the other graphs are relabelled at
-random:
+graphs accepted by both ``search stream`` passes over the perfbench seed-7
+catalogue (stream itself now sends only those that can change its report
+to metric_summary), the other graphs are relabelled at random:
 
     graph                        n  ecc(0)   queue    ball
     4011 catalogue graphs    10-60    2-30   1.650   0.727
@@ -95,7 +95,6 @@ __all__ = [
     "metric_summary",
     "ball",
     "sphere",
-    "bridges",
     "induced_subgraph",
     "is_connected",
     "is_triangle_free",
@@ -485,47 +484,6 @@ def _geodesic(G: Graph, dist, target) -> list:
         path.append(cur)
     path.reverse()
     return path
-
-
-def bridges(G: Graph) -> set:
-    """All cut edges, as (u, v) pairs with u < v.
-
-    An edge lies on a cycle exactly when it is not returned here.  Iterative
-    DFS low-link computation.
-    """
-    n = G.n
-    disc = [-1] * n
-    low = [0] * n
-    out: set = set()
-    timer = 0
-    for root in range(n):
-        if disc[root] >= 0:
-            continue
-        # stack entries: (vertex, tree parent, saved neighbour iterator)
-        stack = [(root, -1, iter(G.adj[root]))]
-        disc[root] = low[root] = timer
-        timer += 1
-        while stack:
-            u, pu, it = stack[-1]
-            advanced = False
-            for w in it:
-                if disc[w] < 0:
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    stack.append((w, u, iter(G.adj[w])))
-                    advanced = True
-                    break
-                if w != pu and disc[w] < low[u]:
-                    low[u] = disc[w]
-            if not advanced:
-                stack.pop()
-                if stack:
-                    p = stack[-1][0]
-                    if low[u] < low[p]:
-                        low[p] = low[u]
-                    if low[u] > disc[p]:
-                        out.add((p, u) if p < u else (u, p))
-    return out
 
 
 def induced_subgraph(G: Graph, vertices) -> tuple:

@@ -9,10 +9,14 @@ j = 1..n-1 the bits (0,j), (1,j), ..., (j-1,j) -- packed big-endian into
 Both directions of the codec go through base64, whose 6-bit groups map one
 to one onto graph6 bytes by ``bytes.translate``: the encoder appends
 columns of ``Graph.rows`` to a bit accumulator and flushes it through
-``b64encode``; the decoder checks the header, the body length and every
-body byte (in that order, each with its own ``ValueError``), decodes the
-body in fixed slices through ``b64decode``, takes each column's bits off a
-small accumulator, and last rejects non-zero padding.
+``b64encode``.  The decoder's one validation path, ``_graph6_body``,
+checks the header, the body length, every body byte and the zero padding
+(in that order, each with its own ``ValueError``).  ``from_graph6`` then
+decodes the body in fixed slices through ``b64decode`` and takes each
+column's bits off a small accumulator; ``_graph6_order_size`` decodes it in
+one call and counts its set bits, which are the edges, so a caller that
+needs only n and m (``search stream``'s edge-count floor) builds no
+adjacency.
 """
 
 from __future__ import annotations
@@ -110,12 +114,11 @@ def graph6_bytes_from_rows(n: int, rows) -> bytes:
     return bytes(out)
 
 
-def from_graph6(data) -> Graph:
-    """Decode one graph6 value (accepts str or bytes, optional format header).
-
-    Columns come in increasing j and a column's bits in increasing row, so
-    the neighbour lists are built already sorted, with no ``build_graph``.
-    """
+def _graph6_body(data) -> tuple:
+    """(n, pos, data) of one graph6 value: its order, and its bytes without
+    header or whitespace, whose body starts at ``pos``.  Raises
+    ``ValueError`` for a bad header, size field, body length, body byte or
+    non-zero padding, checked in that order."""
     if isinstance(data, str):
         data = data.encode("ascii")
     data = data.strip()
@@ -131,6 +134,28 @@ def from_graph6(data) -> Graph:
     bad = data.translate(None, _GRAPH6_BYTES)
     if bad:
         raise ValueError(f"invalid graph6 byte {bad[0]!r}")
+    # padding bits must be zero for a bit-exact round trip
+    if expect and (data[-1] - 63) & ((1 << (6 * expect - n * (n - 1) // 2)) - 1):
+        raise ValueError("non-zero padding bits in graph6 data")
+    return n, pos, data
+
+
+def _graph6_order_size(data) -> tuple:
+    """(n, m) of one graph6 value, validated as :func:`from_graph6` does:
+    m is the popcount of the body, so no adjacency is built."""
+    n, pos, data = _graph6_body(data)
+    body = data[pos:].translate(_BASE64)
+    bits = b64decode(body + b"A" * (-len(body) % 4))
+    return n, int.from_bytes(bits, "big").bit_count()
+
+
+def from_graph6(data) -> Graph:
+    """Decode one graph6 value (accepts str or bytes, optional format header).
+
+    Columns come in increasing j and a column's bits in increasing row, so
+    the neighbour lists are built already sorted, with no ``build_graph``.
+    """
+    n, pos, data = _graph6_body(data)
     adj = [[] for _ in range(n)]
     edge_count = acc = fill = 0
     for j in range(1, n):
@@ -153,9 +178,6 @@ def from_graph6(data) -> Graph:
                 adj[i].append(j)
                 edge_count += 1
                 col ^= 1 << (top - 1)
-    # padding bits must be zero for a bit-exact round trip
-    if acc:
-        raise ValueError("non-zero padding bits in graph6 data")
     return Graph(n, tuple(map(tuple, adj)), edge_count)
 
 

@@ -55,7 +55,7 @@ from itertools import permutations
 from . import io as gio
 from .bounds import exact_radius_formula_g4, upper_bound_radius
 from .constructions import bipartite_radius2, box_graph, radius3_graph
-from .graph import Graph, _girth_of, _reach, build_graph, metric_summary
+from .graph import INFINITE, Graph, _girth_of, _levels_of, _reach, build_graph, metric_summary
 
 __all__ = [
     "DEFAULT_CAP",
@@ -121,7 +121,7 @@ def _seed_radii(n, delta, g):
 
 def _admissible_summary(G, delta, g):
     """``metric_summary(G)`` when G is connected with minimum degree >= delta
-    and girth >= g, else None.
+    and girth >= g, else None; ``_seed_radii`` is its only caller.
 
     The tests run cheapest first: the minimum degree, then the memoised
     girth, and only then ``metric_summary``, which reuses that girth and
@@ -294,7 +294,8 @@ def _extremal(n, delta, g, allow_long, pool):
         raise ValueError(f"need n >= 1, got {n}")
     cap = HARD_CAP if allow_long else DEFAULT_CAP
     if n > cap:
-        hint = "" if allow_long else " (pass allow_long=True to go up to 9)"
+        hint = (f" (pass allow_long=True or --long-run to go up to {HARD_CAP})"
+                if n <= HARD_CAP else "")
         raise ValueError(f"n = {n} above the enumeration cap {cap}{hint}")
     if g < 3:
         raise ValueError(f"girth floor must be >= 3, got {g}")
@@ -367,6 +368,16 @@ def verify_theorem_main_small(n_max: int, delta_set, *, jobs: int = 1) -> dict:
     return {"rows": rows, "all_equal": all(row["verdict"] == "EQUAL" for row in rows)}
 
 
+def _least_bound(n, min_degree, girth):
+    """The least ``upper_bound_radius(n, min_degree, g')`` over the even g'
+    with 4 <= g' <= girth, or None when no bound applies: min_degree < 2, or
+    no such g' (girth 3, or an acyclic graph)."""
+    if min_degree < 2 or girth == INFINITE:
+        return None
+    return min((upper_bound_radius(n, min_degree, ge) for ge in range(4, girth + 1, 2)),
+               default=None)
+
+
 def stream_verify(lines, delta: int, g: int) -> dict:
     """Filter a graph6 line stream and report per-order maximum radii.
 
@@ -374,9 +385,20 @@ def stream_verify(lines, delta: int, g: int) -> dict:
     accepted graph is additionally checked against the universal radius upper
     bound for each even girth floor g' <= its girth, and any violator is
     reported verbatim (there should never be one).  Blank lines are skipped;
-    lines that do not decode are counted as malformed.  Only accepted graphs
-    pay for their eccentricities (see ``_admissible_summary``).  Lines may be
-    str or bytes; only accepted lines are decoded to text, for the report.
+    lines that do not decode are counted as malformed.  Lines may be str or
+    bytes; only lines that reach the report are decoded to text.
+
+    Each line pays only for what the report reads.  The filters run cheapest
+    first: the graph6 validation with its edge count m (a line with
+    2m < delta * n has a vertex of degree below delta, by the handshake
+    lemma, and is never decoded to a graph), then the minimum degree, the
+    memoised girth, and connectivity from the BFS sweep that the girth
+    already ran.  That sweep also gives ecc(0) >= radius.  A graph whose
+    ecc(0) is at most both its order's maximum radius so far and its least
+    applicable bound can neither raise that maximum (ties keep the earlier
+    witness) nor violate a bound, so it only adds to its order's count.
+    Every other accepted graph pays for its eccentricities through
+    ``metric_summary``.
     """
     total = malformed = filtered_out = accepted = 0
     by_n: dict = {}
@@ -388,30 +410,38 @@ def stream_verify(lines, delta: int, g: int) -> dict:
             continue
         total += 1
         try:
-            G = gio.from_graph6(line)
+            n, m = gio._graph6_order_size(line)
         except ValueError:
             malformed += 1
             continue
-        ms = _admissible_summary(G, delta, g)
-        if ms is None:
+        if 2 * m < delta * n:
+            filtered_out += 1
+            continue
+        G = gio.from_graph6(line)
+        min_degree = min(G.degrees(), default=0)
+        # connected: the girth's BFS sweep has one root, vertex 0
+        if min_degree < delta or _girth_of(G) < g or _levels_of(G).count(0) != 1:
             filtered_out += 1
             continue
         accepted += 1
+        least = _least_bound(n, min_degree, _girth_of(G))
+        ecc0 = max(_levels_of(G))
+        slot = by_n.get(n)
+        if slot is not None and ecc0 <= slot["max_radius"] and (least is None or ecc0 <= least):
+            slot["count"] += 1
+            continue
+        radius = metric_summary(G).radius
         text = line if isinstance(line, str) else line.decode("ascii")
-        if ms.min_degree >= 2 and ms.girth != float("inf"):
-            for geven in range(4, int(ms.girth) + 1, 2):
-                if ms.radius > upper_bound_radius(G.n, ms.min_degree, geven):
-                    violations.append(text)
-                    break
-        slot = by_n.get(G.n)
-        if slot is None or ms.radius > slot["max_radius"]:
-            by_n[G.n] = {"count": (slot["count"] + 1 if slot else 1),
-                         "max_radius": ms.radius,
-                         "witness": text}
+        if least is not None and radius > least:
+            violations.append(text)
+        if slot is None or radius > slot["max_radius"]:
+            by_n[n] = {"count": (slot["count"] + 1 if slot else 1),
+                       "max_radius": radius,
+                       "witness": text}
         else:
             slot["count"] += 1
-        if overall is None or ms.radius > overall[0]:
-            overall = (ms.radius, text)
+        if overall is None or radius > overall[0]:
+            overall = (radius, text)
     return {
         "delta": delta,
         "g": g,

@@ -305,6 +305,16 @@ class TestSearch:
         assert code == 0 and [(row["n"], row["delta"]) for row in data["rows"]] == [(1, 2), (2, 2), (3, 2)]
 
     @pytest.mark.parametrize("argv,message", [
+        (("--n", "9"), "n = 9 above the enumeration cap 8 (pass allow_long=True or --long-run to go up to 9)"),
+        (("--n", "10"), "n = 10 above the enumeration cap 8"),
+        (("--n", "10", "--long-run"), "n = 10 above the enumeration cap 9"),
+    ])
+    def test_enumerate_cap_exit_2(self, capsys, argv, message):
+        # the hint names --long-run only where it raises the cap far enough
+        code, out, err = run(capsys, "search", "enumerate", *argv, "--delta", "2", "--g", "4")
+        assert code == 2 and out == "" and err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv,message", [
         (("--n-max", "0"), "n_max must be >= 1, got 0"),
         (("--n-max", "-3"), "n_max must be >= 1, got -3"),
         (("--n-max", "4", "--deltas", ","), "delta_set names no degree floor"),

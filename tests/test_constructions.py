@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from radgraph import (
@@ -6,7 +8,6 @@ from radgraph import (
     bipartite_radius2,
     box_graph,
     box_spec,
-    bridges,
     build_graph,
     extract_dense_subgraph,
     glue_cycle,
@@ -16,9 +17,44 @@ from radgraph import (
     radius3_graph,
     symplectic_quadrangle_incidence_graph,
 )
-from radgraph.constructions import _lex_smallest_non_bridge
 from conftest import cycle
-from oracles import floyd_distances
+from oracles import floyd_distances, naive_bridges
+
+
+def cut_edge(H):
+    """The edge of H that ``glue_cycle`` deletes, read off copy 0 of a
+    two-copy ring: the one base edge missing among vertices 0..n-1."""
+    G = glue_cycle(H, 2)
+    kept = {(u, v) for u, v in G.edges() if v < H.n}
+    (missing,) = set(H.edges()) - kept
+    return missing
+
+
+def random_base(seed):
+    """A random connected graph with minimum degree >= 2 and, usually,
+    bridges: blobs (a cycle plus random chords) joined in a random tree by
+    single edges, then relabelled at random, half the time so that a bridge
+    becomes the smallest edge (0, 1)."""
+    rng = random.Random(seed)
+    edges, joins = [], []
+    n = 0
+    for b in range(rng.randint(1, 4)):
+        size = rng.randint(3, 6)
+        edges += [(n + i, n + (i + 1) % size) for i in range(size)]
+        edges += [(n + i, n + j) for i in range(size) for j in range(i + 2, size)
+                  if rng.random() < 0.2]
+        if b:
+            joins.append((rng.randrange(n), n + rng.randrange(size)))
+        n += size
+    order = list(range(n))
+    rng.shuffle(order)
+    if joins and rng.random() < 0.5:
+        a, b = rng.choice(joins)
+        order.remove(a)
+        order.remove(b)
+        order[:0] = [a, b]
+    label = {v: i for i, v in enumerate(order)}
+    return build_graph(n, [(label[u], label[v]) for u, v in edges + joins])
 
 
 class TestBoxGraph:
@@ -124,19 +160,28 @@ class TestGlueCycle:
         for H in (projective_plane_incidence_graph(2), cycle(6),
                   symplectic_quadrangle_incidence_graph(2)):
             g = metric_summary(H).girth
-            v, w = _lex_smallest_non_bridge(H)
+            v, w = cut_edge(H)
             rest = [e for e in H.edges() if e != (v, w)]
             Hprime = build_graph(H.n, rest)
             assert is_connected(Hprime)
             assert bfs(Hprime, v)[w] >= g - 1
 
     def test_cut_edge_is_lex_smallest_non_bridge(self):
-        # a triangle with a pendant path: (3,4) and (4,5)-style edges are bridges
+        # a triangle with a pendant path: (0,3) and (3,4) are bridges
         H = build_graph(5, [(0, 3), (3, 4), (0, 1), (1, 2), (2, 0)])
-        assert bridges(H) == {(0, 3), (3, 4)}
         with pytest.raises(ValueError):
             glue_cycle(H, 2)  # min degree 1
-        assert _lex_smallest_non_bridge(build_graph(3, [(0, 1), (1, 2), (0, 2)])) == (0, 1)
+        assert cut_edge(build_graph(3, [(0, 1), (1, 2), (0, 2)])) == (0, 1)
+        # triangles {0,4,5} and {1,2,3} joined by the bridge (0,1), the smallest edge
+        H = build_graph(6, [(0, 1), (0, 4), (0, 5), (4, 5), (1, 2), (2, 3), (1, 3)])
+        assert cut_edge(H) == (0, 4)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_cut_edge_matches_bridge_oracle(self, seed):
+        H = random_base(seed)
+        assert is_connected(H) and min(H.degrees()) >= 2
+        cut = naive_bridges(H.n, list(H.edges()))
+        assert cut_edge(H) == min(e for e in H.edges() if e not in cut)
 
     def test_degree_multiset_preserved(self):
         H = projective_plane_incidence_graph(2)

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from radgraph import (
@@ -14,7 +14,7 @@ from radgraph import (
     to_dot,
     to_edgelist_text,
 )
-from radgraph.io import graph6_bytes_from_rows
+from radgraph.io import _graph6_order_size, graph6_bytes_from_rows
 from conftest import cycle
 from oracles import from_graph6_reference, graph6_reference
 
@@ -89,6 +89,7 @@ def test_graph6_decoder_matches_bit_loop_reference(n, p):
         H = from_graph6(form)
         assert H == from_graph6_reference(form) == G
         assert H.edge_count == G.edge_count
+        assert _graph6_order_size(form) == (n, G.edge_count)
         assert all(list(row) == sorted(row) for row in H.adj)
 
 
@@ -125,6 +126,26 @@ def test_graph6_decoder_property(data):
         return
     H = from_graph6(data)
     assert H == expected and H.edge_count == expected.edge_count
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.binary(max_size=24), mutated_encodings(),
+                 mutated_encodings().map(lambda data: b">>graph6<<" + data)))
+# sparse lines with a padding bit set: malformed, never merely sparse
+@example(bytes([65, 0b000001 + 63]))              # n=2, no edge
+@example(bytes([66, 0b100001 + 63]))              # n=3, one edge
+@example(b"F" + bytes([63] * 3 + [0b000001 + 63]))  # n=7, no edge
+def test_graph6_order_size_property(data):
+    """The validator raises exactly when the decoder does, with the same
+    message, and otherwise gives the decoded graph's (n, m)."""
+    try:
+        G = from_graph6(data)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as caught:
+            _graph6_order_size(data)
+        assert str(caught.value) == str(exc)
+        return
+    assert _graph6_order_size(data) == (G.n, G.edge_count)
 
 
 def test_graph6_accepts_format_header():

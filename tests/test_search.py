@@ -2,6 +2,7 @@ import concurrent.futures
 import math
 import random
 import sys
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 
@@ -23,6 +24,7 @@ from conftest import cycle
 from oracles import (
     INF,
     ball_reference,
+    floyd_distances,
     from_graph6_reference,
     graph6_reference,
     naive_girth,
@@ -134,6 +136,17 @@ class TestEnumerateExtremal:
             enumerate_extremal(9, 2, 4)
         with pytest.raises(ValueError):
             enumerate_extremal(10, 2, 4, allow_long=True)
+
+    def test_cap_hint_only_where_the_long_run_reaches(self):
+        # n = 9 names both ways to raise the cap; nothing raises it to 10
+        with pytest.raises(ValueError) as caught:
+            enumerate_extremal(9, 2, 4)
+        assert str(caught.value) == (
+            "n = 9 above the enumeration cap 8 (pass allow_long=True or --long-run to go up to 9)")
+        for allow_long, cap in ((False, 8), (True, 9)):
+            with pytest.raises(ValueError) as caught:
+                enumerate_extremal(10, 2, 4, allow_long=allow_long)
+            assert str(caught.value) == f"n = 10 above the enumeration cap {cap}"
 
     def test_single_vertex(self):
         res = enumerate_extremal(1, 0, 4)
@@ -393,9 +406,12 @@ class TestStreamVerify:
         assert report["accepted"] == 0 and report["filtered_out"] == 1
 
     def test_malformed_lines_counted(self):
-        lines = ["not graph6 at all \x01", graph6_bytes(cycle(5)).decode()]
+        # the last two set a padding bit: C_5 as "Dhd", and an edgeless
+        # n = 2 line that the edge-count floor would otherwise filter
+        lines = ["not graph6 at all \x01", graph6_bytes(cycle(5)).decode(), "Dhd", b"A@"]
         report = stream_verify(lines, 2, 4)
-        assert report["malformed"] == 1 and report["accepted"] == 1
+        assert report["malformed"] == 3 and report["accepted"] == 1
+        assert report["filtered_out"] == 0
 
     def test_blank_lines_ignored(self):
         report = stream_verify(["", "  ", graph6_bytes(cycle(6)).decode()], 2, 4)
@@ -509,6 +525,35 @@ class TestStreamVerifyOracle:
         assert {3, 4, 5, 6, INF} <= {f[4] for f in graphs}
         assert {0, 1, 2, 3} <= {f[3] for f in graphs}
 
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("delta,g", [(0, 3), (1, 6), (2, 4), (2, 6), (3, 5)])
+    def test_matches_oracle_report_shuffled(self, corpus_facts, seed, delta, g):
+        """The dismissal by ecc(0) depends on the order of the lines."""
+        order = list(range(len(corpus_facts[0])))
+        random.Random(seed).shuffle(order)
+        lines = [corpus_facts[0][i] for i in order]
+        facts = [corpus_facts[1][i] for i in order]
+        assert stream_verify(lines, delta, g) == stream_reference(facts, delta, g)
+
+    @pytest.mark.parametrize("shift", [Fraction(25, 4), Fraction(13, 2), 7])
+    @pytest.mark.parametrize("delta,g", [(0, 3), (2, 4), (2, 6), (3, 4)])
+    def test_forced_violations_reported(self, corpus_facts, monkeypatch, delta, g, shift):
+        """A bound a few units smaller than the true one makes some accepted
+        graphs violators (at the fractional shifts, cycles of one parity
+        only); the report must still equal the reference's."""
+        import radgraph.search
+
+        lines, facts = corpus_facts
+
+        def smaller(n, d, ge, bound=upper_bound_radius):
+            return bound(n, d, ge) - shift
+
+        monkeypatch.setattr(radgraph.search, "upper_bound_radius", smaller)
+        monkeypatch.setattr(sys.modules[__name__], "upper_bound_radius", smaller)
+        report = stream_verify(lines, delta, g)
+        assert report["bound_violations"]
+        assert report == stream_reference(facts, delta, g)
+
     @pytest.mark.parametrize("delta,g", [(0, 3), (2, 4), (3, 5), (1, 6)])
     def test_metric_summary_only_after_cheap_filters(self, corpus_facts, monkeypatch, delta, g):
         import radgraph.search
@@ -527,4 +572,22 @@ class TestStreamVerifyOracle:
             assert min(G.degrees(), default=0) >= delta
             assert naive_girth(G.n, list(G.edges())) >= g
         passing = [f for f in facts if isinstance(f, tuple) and f[3] >= delta and f[4] >= g]
-        assert len(summarised) == len(passing)
+        assert len(summarised) <= len(passing)
+        # a summarised graph may change the report: it is the first of its
+        # order, or ecc(0) >= radius exceeds the order's maximum so far or
+        # the least applicable bound
+        may_change = []
+        best = {}
+        for fact in passing:
+            text, n, radius, min_degree, girth = fact
+            if radius is None:
+                continue
+            G = from_graph6_reference(text)
+            ecc0 = max(floyd_distances(n, list(G.edges()))[0])
+            evens = range(4, girth + 1, 2) if min_degree >= 2 and girth != INF else ()
+            least = min((upper_bound_radius(n, min_degree, ge) for ge in evens), default=ecc0)
+            if n not in best or ecc0 > best[n] or ecc0 > least:
+                may_change.append(text.encode("ascii"))
+            best[n] = max(best.get(n, radius), radius)
+        seen = iter(may_change)
+        assert all(graph6_bytes(G) in seen for G in summarised)
