@@ -98,7 +98,12 @@ def _seed_radii(n, delta, g):
 
     Seeding the incumbent lets the leaf evaluation skip radius computation
     for almost every graph; the seeds are real graphs that the enumeration
-    itself revisits, so the final (max, witness) pair is unchanged.
+    itself revisits, so the final (max, witness) pair is unchanged.  A seed
+    counts only when it is connected with minimum degree >= delta and girth
+    >= g.  The tests run cheapest first: the minimum degree, then the
+    memoised girth, and only then ``metric_summary``, which reuses that girth
+    and answers ``radius is None`` for a disconnected graph before any
+    eccentricity is computed.
     """
     candidates = []
     if n >= 3:
@@ -115,23 +120,9 @@ def _seed_radii(n, delta, g):
                 candidates.append(box_graph(r, delta, n - base))
             except ValueError:
                 pass
-    return [ms.radius for G in candidates
-            if G.n == n and (ms := _admissible_summary(G, delta, g)) is not None]
-
-
-def _admissible_summary(G, delta, g):
-    """``metric_summary(G)`` when G is connected with minimum degree >= delta
-    and girth >= g, else None; ``_seed_radii`` is its only caller.
-
-    The tests run cheapest first: the minimum degree, then the memoised
-    girth, and only then ``metric_summary``, which reuses that girth and
-    answers ``radius is None`` for a disconnected graph before any
-    eccentricity is computed.
-    """
-    if min(G.degrees(), default=0) < delta or _girth_of(G) < g:
-        return None
-    ms = metric_summary(G)
-    return None if ms.radius is None else ms
+    return [radius for G in candidates
+            if G.n == n and min(G.degrees(), default=0) >= delta and _girth_of(G) >= g
+            and (radius := metric_summary(G).radius) is not None]
 
 
 def _walk(n, delta, g, rows, deg, start_v, stop_v, visit):

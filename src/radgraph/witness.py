@@ -14,7 +14,7 @@ returns the report of the general set it finds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .graph import (
     Graph,
@@ -52,15 +52,16 @@ class BoundReport:
     """Verdict of one witness check: the set ``vertices`` forces the host
     graph's order to be at least ``claimed``, and the order is ``measured``.
 
-    ``details`` carries check-specific extras (the sphere sizes behind a
-    general count) and is not serialised.
+    Nothing else is carried.  The counting facts behind a general bound
+    (disjoint radius-(k-1) spheres, each of at least d (d-1)^(k-2) vertices)
+    are checked by :func:`check_witness_general`, which raises RuntimeError
+    rather than return a report when one fails.
     """
 
     kind: str
     vertices: tuple
     claimed: int
     measured: int
-    details: dict = field(default_factory=dict, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -149,11 +150,7 @@ def check_witness_general(G: Graph, T, k: int) -> BoundReport:
     if any(len(s) < size_floor for s in spheres):
         raise RuntimeError("sphere size bound failed despite valid witness")
     claimed = len(T) * size_floor + (1 if len(T) % 2 else 0)
-    return BoundReport(_GENERAL, tuple(T), claimed, G.n, details={
-        "sphere_sizes": tuple(len(s) for s in spheres),
-        "spheres_disjoint": True,
-        "sphere_size_floor": size_floor,
-    })
+    return BoundReport(_GENERAL, tuple(T), claimed, G.n)
 
 
 def check_witness_triangle_free(G: Graph, T) -> BoundReport:
@@ -400,19 +397,17 @@ def _check_paths(G, path, vprime_path):
 
 
 def check_easycases_instantiation(G: Graph, path, vprime_path) -> BoundReport:
-    """Instantiate the pattern for (len(path)-1, shift) on two geodesics and
-    run the triangle-free witness check on the resulting collection.
+    """Instantiate the pattern for r = len(path)-1 and the shift
+    t = len(path) - len(vprime_path) on two geodesics and run the
+    triangle-free witness check on the resulting collection.
 
     Raises WitnessValidationError when the instantiated vertices are not r
-    distinct vertices (a collapsed pattern) and propagates pattern-domain or
-    distance-condition failures.
+    distinct vertices (a collapsed pattern) and propagates pattern-domain
+    failures (a negative shift among them) and distance-condition failures.
     """
     _check_paths(G, path, vprime_path)
     r = len(path) - 1
-    t = r - (len(vprime_path) - 1)
-    if t < 0:
-        raise ValueError("second path is longer than the first")
-    unprimed, primed = easycases_pattern(r, t)
+    unprimed, primed = easycases_pattern(r, len(path) - len(vprime_path))
     verts = [path[i] for i in unprimed] + [vprime_path[j] for j in primed]
     if len(set(verts)) != r:
         raise WitnessValidationError(
@@ -489,39 +484,37 @@ def upper_bound_witness_pattern(r: int, k: int, t: int) -> tuple:
 class GeodesicObservationReport:
     """Outcome of the three geodesic-pair observations.
 
-    ``precondition_holds`` records d(v_m, v') >= r.  The observations state:
-    the shift obeys t <= m; d(v_i, v'_j) respects the two displayed lower
-    bounds plus |i - j|; and the two geodesics share no vertices beyond the
-    permitted prefix coincidences.
+    ``far_distance`` is D = d(v_m, v'), and the observations assume the
+    precondition D >= r.  They state: the shift obeys t <= m; d(v_i, v'_j)
+    respects the two displayed lower bounds plus |i - j|; and the two
+    geodesics share no vertices beyond the permitted prefix coincidences.
+    ``violations`` holds one message per failed fact, of four classes: the
+    precondition (``< r =``), the shift (``exceeds``), a distance bound
+    (``below the bound``) and distinctness (``coincides``).
     """
 
     r: int
     t: int
     m: int
     far_distance: int
-    precondition_holds: bool
-    shift_bound_holds: bool
-    distance_bounds_hold: bool
-    distinctness_holds: bool
     violations: tuple
 
     @property
     def passed(self) -> bool:
-        return (self.precondition_holds and self.shift_bound_holds
-                and self.distance_bounds_hold and self.distinctness_holds)
+        return not self.violations
 
 
 def validate_geodesic_observations(
-    G: Graph, v0: int, path, m: int, vprime_path
+    G: Graph, path, m: int, vprime_path
 ) -> GeodesicObservationReport:
-    """Evaluate the three geodesic observations on a centre/geodesic pair.
+    """Evaluate the three geodesic observations on two geodesics from the
+    centre path[0].
 
-    Structural defects (not shortest paths, v0 not a true centre, bad m)
-    raise ValueError; the d(v_m, v') >= r precondition and the observations
-    themselves are reported as flags so deliberate violations can be tested.
+    Structural defects (not shortest paths from one start, a start that is
+    not a true centre, bad m) raise ValueError; the d(v_m, v') >= r
+    precondition and the observations themselves are reported as violation
+    messages so deliberate violations can be tested.
     """
-    if path[0] != v0:
-        raise ValueError("path must start at v0")
     dist0 = _check_paths(G, path, vprime_path)
     ms = metric_summary(G)
     if ms.radius is None:
@@ -534,52 +527,29 @@ def validate_geodesic_observations(
     if not 1 <= m <= r - 1:
         raise ValueError(f"m must be within 1..{r - 1}, got {m}")
     t = r - (len(vprime_path) - 1)
-    vprime = vprime_path[-1]
-    D = bfs(G, path[m])[vprime]
+    D = bfs(G, path[m])[vprime_path[-1]]
 
     violations = []
-    precondition = D >= r
-    if not precondition:
+    if D < r:
         violations.append(f"d(v_{m}, v') = {D} < r = {r}")
-    shift_ok = t <= m
-    if not shift_ok:
+    if t > m:
         violations.append(f"shift t = {t} exceeds m = {m}")
-
-    path_dist = [bfs(G, v) for v in path]
-    distance_ok = True
-    for i in range(r + 1):
-        row = path_dist[i]
+    for i, v in enumerate(path):
+        row = bfs(G, v)
         for j, w in enumerate(vprime_path):
-            d = row[w]
             if i >= m:
                 lb = D + m + t + j - r - i
             else:
                 lb = D + i + j + t - m - r
             lb = max(lb, abs(i - j))
-            if d < lb:
-                distance_ok = False
-                violations.append(
-                    f"d(v_{i}, v'_{j}) = {d} below the bound {lb}"
-                )
-    distinct_ok = True
+            if row[w] < lb:
+                violations.append(f"d(v_{i}, v'_{j}) = {row[w]} below the bound {lb}")
     for i, u in enumerate(path):
         for j, w in enumerate(vprime_path):
             if u != w:
                 continue
             if i != j:
-                distinct_ok = False
                 violations.append(f"v_{i} coincides with v'_{j}")
             elif 2 * i > m + r - t - D:
-                distinct_ok = False
                 violations.append(f"v_{i} coincides with v'_{i} beyond the prefix bound")
-    return GeodesicObservationReport(
-        r=r,
-        t=t,
-        m=m,
-        far_distance=D,
-        precondition_holds=precondition,
-        shift_bound_holds=shift_ok,
-        distance_bounds_hold=distance_ok,
-        distinctness_holds=distinct_ok,
-        violations=tuple(violations),
-    )
+    return GeodesicObservationReport(r, t, m, D, tuple(violations))

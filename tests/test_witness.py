@@ -27,7 +27,7 @@ from radgraph import (
     validate_geodesic_observations,
 )
 from radgraph.witness import _compatible, _witness_ceiling
-from conftest import barbell, cycle
+from conftest import barbell, cycle, geodesic_pair
 from oracles import find_witness_reference, floyd_distances, max_general_witness_size
 
 
@@ -35,8 +35,6 @@ class TestGeneralWitness:
     def test_c8_antipodal(self, c8):
         rep = check_witness_general(c8, [0, 4], 2)
         assert rep.passed and rep.claimed == 4 and rep.measured == 8
-        assert rep.details["sphere_sizes"] == (2, 2)
-        assert rep.details["spheres_disjoint"] is True
 
     def test_c8_spheres_are_expected_sets(self, c8):
         from radgraph import sphere
@@ -53,8 +51,6 @@ class TestGeneralWitness:
         u, v = next(iter(heawood_lcf.edges()))
         rep = check_witness_general(heawood_lcf, [u, v], 3)
         assert rep.claimed == 12 and rep.measured == 14 and rep.passed
-        assert rep.details["sphere_size_floor"] == 6
-        assert all(s >= 6 for s in rep.details["sphere_sizes"])
 
     def test_odd_size_gets_plus_one(self, heawood_lcf):
         rep = check_witness_general(heawood_lcf, [0], 3)
@@ -71,7 +67,7 @@ class TestGeneralWitness:
 
 class TestBoundReport:
     def test_json_shape(self):
-        rep = BoundReport("witness-general", (0, 4), 8, 8, details={"x": 1})
+        rep = BoundReport("witness-general", (0, 4), 8, 8)
         assert rep.to_json_dict() == {
             "kind": "witness-general",
             "claimed": 8,
@@ -170,7 +166,7 @@ class TestFindWitness:
     def test_returns_the_general_report_of_its_set(self, heawood_lcf):
         ws = find_witness(heawood_lcf, 3)
         assert ws == check_witness_general(heawood_lcf, ws.vertices, 3)
-        assert ws.kind == "witness-general" and ws.details["sphere_size_floor"] == 6
+        assert ws.kind == "witness-general"
 
     def test_deterministic(self):
         G = glue_cycle(projective_plane_incidence_graph(2), 3)
@@ -351,6 +347,12 @@ class TestEasycasesInstantiation:
         rep = check_easycases_instantiation(G, path, vprime_path)
         assert rep.passed
 
+    def test_longer_second_path_rejected_by_the_pattern(self):
+        # a negative shift is outside the pattern table
+        G = cycle(20)
+        with pytest.raises(ValueError, match=r"no pattern for r = 5 .* t = -2"):
+            check_easycases_instantiation(G, tuple(range(6)), (0, *range(19, 12, -1)))
+
     def test_hard_residue_rejected(self):
         # r = 4k+1 with shift 3 is outside the table
         G = box_graph(9, 3, 1)
@@ -365,7 +367,8 @@ class TestEasycasesInstantiation:
         when v_3 is central, at distance exactly r from v_3 but under r from
         v_0); sweeping them all realises the shifts t = 0, 1, 2 across all
         three supported radius residues, complementing the t = 3 rows that
-        cycles and box graphs produce.
+        cycles and box graphs produce.  ``path`` is the one that
+        :func:`easycases_configuration` selects.
         """
         from radgraph.graph import _geodesic
 
@@ -379,15 +382,8 @@ class TestEasycasesInstantiation:
                     r = ms.radius
                     if r is None or r < 4 or ms.girth < 4:
                         continue
-                    best = None
-                    for c in ms.centers:
-                        cnt = sum(1 for d in bfs(G, c) if d == r)
-                        if best is None or (cnt, c) < best[:2]:
-                            best = (cnt, c)
-                    v0 = best[1]
-                    dist0 = bfs(G, v0)
-                    target = min(v for v in range(G.n) if dist0[v] == r)
-                    path = tuple(_geodesic(G, dist0, target))
+                    path = easycases_configuration(G)[0]
+                    dist0 = bfs(G, path[0])
                     dist3 = bfs(G, path[3])
                     if max(dist3) > r:
                         admissible = [v for v in range(G.n) if dist3[v] >= r + 1]
@@ -441,23 +437,9 @@ class TestUpperBoundWitnessPattern:
     def test_instantiates_on_glued_cages(self, m):
         k = 3
         G = glue_cycle(projective_plane_incidence_graph(2), m)
-        ms = metric_summary(G)
-        r = ms.radius
-        v0 = ms.centers[0]
-        dist0 = bfs(G, v0)
-        target = min(v for v in range(G.n) if dist0[v] == r)
-        path = [target]
-        while dist0[path[-1]] > 0:
-            path.append(min(w for w in G.adj[path[-1]] if dist0[w] == dist0[path[-1]] - 1))
-        path.reverse()
-        dist2k = bfs(G, path[2 * k])
-        vprime = min(v for v in range(G.n) if dist2k[v] >= r)
-        t = r - dist0[vprime]
-        vpath = [vprime]
-        while dist0[vpath[-1]] > 0:
-            vpath.append(min(w for w in G.adj[vpath[-1]] if dist0[w] == dist0[vpath[-1]] - 1))
-        vpath.reverse()
-        unprimed, primed = upper_bound_witness_pattern(r, k, t)
+        path, vpath = geodesic_pair(G, 2 * k)
+        r = len(path) - 1
+        unprimed, primed = upper_bound_witness_pattern(r, k, len(path) - len(vpath))
         T = [path[i] for i in unprimed] + [vpath[j] for j in primed]
         assert len(set(T)) == len(T)
         rep = check_witness_general(G, T, k)
@@ -467,57 +449,47 @@ class TestUpperBoundWitnessPattern:
 
 class TestGeodesicObservations:
     def test_c20_valid_configuration(self):
-        # m = 5 forces the far vertex to the antipode of v_5, giving t = 5
+        # m = 5 forces the far vertex to the antipode 15 of v_5, giving t = 5
         G = cycle(20)
-        path = tuple(range(11))
-        m = 5
-        dist_m = bfs(G, path[m])
-        vprime = min(v for v in range(20) if dist_m[v] >= 10)
-        assert vprime == 15
-        vprime_path = tuple((-j) % 20 for j in range(6))
-        assert vprime_path[-1] == 15
-        rep = validate_geodesic_observations(G, 0, path, m, vprime_path)
-        assert rep.passed and rep.t == 5 and rep.precondition_holds
+        path, vprime_path = geodesic_pair(G, 5)
+        assert path == tuple(range(11))
+        assert vprime_path == tuple((-j) % 20 for j in range(6))
+        rep = validate_geodesic_observations(G, path, 5, vprime_path)
+        assert rep.passed and rep.t == 5 and rep.far_distance == 10 == rep.r
 
     def test_negative_m_below_shift(self):
         # with m < t the triangle inequality forces a violation
         G = cycle(20)
         path = tuple(range(11))
         vprime_path = tuple((-j) % 20 for j in range(6))  # t = 5
-        rep = validate_geodesic_observations(G, 0, path, 4, vprime_path)
+        rep = validate_geodesic_observations(G, path, 4, vprime_path)
         assert not rep.passed
-        assert not rep.shift_bound_holds
-        assert not rep.precondition_holds
         assert any("exceeds" in v for v in rep.violations)
+        assert any("< r =" in v for v in rep.violations)
+
+    def test_each_violation_class_is_reported(self):
+        # v' = 3 sits two steps from v_1, the shift is 7 and the paths share
+        # v_2 and v_3 beyond the prefix bound m + r - t - D = 2
+        G = cycle(20)
+        rep = validate_geodesic_observations(G, tuple(range(11)), 1, (0, 1, 2, 3))
+        assert not rep.passed and (rep.t, rep.far_distance) == (7, 2)
+        for marker in ("< r =", "exceeds", "coincides"):
+            assert any(marker in v for v in rep.violations), marker
 
     def test_box_graph_configuration(self):
         G = box_graph(6, 2, 0)
-        ms = metric_summary(G)
-        v0 = ms.centers[0]
-        dist0 = bfs(G, v0)
-        target = min(v for v in range(G.n) if dist0[v] == ms.radius)
-        path = [target]
-        while dist0[path[-1]] > 0:
-            path.append(min(w for w in G.adj[path[-1]] if dist0[w] == dist0[path[-1]] - 1))
-        path.reverse()
-        m = 3
-        dist_m = bfs(G, path[m])
-        vprime = min(v for v in range(G.n) if dist_m[v] >= ms.radius)
-        vpath = [vprime]
-        while dist0[vpath[-1]] > 0:
-            vpath.append(min(w for w in G.adj[vpath[-1]] if dist0[w] == dist0[vpath[-1]] - 1))
-        vpath.reverse()
-        rep = validate_geodesic_observations(G, v0, path, m, vpath)
+        path, vpath = geodesic_pair(G, 3)
+        rep = validate_geodesic_observations(G, path, 3, vpath)
         assert rep.passed
 
     def test_structural_violation_raises(self):
         G = cycle(20)
         path = tuple(range(11))
         with pytest.raises(ValueError):
-            validate_geodesic_observations(G, 0, path, 0, path)  # m out of range
+            validate_geodesic_observations(G, path, 0, path)  # m out of range
         with pytest.raises(ValueError):
             # not a path: jump in the sequence
-            validate_geodesic_observations(G, 0, (0, 2, 4), 1, (0, 19))
+            validate_geodesic_observations(G, (0, 2, 4), 1, (0, 19))
         with pytest.raises(ValueError):
             # not a true centre configuration: path shorter than the radius
-            validate_geodesic_observations(G, 0, (0, 1, 2), 1, (0, 19, 18))
+            validate_geodesic_observations(G, (0, 1, 2), 1, (0, 19, 18))
