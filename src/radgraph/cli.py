@@ -3,6 +3,13 @@ extract, with graph6, edge-list, DOT and JSON output.
 
 Exit codes form a stable contract for scripting: 0 on success or a passing
 check, 1 when a bound or witness validation fails, 2 on usage errors.
+
+Every library call goes through its module (``search.stream_verify``), and
+the package registers its submodules lazily (see ``radgraph/__init__.py``),
+so a command executes only the modules it calls: ``bound`` runs ``bounds``
+alone, ``search stream`` ``bounds``, ``graph``, ``io`` and ``search``, and
+``witness find`` ``graph``, ``io`` and ``witness``.  For the same reason a
+failed witness check is caught in ``_cmd_witness``, not in ``main``.
 """
 
 from __future__ import annotations
@@ -13,28 +20,8 @@ import json
 import os
 import sys
 
+from . import bounds, constructions, geometry, graph, search, witness
 from . import io as gio
-from .bounds import cage_lower_bound, exact_radius_formula_g4, upper_bound_radius
-from .constructions import (
-    bipartite_radius2,
-    box_graph,
-    extract_dense_subgraph,
-    glue_cycle,
-    radius3_graph,
-)
-from .geometry import (
-    projective_plane_incidence_graph,
-    symplectic_quadrangle_incidence_graph,
-)
-from .graph import metric_summary
-from .search import enumerate_extremal, stream_verify, verify_theorem_main_small
-from .witness import (
-    WitnessValidationError,
-    check_witness_general,
-    check_witness_triangle_free,
-    check_witness_two_cycles,
-    find_witness,
-)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -76,7 +63,7 @@ def _emit(text, output):
 
 
 def _metrics_dict(G):
-    ms = metric_summary(G)
+    ms = graph.metric_summary(G)
     girth = "infinite" if ms.girth == float("inf") else int(ms.girth)
     return {
         "n": G.n,
@@ -222,18 +209,18 @@ def _build_parser():
 
 def _cmd_construct(args):
     if args.kind == "box":
-        G = box_graph(args.r, args.delta, args.c)
+        G = constructions.box_graph(args.r, args.delta, args.c)
     elif args.kind == "bipartite2":
-        G = bipartite_radius2(args.n, args.delta)
+        G = constructions.bipartite_radius2(args.n, args.delta)
     elif args.kind == "radius3":
-        G = radius3_graph(args.n, args.delta)
+        G = constructions.radius3_graph(args.n, args.delta)
     elif args.kind == "pg-plane":
-        G = projective_plane_incidence_graph(args.q)
+        G = geometry.projective_plane_incidence_graph(args.q)
     elif args.kind == "gq":
-        G = symplectic_quadrangle_incidence_graph(args.q)
+        G = geometry.symplectic_quadrangle_incidence_graph(args.q)
     else:
         base = _load_graph(args.base)
-        G = glue_cycle(base, args.m)
+        G = constructions.glue_cycle(base, args.m)
     _emit(_render_graph(G, args.format), args.output)
     if args.verify:
         _print_json(_metrics_dict(G), args.pretty)
@@ -255,12 +242,12 @@ def _cmd_bound(args):
         raise ValueError(f"minimum degree must be >= 2, got {args.delta}")
     out = {}
     if args.g == 4:
-        exact = exact_radius_formula_g4(args.n, args.delta)
+        exact = bounds.exact_radius_formula_g4(args.n, args.delta)
         out["exact"] = "nonexistent" if exact is None else exact
     if args.g % 2 == 0 and args.g >= 4:
-        out["upper"] = _json_number(upper_bound_radius(args.n, args.delta, args.g))
+        out["upper"] = _json_number(bounds.upper_bound_radius(args.n, args.delta, args.g))
     if args.g in (6, 8, 12):
-        out["cage_lower"] = _json_number(cage_lower_bound(args.n, args.delta, args.g))
+        out["cage_lower"] = _json_number(bounds.cage_lower_bound(args.n, args.delta, args.g))
     _print_json(out, args.pretty)
     return EXIT_OK
 
@@ -268,12 +255,16 @@ def _cmd_bound(args):
 def _cmd_witness(args):
     G = _load_graph(args.graph, args.input_format)
     if args.action == "find":
-        report = find_witness(G, args.k, args.budget)
+        try:
+            report = witness.find_witness(G, args.k, args.budget)
+        except witness.WitnessValidationError as exc:
+            sys.stderr.write(f"check failed: {exc}\n")
+            return EXIT_CHECK_FAILED
     else:
         # each check's checker and the one parameter option it takes, if any
-        check, takes = {"general": (check_witness_general, "k"),
-                        "tf": (check_witness_triangle_free, None),
-                        "cycles": (check_witness_two_cycles, "r")}[args.what]
+        check, takes = {"general": (witness.check_witness_general, "k"),
+                        "tf": (witness.check_witness_triangle_free, None),
+                        "cycles": (witness.check_witness_two_cycles, "r")}[args.what]
         if takes and getattr(args, takes) is None:
             raise ValueError(f"--{takes} is required for the {args.what} check")
         for name in ("k", "r"):
@@ -282,7 +273,7 @@ def _cmd_witness(args):
         extra = [getattr(args, takes)] if takes else []
         try:
             report = check(G, args.vertex_set, *extra)
-        except WitnessValidationError as exc:
+        except witness.WitnessValidationError as exc:
             _print_json({"kind": exc.kind, "error": str(exc),
                          "pair": list(exc.pair) if exc.pair else None, "pass": False},
                         args.pretty)
@@ -293,7 +284,7 @@ def _cmd_witness(args):
 
 def _cmd_search(args):
     if args.action == "enumerate":
-        result = enumerate_extremal(
+        result = search.enumerate_extremal(
             args.n, args.delta, args.g, allow_long=args.long_run, jobs=args.jobs
         )
         payload = {
@@ -312,18 +303,18 @@ def _cmd_search(args):
         return EXIT_OK
     if args.action == "verify-theorem":
         deltas = [int(tok) for tok in args.deltas.split(",") if tok]
-        table = verify_theorem_main_small(args.n_max, deltas, jobs=args.jobs)
+        table = search.verify_theorem_main_small(args.n_max, deltas, jobs=args.jobs)
         _print_json(table, args.pretty)
         return EXIT_OK if table["all_equal"] else EXIT_CHECK_FAILED
     with _open_input(args.input) as fh:
-        report = stream_verify(fh, args.delta, args.g)
+        report = search.stream_verify(fh, args.delta, args.g)
     _print_json(report, args.pretty)
     return EXIT_OK if not report["bound_violations"] else EXIT_CHECK_FAILED
 
 
 def _cmd_extract(args):
     G = _load_graph(args.graph, args.input_format)
-    res = extract_dense_subgraph(G, args.k)
+    res = constructions.extract_dense_subgraph(G, args.k)
     payload = {
         "center": res.center,
         "geodesic": list(res.geodesic),
@@ -353,9 +344,6 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except WitnessValidationError as exc:
-        sys.stderr.write(f"check failed: {exc}\n")
-        return EXIT_CHECK_FAILED
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

@@ -404,6 +404,15 @@ def _shift_period(adj, n):
     return n
 
 
+def _shift_period_of(G: Graph):
+    """``_shift_period`` of G, memoised because the metric summary and the
+    easy-cases centre choice both read it."""
+    d = G._cache.get("shift")
+    if d is None:
+        d = G._cache["shift"] = _shift_period(G.adj, G.n)
+    return d
+
+
 def metric_summary(G: Graph) -> MetricSummary:
     """Radius/diameter (all-source BFS), girth, min degree and centres.
 
@@ -426,7 +435,7 @@ def metric_summary(G: Graph) -> MetricSummary:
     if depth.count(0) != 1:  # one root per component, none when n = 0
         summary = MetricSummary(None, None, girth, min_degree, ())
     else:
-        d = _shift_period(G.adj, n)
+        d = _shift_period_of(G)
         kernel = _ball_eccentricities if 2 * max(depth) <= d else _eccentricities
         reps = kernel(G.adj, n, d)
         radius = min(reps)

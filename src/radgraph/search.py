@@ -52,9 +52,9 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import permutations
 
+from . import constructions
 from . import io as gio
 from .bounds import exact_radius_formula_g4, upper_bound_radius
-from .constructions import bipartite_radius2, box_graph, radius3_graph
 from .graph import INFINITE, Graph, _girth_of, _levels_of, _reach, build_graph, metric_summary
 
 __all__ = [
@@ -108,7 +108,7 @@ def _seed_radii(n, delta, g):
     candidates = []
     if n >= 3:
         candidates.append(_cycle_graph(n))
-    for build in (bipartite_radius2, radius3_graph):
+    for build in (constructions.bipartite_radius2, constructions.radius3_graph):
         try:
             candidates.append(build(n, delta))
         except ValueError:
@@ -117,7 +117,7 @@ def _seed_radii(n, delta, g):
         base = 2 * ((r * delta + 1) // 2)
         if base <= n:
             try:
-                candidates.append(box_graph(r, delta, n - base))
+                candidates.append(constructions.box_graph(r, delta, n - base))
             except ValueError:
                 pass
     return [radius for G in candidates

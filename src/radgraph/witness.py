@@ -21,6 +21,7 @@ from .graph import (
     _geodesic,
     _girth_of,
     _reach,
+    _shift_period_of,
     bfs,
     is_triangle_free,
     metric_summary,
@@ -431,12 +432,10 @@ def easycases_configuration(G: Graph) -> tuple:
     r = ms.radius
     if r < 4:
         raise ValueError(f"configuration needs radius >= 4, got {r}")
-    best = None
-    for c in ms.centers:
-        count = sum(1 for d in bfs(G, c) if d == r)
-        if best is None or (count, c) < best[:2]:
-            best = (count, c)
-    v0 = best[1]
+    # a label shift by d is an automorphism, so the count is constant on each
+    # shift orbit and the least (count, c) has a centre c < d
+    d = _shift_period_of(G)
+    v0 = min((bfs(G, c).count(r), c) for c in ms.centers if c < d)[1]
     dist0 = bfs(G, v0)
     target = min(v for v in range(G.n) if dist0[v] == r)
     path = _geodesic(G, dist0, target)

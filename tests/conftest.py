@@ -1,3 +1,5 @@
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -5,12 +7,22 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import radgraph
 from radgraph import bfs, build_graph, metric_summary
 from radgraph.graph import _geodesic
 
 
 def cycle(n):
     return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def fresh_python(code, *args, cwd=None):
+    """Stdout of ``python -c code *args`` in a new interpreter that imports
+    the radgraph these tests import."""
+    path = [str(Path(radgraph.__file__).parent.parent), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    return subprocess.run([sys.executable, "-c", code, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, check=True).stdout
 
 
 def barbell(a, ell, b):

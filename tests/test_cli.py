@@ -2,7 +2,6 @@ import json
 
 import pytest
 
-import radgraph.cli
 import radgraph.witness
 from radgraph import (
     build_graph,
@@ -15,7 +14,7 @@ from radgraph import (
     projective_plane_incidence_graph,
 )
 from radgraph.cli import main
-from conftest import cycle
+from conftest import cycle, fresh_python
 
 
 def run(capsys, *argv):
@@ -251,10 +250,20 @@ class TestWitness:
             return check_witness_general(*args)
 
         monkeypatch.setattr(radgraph.witness, "check_witness_general", spy)
-        monkeypatch.setattr(radgraph.cli, "check_witness_general", spy)
         code, out, _ = run(capsys, "witness", "find", "--graph", str(path), "--k", "3")
         assert code == 0 and out == json.dumps(want, sort_keys=True) + "\n"
         assert len(calls) == 1
+
+    def test_find_failed_check_exit_1(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "c8.g6"
+        path.write_text(graph6_bytes(cycle(8)).decode())
+
+        def failing(*args):
+            raise radgraph.witness.WitnessValidationError("pair too close", kind="witness-general")
+
+        monkeypatch.setattr(radgraph.witness, "find_witness", failing)
+        code, out, err = run(capsys, "witness", "find", "--graph", str(path), "--k", "2")
+        assert (code, out, err) == (1, "", "check failed: pair too close\n")
 
     def test_find_on_long_cycle(self, capsys, tmp_path):
         # the branch and bound goes about n levels deep on a long cycle
@@ -424,3 +433,38 @@ def test_option_names_are_not_abbreviated(capsys, tmp_path):
     assert "unrecognized arguments: --input" in capsys.readouterr().err
     code, out, _ = run(capsys, "search", "stream", "--delta", "2", "--g", "4", "--input", str(path))
     assert code == 0 and json.loads(out)["accepted"] == 1
+
+
+#: Runs main(argv) in a fresh interpreter; prints the exit code, the radgraph
+#: submodules whose code has run (a lazy stub is not yet a plain module) and
+#: whether dataclasses was imported.
+LAUNCH = """
+import contextlib, io, json, sys, types
+from radgraph.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+executed = [name for name, module in sys.modules.items()
+            if name.startswith("radgraph.") and type(module) is types.ModuleType]
+print(json.dumps([code, sorted(executed), "dataclasses" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize("argv,modules", [
+    ("bound --n 15 --delta 3 --g 4", "bounds"),
+    ("search stream --delta 2 --g 4 --input ring.g6", "bounds graph io search"),
+    ("search enumerate --n 6 --delta 2 --g 4 --jobs 1", "bounds constructions graph io search"),
+    ("construct glue --base h.g6 --m 3", "constructions graph io"),
+    ("construct gq --q 3", "fields geometry graph io"),
+    ("analyze --graph ring.g6", "graph io"),
+    ("witness find --graph ring.g6 --k 3", "graph io witness"),
+    ("extract --graph ring.g6 --k 3", "constructions graph io"),
+])
+def test_command_executes_only_its_modules(tmp_path, argv, modules):
+    heawood = projective_plane_incidence_graph(2)
+    (tmp_path / "h.g6").write_bytes(graph6_bytes(heawood))
+    (tmp_path / "ring.g6").write_bytes(graph6_bytes(glue_cycle(heawood, 4)))
+    code, executed, dataclasses = json.loads(fresh_python(LAUNCH, *argv.split(), cwd=tmp_path))
+    assert code == 0
+    assert executed == sorted(f"radgraph.{name}" for name in ["cli", *modules.split()])
+    if argv.startswith("bound"):
+        assert not dataclasses

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -26,6 +27,7 @@ from radgraph import (
     upper_bound_witness_pattern,
     validate_geodesic_observations,
 )
+from radgraph.graph import _shift_period_of
 from radgraph.witness import _compatible, _witness_ceiling
 from conftest import barbell, cycle, geodesic_pair
 from oracles import find_witness_reference, floyd_distances, max_general_witness_size
@@ -410,6 +412,34 @@ class TestEasycasesInstantiation:
         for residue in (0, 1, 2):
             for t in (0, 1, 2):
                 assert (residue, t) in covered
+
+    def test_centre_is_least_count_on_the_families(self):
+        graphs = [cycle(2 * r) for r in range(4, 15)]
+        graphs += [box_graph(r, delta, c) for r in range(4, 11) for delta in (2, 3, 4)
+                   for c in (0, 1)]
+        graphs += [barbell(a, ell, b) for a in (8, 12, 16) for ell in (0, 2) for b in (6, 10)]
+        checked = 0
+        for G in graphs:
+            if metric_summary(G).radius >= 4:
+                assert easycases_configuration(G)[0][0] == least_count_centre(G)
+                checked += 1
+        assert checked >= 50
+
+    @pytest.mark.parametrize("m,relabel", [(20, True), (200, False)])
+    def test_centre_is_least_count_on_heawood_rings(self, m, relabel):
+        G = glue_cycle(projective_plane_incidence_graph(2), m)
+        if relabel:  # no label shift is left, so every centre is counted
+            perm = random.Random(m).sample(range(G.n), G.n)
+            G = build_graph(G.n, [(perm[u], perm[v]) for u, v in G.edges()])
+            assert _shift_period_of(G) == G.n
+        assert easycases_configuration(G)[0][0] == least_count_centre(G)
+
+
+def least_count_centre(G):
+    """The centre with the fewest vertices at distance r (ties to the lowest),
+    counted from every centre."""
+    ms = metric_summary(G)
+    return min((bfs(G, c).count(ms.radius), c) for c in ms.centers)[1]
 
 
 class TestUpperBoundWitnessPattern:
