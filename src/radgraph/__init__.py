@@ -14,6 +14,12 @@ that every lookup by name finds the one module object a load fills in:
 ``import radgraph.graph`` does, and so does perfbench's tracer, which
 imports ``radgraph.cli`` and then reads ``sys.modules["radgraph.<layer>"]``
 for each layer before any command has run.
+
+``_EXPORTS`` is the one list of public names: no submodule assigns its own
+``__all__``.  ``_lazy`` sets it on each stub instead, and the value survives
+the load, because ``LazyLoader`` puts every attribute set on a stub back
+after the module's code has run.  So ``from radgraph.witness import *``
+binds exactly ``_EXPORTS["witness"]``.
 """
 
 import importlib.util
@@ -27,8 +33,7 @@ _EXPORTS = {
     "constructions": ("ExtractionResult", "bipartite_radius2", "box_graph", "box_spec",
                       "extract_dense_subgraph", "glue_cycle", "radius3_graph"),
     "fields": ("SUPPORTED_ORDERS", "FiniteField", "field_make"),
-    "geometry": ("CageValidationError", "import_cage", "projective_plane_incidence_graph",
-                 "symplectic_quadrangle_incidence_graph"),
+    "geometry": ("projective_plane_incidence_graph", "symplectic_quadrangle_incidence_graph"),
     "graph": ("INFINITE", "UNREACHABLE", "Graph", "MetricSummary", "ball", "bfs",
               "build_graph", "induced_subgraph", "is_connected", "is_triangle_free",
               "metric_summary", "sphere"),
@@ -46,11 +51,13 @@ __all__ = list(_SOURCE)
 
 
 def _lazy(name):
-    """``radgraph.<name>``, in ``sys.modules`` but not executed yet."""
+    """``radgraph.<name>``, in ``sys.modules`` but not executed yet, with its
+    ``__all__`` already set."""
     spec = importlib.util.find_spec(f"{__name__}.{name}")
     spec.loader = importlib.util.LazyLoader(spec.loader)
     module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    module.__all__ = _EXPORTS[name]
     return module
 
 

@@ -10,12 +10,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-__all__ = [
-    "exact_radius_formula_g4",
-    "upper_bound_radius",
-    "cage_lower_bound",
-]
-
 
 def exact_radius_formula_g4(n: int, delta: int) -> int | None:
     """Exact maximum radius of a connected triangle-free graph with minimum

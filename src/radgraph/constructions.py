@@ -19,16 +19,6 @@ from .graph import (
     metric_summary,
 )
 
-__all__ = [
-    "ExtractionResult",
-    "box_spec",
-    "box_graph",
-    "bipartite_radius2",
-    "radius3_graph",
-    "glue_cycle",
-    "extract_dense_subgraph",
-]
-
 
 @dataclass(frozen=True)
 class ExtractionResult:

@@ -14,40 +14,31 @@ rejected without a separate primality or irreducibility test.
 
 from __future__ import annotations
 
-__all__ = ["SUPPORTED_ORDERS", "FiniteField", "field_make"]
-
 #: Orders with either prime modular arithmetic or a fixed reduction polynomial.
 SUPPORTED_ORDERS = frozenset({2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27})
 
-# Reduction polynomials, constant coefficient first, monic.
+# The characteristic p and a monic reduction polynomial over Z_p, constant
+# coefficient first.
 _REDUCTION = {
-    4: (1, 1, 1),          # x^2 + x + 1        over GF(2)
-    8: (1, 1, 0, 1),       # x^3 + x + 1        over GF(2)
-    9: (1, 0, 1),          # x^2 + 1            over GF(3)
-    16: (1, 1, 0, 0, 1),   # x^4 + x + 1        over GF(2)
-    25: (2, 4, 1),         # x^2 + 4x + 2       over GF(5)
-    27: (1, 2, 0, 1),      # x^3 + 2x + 1       over GF(3)
+    4: (2, (1, 1, 1)),          # x^2 + x + 1
+    8: (2, (1, 1, 0, 1)),       # x^3 + x + 1
+    9: (3, (1, 0, 1)),          # x^2 + 1
+    16: (2, (1, 1, 0, 0, 1)),   # x^4 + x + 1
+    25: (5, (2, 4, 1)),         # x^2 + 4x + 2
+    27: (3, (1, 2, 0, 1)),      # x^3 + 2x + 1
 }
 
 
-def _poly_trim(a):
-    while a and a[-1] == 0:
-        a = a[:-1]
-    return a
-
-
 def _poly_mod(a, b, p):
-    """Remainder of a by b over Z_p; b must have an invertible leading coefficient."""
+    """Low digits of the remainder of a by the monic polynomial b over Z_p."""
     a = list(a)
-    db = len(_poly_trim(tuple(b))) - 1
-    binv = pow(b[db], -1, p)
+    db = len(b) - 1
     for i in range(len(a) - 1, db - 1, -1):
-        if a[i] == 0:
-            continue
-        factor = (a[i] * binv) % p
-        for j in range(db + 1):
-            a[i - db + j] = (a[i - db + j] - factor * b[j]) % p
-    return tuple(_poly_trim(tuple(a[:db])))
+        factor = a[i]
+        if factor:
+            for j in range(db + 1):
+                a[i - db + j] = (a[i - db + j] - factor * b[j]) % p
+    return a[:db]
 
 
 def _undigits(ds, p) -> int:
@@ -66,17 +57,10 @@ class FiniteField:
         if q not in SUPPORTED_ORDERS:
             supported = ", ".join(str(v) for v in sorted(SUPPORTED_ORDERS))
             raise ValueError(f"unsupported field order {q}; supported: {supported}")
-        if q in _REDUCTION:
-            poly = _REDUCTION[q]
-            e = len(poly) - 1
-            p = round(q ** (1.0 / e))
-            if p ** e != q:
-                raise ValueError(f"order {q} is not a prime power")
-        else:
-            p, e, poly = q, 1, (0, 1)
+        p, poly = _REDUCTION.get(q, (q, (0, 1)))
         self.q = q
         self.p = p
-        self.e = e
+        self.e = len(poly) - 1
         self.reduction_polynomial = poly
         self._build_tables()
 

@@ -3,8 +3,8 @@
 Two constructions are built from scratch: the point/line incidence graph of
 the projective plane PG(2,q) (girth 6) and the incidence graph of the
 symplectic generalized quadrangle W(q) inside PG(3,q) (girth 8).  Girth-12
-incidence graphs are not constructed here; they enter through
-:func:`import_cage`, which validates externally supplied graph6 data.
+incidence graphs are not constructed here: girth-12 bases enter as graph6
+files (``construct glue --base``, checked by ``analyze``).
 """
 
 from __future__ import annotations
@@ -12,15 +12,7 @@ from __future__ import annotations
 from itertools import product
 
 from .fields import FiniteField, field_make
-from .graph import Graph, build_graph, metric_summary
-from .io import from_graph6
-
-__all__ = [
-    "projective_plane_incidence_graph",
-    "symplectic_quadrangle_incidence_graph",
-    "import_cage",
-    "CageValidationError",
-]
+from .graph import Graph, build_graph
 
 
 def _projective_points(field: FiniteField, dim: int) -> list:
@@ -137,35 +129,3 @@ def symplectic_quadrangle_incidence_graph(q: int) -> Graph:
         for p in line:
             edges.append((p, npts + j))
     return build_graph(npts + len(line_list), edges)
-
-
-class CageValidationError(ValueError):
-    """Imported graph failed the connectivity/degree/girth validation."""
-
-    def __init__(self, message, *, connected=None, min_degree=None, girth=None):
-        super().__init__(message)
-        self.connected = connected
-        self.min_degree = min_degree
-        self.girth = girth
-
-
-def import_cage(data, expected_delta: int, expected_girth: int) -> Graph:
-    """Decode graph6 data and validate it as a usable high-girth base graph.
-
-    The graph must be connected with minimum degree >= expected_delta and
-    girth >= expected_girth; otherwise a :class:`CageValidationError` carrying
-    the measured quantities is raised.
-    """
-    G = from_graph6(data)
-    ms = metric_summary(G)
-    connected = ms.radius is not None
-    if not connected or ms.min_degree < expected_delta or ms.girth < expected_girth:
-        raise CageValidationError(
-            f"imported graph rejected: connected={connected}, "
-            f"min_degree={ms.min_degree} (expected >= {expected_delta}), "
-            f"girth={ms.girth} (expected >= {expected_girth})",
-            connected=connected,
-            min_degree=ms.min_degree,
-            girth=ms.girth,
-        )
-    return G

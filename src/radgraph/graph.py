@@ -85,21 +85,6 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import and_
 
-__all__ = [
-    "UNREACHABLE",
-    "INFINITE",
-    "Graph",
-    "MetricSummary",
-    "build_graph",
-    "bfs",
-    "metric_summary",
-    "ball",
-    "sphere",
-    "induced_subgraph",
-    "is_connected",
-    "is_triangle_free",
-]
-
 #: Distance marker for vertices outside the source's component.
 UNREACHABLE = -1
 

@@ -25,14 +25,6 @@ from base64 import b64decode, b64encode
 
 from .graph import Graph, build_graph
 
-__all__ = [
-    "graph6_bytes",
-    "from_graph6",
-    "to_edgelist_text",
-    "from_edgelist_text",
-    "to_dot",
-]
-
 _HEADER = b">>graph6<<"
 
 

@@ -57,15 +57,6 @@ from . import io as gio
 from .bounds import exact_radius_formula_g4, upper_bound_radius
 from .graph import INFINITE, Graph, _girth_of, _levels_of, _reach, build_graph, metric_summary
 
-__all__ = [
-    "DEFAULT_CAP",
-    "HARD_CAP",
-    "SearchResult",
-    "enumerate_extremal",
-    "verify_theorem_main_small",
-    "stream_verify",
-]
-
 DEFAULT_CAP = 8
 HARD_CAP = 9
 

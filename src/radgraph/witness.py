@@ -28,21 +28,6 @@ from .graph import (
     sphere,
 )
 
-__all__ = [
-    "BoundReport",
-    "WitnessValidationError",
-    "GeodesicObservationReport",
-    "check_witness_general",
-    "check_witness_triangle_free",
-    "check_witness_two_cycles",
-    "find_witness",
-    "easycases_pattern",
-    "easycases_configuration",
-    "check_easycases_instantiation",
-    "upper_bound_witness_pattern",
-    "validate_geodesic_observations",
-]
-
 _GENERAL = "witness-general"
 _TRIANGLE_FREE = "witness-triangle-free"
 _TWO_CYCLES = "witness-two-cycles"

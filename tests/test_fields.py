@@ -76,16 +76,16 @@ def test_multiplicative_group_order(q):
 @pytest.mark.parametrize(
     "q,poly",
     [
-        (4, (0, 0, 1)),        # x^2
-        (8, (1, 0, 0, 1)),     # x^3 + 1 = (x + 1)(x^2 + x + 1)
-        (9, (2, 0, 1)),        # x^2 - 1 = (x - 1)(x + 1)
-        (16, (1, 0, 1, 0, 1)),  # (x^2 + x + 1)^2, reducible without a root
-        (25, (1, 0, 1)),       # x^2 + 1 = (x - 2)(x + 2)
-        (27, (0, 1, 0, 1)),    # x (x^2 + 1)
+        (4, (2, (0, 0, 1))),        # x^2
+        (8, (2, (1, 0, 0, 1))),     # x^3 + 1 = (x + 1)(x^2 + x + 1)
+        (9, (3, (2, 0, 1))),        # x^2 - 1 = (x - 1)(x + 1)
+        (16, (2, (1, 0, 1, 0, 1))),  # (x^2 + x + 1)^2, reducible without a root
+        (25, (5, (1, 0, 1))),       # x^2 + 1 = (x - 2)(x + 2)
+        (27, (3, (0, 1, 0, 1))),    # x (x^2 + 1)
         # composite characteristic: Z_6, Z_15 and Z_4[x]/(x^2 + x + 1)
         (6, None),
         (15, None),
-        (16, (1, 1, 1)),
+        (16, (4, (1, 1, 1))),
     ],
 )
 def test_non_field_rejected(monkeypatch, q, poly):
@@ -98,6 +98,8 @@ def test_non_field_rejected(monkeypatch, q, poly):
 
 
 def test_degree_must_match_order(monkeypatch):
-    monkeypatch.setitem(fields._REDUCTION, 8, (1, 1, 1))  # degree 2, but 8 is no square
-    with pytest.raises(ValueError, match="not a prime power"):
+    """A polynomial of the wrong degree fails the inverse check: element p^e
+    has no non-zero digit, so it acts as 0."""
+    monkeypatch.setitem(fields._REDUCTION, 8, (2, (1, 1, 1)))  # degree 2, but 8 is 2^3
+    with pytest.raises(ValueError, match="element 4 of GF\\(8\\) has no inverse"):
         field_make(8)

@@ -5,18 +5,13 @@ import networkx as nx
 import pytest
 
 from radgraph import (
-    CageValidationError,
-    build_graph,
     field_make,
-    from_graph6,
     graph6_bytes,
-    import_cage,
     metric_summary,
     projective_plane_incidence_graph,
     symplectic_quadrangle_incidence_graph,
 )
 from radgraph.geometry import _projective_points, _symplectic_dual
-from conftest import cycle
 
 
 def to_nx(G):
@@ -142,30 +137,3 @@ class TestSymplecticQuadrangle:
     def test_pinned_encoding(self, q, digest):
         assert sha256_graph6(symplectic_quadrangle_incidence_graph(q)) == digest
 
-
-class TestImportCage:
-    def test_round_trip_accept(self, heawood_lcf):
-        data = graph6_bytes(heawood_lcf)
-        G = import_cage(data, 3, 6)
-        assert G == from_graph6(data)
-
-    def test_low_degree_rejected(self):
-        data = graph6_bytes(cycle(8))
-        with pytest.raises(CageValidationError) as err:
-            import_cage(data, 3, 8)
-        assert err.value.min_degree == 2
-
-    def test_low_girth_rejected(self, petersen):
-        with pytest.raises(CageValidationError) as err:
-            import_cage(graph6_bytes(petersen), 3, 6)
-        assert err.value.girth == 5
-
-    def test_disconnected_rejected(self):
-        G = build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-        with pytest.raises(CageValidationError) as err:
-            import_cage(graph6_bytes(G), 2, 3)
-        assert err.value.connected is False
-
-    def test_malformed_data_rejected(self):
-        with pytest.raises(ValueError):
-            import_cage(b"D", 2, 4)
