@@ -8,8 +8,8 @@ Which metric path runs when.  ``metric_summary`` first runs one BFS from
 vertex 0 (and one from each further component), which gives connectivity,
 ecc(0) and bipartiteness.  The girth comes from per-root BFS with a depth
 cutoff one level tighter on bipartite graphs and with finished roots
-deleted; it is memoised on its own (``_girth_of``) so that
-``is_triangle_free`` and the witness checkers never pay for eccentricities.
+deleted, and memoised on its own (``_girth_of``) for the witness checkers;
+``is_triangle_free`` needs none: ``_has_triangle`` ANDs the rows of each edge.
 
 On a connected graph, ``_shift_period`` then looks for a label shift
 v -> (v + d) mod n that is an automorphism, checking each divisor d of n in
@@ -436,9 +436,21 @@ def is_connected(G: Graph) -> bool:
     return G.n <= 1 or _reach(G.rows, 1, G.n)[0] == (1 << G.n) - 1
 
 
+def _has_triangle(rows) -> bool:
+    """True when an edge (u, v) of the bitmask ``rows`` has rows[u] & rows[v]."""
+    for v, row in enumerate(rows):
+        low = row & ((1 << v) - 1)
+        while low:
+            b = low & -low
+            if row & rows[b.bit_length() - 1]:
+                return True
+            low ^= b
+    return False
+
+
 def is_triangle_free(G: Graph) -> bool:
     """True when the graph contains no 3-cycle (girth > 3, possibly INFINITE)."""
-    return _girth_of(G) > 3
+    return not _has_triangle(G.rows)
 
 
 def _ball_mask(G, v, k):

@@ -9,14 +9,13 @@ j = 1..n-1 the bits (0,j), (1,j), ..., (j-1,j) -- packed big-endian into
 Both directions of the codec go through base64, whose 6-bit groups map one
 to one onto graph6 bytes by ``bytes.translate``: the encoder appends
 columns of ``Graph.rows`` to a bit accumulator and flushes it through
-``b64encode``.  The decoder's one validation path, ``_graph6_body``,
-checks the header, the body length, every body byte and the zero padding
-(in that order, each with its own ``ValueError``).  ``from_graph6`` then
-decodes the body in fixed slices through ``b64decode`` and takes each
-column's bits off a small accumulator; ``_graph6_order_size`` decodes it in
-one call and counts its set bits, which are the edges, so a caller that
-needs only n and m (``search stream``'s edge-count floor) builds no
-adjacency.
+``b64encode``.  The decoder's one path, ``_graph6_decode``, checks the
+header, the body length, every body byte and the zero padding (in that
+order, each with its own ``ValueError``), decodes the body in one
+``b64decode`` call, whose set bits are the edges, so ``search stream``
+applies its edge-count floor before it builds anything.  Two readers take
+the columns off a small accumulator fed a slice at a time: ``from_graph6``
+builds sorted neighbour tuples, and ``_graph6_rows`` the bitmask rows.
 """
 
 from __future__ import annotations
@@ -51,19 +50,14 @@ def _decode_size(data: bytes) -> tuple:
         raise ValueError("empty graph6 data")
     if data[0] != 126:
         return _size_byte(data[0]), 1
-    if len(data) >= 2 and data[1] != 126:
-        if len(data) < 4:
-            raise ValueError("truncated graph6 size field")
-        n = 0
-        for b in data[1:4]:
-            n = (n << 6) | _size_byte(b)
-        return n, 4
-    if len(data) < 8:
+    # '~' then three size bytes, or '~~' then six
+    start, end = (2, 8) if data[1:2] in (b"", b"~") else (1, 4)
+    if len(data) < end:
         raise ValueError("truncated graph6 size field")
     n = 0
-    for b in data[2:8]:
+    for b in data[start:end]:
         n = (n << 6) | _size_byte(b)
-    return n, 8
+    return n, end
 
 
 #: base64 writes each 6-bit group as one character of this alphabet; graph6
@@ -73,8 +67,11 @@ _GRAPH6_BYTES = bytes(range(63, 127))
 _SIXBIT = bytes.maketrans(_BASE64_ALPHABET, _GRAPH6_BYTES)
 _BASE64 = bytes.maketrans(_GRAPH6_BYTES, _BASE64_ALPHABET)
 
-#: Body bytes decoded per base64 call; a whole number of 4-byte quanta.
-_DECODE_SLICE = 4096
+#: Decoded body bytes per accumulator refill, few: each column shifts it.
+_DECODE_SLICE = 512
+
+#: Each byte with its bit order reversed.
+_BITREV = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 def graph6_bytes(G: Graph) -> bytes:
@@ -106,11 +103,11 @@ def graph6_bytes_from_rows(n: int, rows) -> bytes:
     return bytes(out)
 
 
-def _graph6_body(data) -> tuple:
-    """(n, pos, data) of one graph6 value: its order, and its bytes without
-    header or whitespace, whose body starts at ``pos``.  Raises
-    ``ValueError`` for a bad header, size field, body length, body byte or
-    non-zero padding, checked in that order."""
+def _graph6_decode(data) -> tuple:
+    """(n, body) of one graph6 value: its order and adjacency bits, decoded
+    in one ``b64decode`` call, so the body's popcount is the edge count.
+    Raises ``ValueError`` for a bad header, size field, body length, body
+    byte or non-zero padding, checked in that order."""
     if isinstance(data, str):
         data = data.encode("ascii")
     data = data.strip()
@@ -129,16 +126,32 @@ def _graph6_body(data) -> tuple:
     # padding bits must be zero for a bit-exact round trip
     if expect and (data[-1] - 63) & ((1 << (6 * expect - n * (n - 1) // 2)) - 1):
         raise ValueError("non-zero padding bits in graph6 data")
-    return n, pos, data
-
-
-def _graph6_order_size(data) -> tuple:
-    """(n, m) of one graph6 value, validated as :func:`from_graph6` does:
-    m is the popcount of the body, so no adjacency is built."""
-    n, pos, data = _graph6_body(data)
     body = data[pos:].translate(_BASE64)
-    bits = b64decode(body + b"A" * (-len(body) % 4))
-    return n, int.from_bytes(bits, "big").bit_count()
+    # zero groups complete the last base64 quantum
+    return n, b64decode(body + b"A" * (-len(body) % 4))
+
+
+def _graph6_rows(n: int, body: bytes) -> tuple:
+    """``Graph.rows`` of a body from :func:`_graph6_decode`.  Read slice by
+    slice through :data:`_BITREV` as a little-endian integer, the body's p-th
+    bit is bit p, so column j is the low j bits of the accumulator."""
+    rows = [0] * n
+    acc = fill = pos = 0
+    for j in range(1, n):
+        while fill < j:
+            chunk = body[pos:pos + _DECODE_SLICE]
+            pos += _DECODE_SLICE
+            acc |= int.from_bytes(chunk.translate(_BITREV), "little") << fill
+            fill += 8 * len(chunk)
+        bit = 1 << j
+        col = rows[j] = acc & (bit - 1)
+        acc >>= j
+        fill -= j
+        while col:
+            top = col.bit_length() - 1
+            rows[top] |= bit
+            col ^= 1 << top
+    return tuple(rows)
 
 
 def from_graph6(data) -> Graph:
@@ -147,15 +160,13 @@ def from_graph6(data) -> Graph:
     Columns come in increasing j and a column's bits in increasing row, so
     the neighbour lists are built already sorted, with no ``build_graph``.
     """
-    n, pos, data = _graph6_body(data)
+    n, body = _graph6_decode(data)
     adj = [[] for _ in range(n)]
-    edge_count = acc = fill = 0
+    edge_count = acc = fill = pos = 0
     for j in range(1, n):
         while fill < j:
-            chunk = data[pos:pos + _DECODE_SLICE].translate(_BASE64)
+            raw = body[pos:pos + _DECODE_SLICE]
             pos += _DECODE_SLICE
-            # zero groups complete the last base64 quantum
-            raw = b64decode(chunk + b"A" * (-len(chunk) % 4))
             acc = (acc << 8 * len(raw)) | int.from_bytes(raw, "big")
             fill += 8 * len(raw)
         fill -= j

@@ -55,7 +55,7 @@ from itertools import permutations
 from . import constructions
 from . import io as gio
 from .bounds import exact_radius_formula_g4, upper_bound_radius
-from .graph import INFINITE, Graph, _girth_of, _levels_of, _reach, build_graph, metric_summary
+from .graph import INFINITE, Graph, _girth_of, _has_triangle, _reach, build_graph, metric_summary
 
 DEFAULT_CAP = 8
 HARD_CAP = 9
@@ -370,17 +370,20 @@ def stream_verify(lines, delta: int, g: int) -> dict:
     lines that do not decode are counted as malformed.  Lines may be str or
     bytes; only lines that reach the report are decoded to text.
 
-    Each line pays only for what the report reads.  The filters run cheapest
-    first: the graph6 validation with its edge count m (a line with
-    2m < delta * n has a vertex of degree below delta, by the handshake
-    lemma, and is never decoded to a graph), then the minimum degree, the
-    memoised girth, and connectivity from the BFS sweep that the girth
-    already ran.  That sweep also gives ecc(0) >= radius.  A graph whose
-    ecc(0) is at most both its order's maximum radius so far and its least
-    applicable bound can neither raise that maximum (ties keep the earlier
-    witness) nor violate a bound, so it only adds to its order's count.
-    Every other accepted graph pays for its eccentricities through
-    ``metric_summary``.
+    Each line is decided on bitmask rows decoded once from its graph6 body,
+    cheapest filter first: the edge count m, the body's popcount, before any
+    row is built (2m < delta * n leaves a degree below delta); the minimum
+    degree; a triangle test; connectivity and ecc(0) from one ``_reach``
+    sweep; and the exact girth, on a ``Graph``, only where the report reads
+    it: a floor g >= 5, or the bound at minimum degree >= 3 (at degree 2,
+    n * k / 4 + 3k grows with k = g' / 2, so g' = 4 gives the least bound
+    for every girth >= 4).  The radius is at most every eccentricity, so a
+    graph with one at most both its order's maximum radius so far and its
+    least applicable bound can neither raise that maximum (ties keep the
+    earlier witness) nor violate a bound: it only adds to its order's count.
+    ecc(0) is tried first, then the eccentricity of a midpoint of a shortest
+    path from 0 to its farthest vertex, nearer the centre; every other
+    accepted graph pays for its eccentricities in ``metric_summary``.
     """
     total = malformed = filtered_out = accepted = 0
     by_n: dict = {}
@@ -392,27 +395,41 @@ def stream_verify(lines, delta: int, g: int) -> dict:
             continue
         total += 1
         try:
-            n, m = gio._graph6_order_size(line)
+            n, body = gio._graph6_decode(line)
         except ValueError:
             malformed += 1
             continue
-        if 2 * m < delta * n:
+        if 2 * int.from_bytes(body, "big").bit_count() < delta * n:
             filtered_out += 1
             continue
-        G = gio.from_graph6(line)
-        min_degree = min(G.degrees(), default=0)
-        # connected: the girth's BFS sweep has one root, vertex 0
-        if min_degree < delta or _girth_of(G) < g or _levels_of(G).count(0) != 1:
+        rows = gio._graph6_rows(n, body)
+        min_degree = min(map(int.bit_count, rows), default=0)
+        full = (1 << n) - 1
+        # girth 4 stands for "at least 4" until the exact girth is read
+        if (min_degree < delta or (girth := 3 if _has_triangle(rows) else 4) < min(g, 4)
+                or (sweep := _reach(rows, 1, n))[0] != full):
+            filtered_out += 1
+            continue
+        ecc = sweep[1]
+        G = gio.from_graph6(line) if girth == 4 and (g >= 5 or min_degree >= 3) else None
+        if G is not None and (girth := _girth_of(G)) < g:
             filtered_out += 1
             continue
         accepted += 1
-        least = _least_bound(n, min_degree, _girth_of(G))
-        ecc0 = max(_levels_of(G))
+        least = _least_bound(n, min_degree, girth)
         slot = by_n.get(n)
-        if slot is not None and ecc0 <= slot["max_radius"] and (least is None or ecc0 <= least):
-            slot["count"] += 1
-            continue
-        radius = metric_summary(G).radius
+        if slot is not None:
+            cap = slot["max_radius"] if least is None else min(slot["max_radius"], least)
+            if ecc > cap:
+                # a midpoint of a shortest path from 0 to the lowest farthest t:
+                # balls of radius ecc - ecc // 2 around 0 and ecc // 2 around t meet only there
+                far = full & ~_reach(rows, 1, ecc - 1)[0]
+                mid = _reach(rows, 1, ecc - ecc // 2)[0] & _reach(rows, far & -far, ecc // 2)[0]
+                ecc = _reach(rows, mid & -mid, n)[1]
+            if ecc <= cap:
+                slot["count"] += 1
+                continue
+        radius = metric_summary(G or gio.from_graph6(line)).radius
         text = line if isinstance(line, str) else line.decode("ascii")
         if least is not None and radius > least:
             violations.append(text)

@@ -14,7 +14,7 @@ from radgraph import (
     to_dot,
     to_edgelist_text,
 )
-from radgraph.io import _graph6_order_size, graph6_bytes_from_rows
+from radgraph.io import _graph6_decode, _graph6_rows, graph6_bytes_from_rows
 from conftest import cycle
 from oracles import from_graph6_reference, graph6_reference
 
@@ -89,7 +89,10 @@ def test_graph6_decoder_matches_bit_loop_reference(n, p):
         H = from_graph6(form)
         assert H == from_graph6_reference(form) == G
         assert H.edge_count == G.edge_count
-        assert _graph6_order_size(form) == (n, G.edge_count)
+        order, body = _graph6_decode(form)
+        # search stream's edge-count floor reads m as the body's popcount
+        assert (order, int.from_bytes(body, "big").bit_count()) == (n, G.edge_count)
+        assert _graph6_rows(n, body) == G.rows
         assert all(list(row) == sorted(row) for row in H.adj)
 
 
@@ -135,17 +138,20 @@ def test_graph6_decoder_property(data):
 @example(bytes([65, 0b000001 + 63]))              # n=2, no edge
 @example(bytes([66, 0b100001 + 63]))              # n=3, one edge
 @example(b"F" + bytes([63] * 3 + [0b000001 + 63]))  # n=7, no edge
-def test_graph6_order_size_property(data):
-    """The validator raises exactly when the decoder does, with the same
-    message, and otherwise gives the decoded graph's (n, m)."""
+def test_graph6_rows_property(data):
+    """The one-call decode raises exactly when the decoder does, with the
+    same message, and otherwise gives the decoded graph's n, rows and, as
+    its popcount, m."""
     try:
         G = from_graph6(data)
     except ValueError as exc:
         with pytest.raises(ValueError) as caught:
-            _graph6_order_size(data)
+            _graph6_decode(data)
         assert str(caught.value) == str(exc)
         return
-    assert _graph6_order_size(data) == (G.n, G.edge_count)
+    n, body = _graph6_decode(data)
+    assert (n, int.from_bytes(body, "big").bit_count()) == (G.n, G.edge_count)
+    assert _graph6_rows(n, body) == G.rows
 
 
 def test_graph6_accepts_format_header():

@@ -12,13 +12,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radgraph import (
+    bfs,
     build_graph,
     exact_radius_formula_g4,
     graph6_bytes,
+    is_triangle_free,
     metric_summary,
     upper_bound_radius,
 )
 from radgraph import search
+from radgraph.graph import _girth_of
 from radgraph.search import enumerate_extremal, stream_verify, verify_theorem_main_small
 from conftest import cycle
 from oracles import (
@@ -418,6 +421,45 @@ class TestStreamVerify:
         assert report["total"] == 1 and report["accepted"] == 1
 
 
+#: Two 4-cycles joined by the edge (2, 4): ecc(0) = 5, radius 3 at 2 and 4.
+DUMBBELL = build_graph(8, [(0, 1), (1, 2), (2, 3), (3, 0), (2, 4), (4, 5), (5, 6), (6, 7), (7, 4)])
+
+
+class TestCentreProbe:
+    """A graph whose ecc(0) exceeds its order's maximum radius so far is
+    tried once more, at a midpoint of a shortest path from vertex 0 to its
+    farthest vertex, before any ``metric_summary``."""
+
+    @staticmethod
+    def summarised(monkeypatch, lines):
+        calls = []
+
+        def spy(G):
+            calls.append(graph6_bytes(G).decode())
+            return metric_summary(G)
+
+        monkeypatch.setattr(search, "metric_summary", spy)
+        report = stream_verify(lines, 2, 4)
+        assert report == stream_reference(line_facts(lines), 2, 4)
+        return report, calls
+
+    def test_centre_below_the_maximum_is_counted_unsummarised(self, monkeypatch):
+        # the midpoint of 0-1-2-4-5-6 is vertex 4, of eccentricity 3 <= 4
+        assert max(bfs(DUMBBELL, 0)) == 5 > metric_summary(cycle(8)).radius == 4
+        lines = [graph6_bytes(G).decode() for G in (cycle(8), DUMBBELL)]
+        report, calls = self.summarised(monkeypatch, lines)
+        assert report["by_n"]["8"] == {"count": 2, "max_radius": 4, "witness": lines[0]}
+        assert calls == lines[:1]
+
+    def test_larger_radius_is_summarised_and_replaces_the_witness(self, monkeypatch):
+        # ecc(0) of C_8 is 4 > 3, and so is the eccentricity of every vertex
+        assert metric_summary(DUMBBELL).radius == 3
+        lines = [graph6_bytes(G).decode() for G in (DUMBBELL, cycle(8))]
+        report, calls = self.summarised(monkeypatch, lines)
+        assert report["by_n"]["8"] == {"count": 2, "max_radius": 4, "witness": lines[1]}
+        assert calls == lines
+
+
 def stream_corpus():
     """Seeded graph6 lines: random graphs on 0..8 vertices at every density
     (many disconnected), cycles, pairs of disjoint cycles, complete bipartite
@@ -447,6 +489,27 @@ def stream_corpus():
             continue
         text = graph6_bytes(G).decode("ascii")
         lines.append(text.encode("ascii") + b"\n" if rng.random() < 0.3 else text)
+    # the benchmark catalogue's shapes, relabelled: cycles on 10..60 vertices
+    # with one to three chords, every other one with a triangle chord, and
+    # six Petersen graphs glued into a ring (minimum degree 3, girth 5)
+    shapes = []
+    for i in range(16):
+        n = rng.randint(10, 60)
+        edges = [(v, (v + 1) % n) for v in range(n)]
+        for _ in range(rng.randint(1, 3)):
+            a = rng.randrange(n)
+            edges.append((a, (a + rng.randint(3, n - 3)) % n))
+        if i % 2:
+            a = rng.randrange(n)
+            edges.append((a, (a + 2) % n))
+        shapes.append((n, edges))
+    petersen = ([(i, (i + 1) % 5) for i in range(5)] + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                + [(i, i + 5) for i in range(1, 5)])
+    shapes.append((60, [(10 * c + u, 10 * c + v) for c in range(6) for u, v in petersen]
+                   + [(10 * c, 10 * ((c + 1) % 6) + 5) for c in range(6)]))
+    for n, edges in shapes:
+        perm = rng.sample(range(n), n)
+        lines.append(graph6_bytes(build_graph(n, [(perm[u], perm[v]) for u, v in edges])).decode())
     return lines
 
 
@@ -511,7 +574,7 @@ def corpus_facts():
 
 class TestStreamVerifyOracle:
     @pytest.mark.parametrize("delta", [0, 1, 2, 3])
-    @pytest.mark.parametrize("g", [3, 4, 5, 6])
+    @pytest.mark.parametrize("g", [3, 4, 5, 6, 8])
     def test_matches_oracle_report(self, corpus_facts, delta, g):
         lines, facts = corpus_facts
         assert stream_verify(lines, delta, g) == stream_reference(facts, delta, g)
@@ -524,6 +587,32 @@ class TestStreamVerifyOracle:
         assert any(f[2] is None and f[1] > 1 for f in graphs)  # disconnected
         assert {3, 4, 5, 6, INF} <= {f[4] for f in graphs}
         assert {0, 1, 2, 3} <= {f[3] for f in graphs}
+        # the benchmark's shapes: a triangle-free graph of minimum degree 3
+        # and girth 5, and chorded cycles of 10..60 vertices
+        assert any(f[1] == 60 and f[3] == 3 and f[4] == 5 for f in graphs)
+        assert {3, 4} <= {f[4] for f in graphs if f[1] >= 10 and f[3] == 2}
+
+    def test_triangle_test_matches_girth(self, corpus_facts, petersen):
+        graphs = [from_graph6_reference(f[0]) for f in corpus_facts[1] if isinstance(f, tuple)]
+        graphs += [build_graph(3, [(0, 1), (1, 2), (0, 2)]), cycle(8), petersen,
+                   build_graph(6, [(u, v) for u in range(3) for v in range(3, 6)])]
+        for G in graphs:
+            assert is_triangle_free(G) == (naive_girth(G.n, list(G.edges())) > 3)
+
+    def test_no_girth_read_at_minimum_degree_two(self, corpus_facts, monkeypatch):
+        """At g = 4 the triangle test decides the floor, and at minimum
+        degree 2 the least bound is the g' = 4 one whatever the girth, so
+        the pass asks for the exact girth of minimum-degree-3 graphs only."""
+        degrees = []
+
+        def spy(G):
+            degrees.append(min(G.degrees()))
+            return _girth_of(G)
+
+        monkeypatch.setattr(search, "_girth_of", spy)
+        lines, facts = corpus_facts
+        assert stream_verify(lines, 2, 4) == stream_reference(facts, 2, 4)
+        assert degrees and min(degrees) >= 3
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("delta,g", [(0, 3), (1, 6), (2, 4), (2, 6), (3, 5)])
