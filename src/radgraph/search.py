@@ -16,30 +16,34 @@ distance >= g - 2 from every earlier pick, v is entered only through a pick,
 so a sweep of g - 3 levels never meets v and sees the graph on 0..v-1 in
 every branch.
 
-Every enumeration takes one path: the walker stops after s = min(n, 5)
-vertices, the partial assignments found there (the prefixes) are grouped into
-orbits under the permutations of vertices 0..s-1, and the completions of one
-prefix per orbit are enumerated, in process or on a worker pool, so ``jobs``
-cannot change the result.  This is exact for any s.  The leaves under a prefix
-P are exactly the valid graphs whose induced subgraph on 0..s-1 is P, because
-every prune is sound.  A permutation of 0..s-1, extended by the identity on
-the other vertices, maps the completions of P one-to-one onto those of its
-image and keeps connectivity, degrees, girth and radius.  So every member of
-an orbit has the same count and the same maximum radius, and the count of the
-orbit's span is multiplied by the number of collected members.  The witness is
-kept too: every completion's graph6 body starts with the C(s, 2) prefix bits
-in column order, so the member with the smallest encoding on s vertices holds
-the orbit's smallest encoding of maximum radius, and that member is the one
+Every enumeration takes one path: the walker stops after s = min(n, max(5,
+n - 3)) vertices (6 at n = 9, 5 below), the partial assignments found there
+(the prefixes) are grouped into orbits under the permutations of vertices
+0..s-1 as the walk finds them, and the completions of one prefix per orbit
+are enumerated, in process or on a worker pool, so ``jobs`` cannot change the
+result.  This is exact for any s.  The leaves under a prefix P are exactly
+the valid graphs whose induced subgraph on 0..s-1 is P, because every prune
+is sound.  A permutation of 0..s-1, extended by the identity on the other
+vertices, maps the completions of P one-to-one onto those of its image and
+keeps connectivity, degrees, girth and radius.  So every member of an orbit
+has the same count and the same maximum radius, and the count of the orbit's
+span is multiplied by the number of members found.  The witness is kept too:
+every completion's graph6 body starts with the C(s, 2) prefix bits in column
+order, so the member with the smallest encoding on s vertices holds the
+orbit's smallest encoding of maximum radius, and that member is the one
 enumerated.  Isomorph rejection beyond the prefix stays absent.
 
-Each orbit is generated once, from its first member: its s! relabellings
-are entered in a dict, so every later member costs one lookup (the orbit
-idea of McKay's isomorph-free generation, J. Algorithms 26, 1998, applied to
-the prefix only).  A deeper split shares each span among up to s! prefixes
-but pays s! relabels per orbit.  Best of 3 in process on a 2-core box under
-CPython 3.11, split after 4 / 5 / 6 vertices: (8, 2, 4) 0.79 / 0.16 /
-0.35 s, (8, 3, 4) 0.049 / 0.025 / 0.22 s, (9, 2, 6) 1.51 / 0.31 / 0.23 s
-and (9, 3, 4) 2.95 / 0.60 / 0.46 s.  So s = 5: depth 6 wins only at n = 9.
+Each orbit is generated when the walk meets its first member, by a search
+over the s - 1 transpositions (i, i+1): a member costs s - 1 swaps, each a
+``bytes.translate`` of its rows and an exchange of two bytes, so an orbit
+with automorphisms costs fewer than s!, and a later member one lookup (the
+orbit idea of McKay's isomorph-free generation, J. Algorithms 26, 1998,
+applied to the prefix only).  Best of 3 in process on a 2-core box under
+CPython 3.11, split after 4 / 5 / 6 / 7 vertices: (8, 2, 4) 0.62 / 0.14 /
+0.060 / 1.03 s, (8, 3, 4) 0.041 / 0.015 / 0.047 / 0.21 s, (9, 2, 6) 1.63 /
+0.41 / 0.095 / 0.55 s, (9, 3, 4) 3.15 / 0.67 / 0.15 / 1.10 s and (9, 2, 4),
+best of 1, 61 / 12.9 / 2.03 / 1.59 s; ``verify_theorem_main_small(8, [2,
+3])`` 0.16 s after 5 and 0.20 s after 6.  So s = 6 at n = 9 and 5 below.
 
 All reachability -- the far-neighbour masks, connectivity and eccentricities
 of each leaf -- runs through the bitset frontier sweep of
@@ -50,7 +54,6 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import permutations
 
 from . import constructions
 from . import io as gio
@@ -216,45 +219,52 @@ def _enumerate_span(n, delta, g, rows, deg, start_v, best_r_init):
     return best_r, best_key, count
 
 
-def _collect_prefixes(n, delta, g, split_v):
-    """All feasible partial assignments with blocks below split_v decided."""
+def _prefix_orbits(n, delta, g, s):
+    """Group the prefixes, the assignments the walk finds up to s, into
+    orbits under the permutations of vertices 0..s-1 as they are found.
+
+    A prefix whose first s rows, as bytes, are not yet in ``orbit_of`` opens
+    an orbit, and a search over the transpositions (i, i+1) enters all its
+    relabellings under it: a swap exchanges bits i and i+1 of each row
+    through a byte table, then rows i and i+1.  Returns (rows, deg, weight)
+    per orbit: the member with the smallest graph6 encoding on s vertices,
+    compared as the bytes of its columns (``cols[j - 1]`` reads row j's bits
+    0..j-1 big-endian, as graph6 writes them), and the number of members
+    found.  The orbits with the fewest prefix edges come first: an emptier
+    prefix leaves more to choose, so its span tends to be the longest, and a
+    pool ends sooner when its longest tasks start first.
+    """
+    swaps = [(i, bytes(b ^ (b >> i ^ b >> i + 1) % 2 * (3 << i) for b in range(256)))
+             for i in range(s - 1)]
+    cols = [bytes(int(f"{r & (1 << j) - 1:0{j}b}"[::-1], 2) for r in range(1 << s))
+            for j in range(1, s)]
     rows = [0] * n
     deg = [0] * n
-    prefixes = []
-    _walk(n, delta, g, rows, deg, 0, split_v,
-          lambda: prefixes.append((tuple(rows), tuple(deg))))
-    return prefixes
-
-
-def _prefix_orbits(prefixes, s):
-    """Group prefixes into orbits under the permutations of vertices 0..s-1.
-
-    A prefix whose first s rows are not yet in ``orbit_of`` opens an orbit,
-    and all its relabellings are entered under it.  Returns (rows, deg,
-    weight) per orbit: the member with the smallest graph6 encoding on s
-    vertices and the number of collected members.  The orbits with the fewest
-    prefix edges come first: an emptier prefix leaves more to choose, so its
-    span tends to be the longest, and a pool ends sooner when its longest
-    tasks start first.
-    """
-    perms = list(permutations(range(s)))
     orbit_of = {}
-    groups = []
-    for rows, deg in prefixes:
-        if rows[:s] not in orbit_of:
-            groups.append([])
-            orbit_of.update((_relabel(rows, perm), groups[-1]) for perm in perms)
-        orbit_of[rows[:s]].append((gio.graph6_bytes_from_rows(s, rows), rows, deg))
-    orbits = [(*min(members)[1:], len(members)) for members in groups]
-    return sorted(orbits, key=lambda orbit: sum(orbit[1]))
+    orbits = []
 
+    def visit():
+        key = bytes(rows[:s])
+        code = bytes(map(bytes.__getitem__, cols, rows[1:s]))
+        orbit = orbit_of.get(key)
+        if orbit is None:
+            orbit = orbit_of[key] = [code, tuple(rows), tuple(deg), 0]
+            orbits.append(orbit)
+            todo = [key]
+            while todo:
+                member = todo.pop()
+                for i, table in swaps:
+                    image = member.translate(table)
+                    image = image[:i] + image[i + 1:i + 2] + image[i:i + 1] + image[i + 2:]
+                    if image not in orbit_of:
+                        orbit_of[image] = orbit
+                        todo.append(image)
+        elif code < orbit[0]:
+            orbit[:3] = code, tuple(rows), tuple(deg)
+        orbit[3] += 1
 
-def _relabel(rows, perm):
-    """The first len(perm) rows with vertex u renamed perm[u]."""
-    out = [0] * len(perm)
-    for u, p in enumerate(perm):
-        out[p] = sum(1 << perm[w] for w in range(len(perm)) if rows[u] >> w & 1)
-    return tuple(out)
+    _walk(n, delta, g, rows, deg, 0, s, visit)
+    return sorted((tuple(orbit[1:]) for orbit in orbits), key=lambda orbit: sum(orbit[1]))
 
 
 def _span_task(args):
@@ -285,8 +295,8 @@ def _extremal(n, delta, g, allow_long, pool):
         raise ValueError(f"degree floor must be >= 0, got {delta}")
 
     best_r_init = max(_seed_radii(n, delta, g), default=-1)
-    split_v = min(n, 5)
-    orbits = _prefix_orbits(_collect_prefixes(n, delta, g, split_v), split_v)
+    split_v = min(n, max(5, n - 3))
+    orbits = _prefix_orbits(n, delta, g, split_v)
     tasks = [(n, delta, g, rows, deg, split_v, best_r_init) for rows, deg, _ in orbits]
     if pool is None:
         results = list(map(_span_task, tasks))
@@ -312,12 +322,12 @@ def enumerate_extremal(
     with minimum degree >= delta and girth >= g, with one witness graph.
 
     n is capped at 8 by default; n = 9 requires ``allow_long``, and
-    (9, 2, 4) took 12 s with jobs = 1 and 6 s with jobs = 2 on a 2-core
+    (9, 2, 4) took 2.1 s with jobs = 1 and 1.2 s with jobs = 2 on a 2-core
     box under CPython 3.11.  The backtracking forest is always split after
-    the first min(n, 5) vertices, one prefix per orbit of the split is
-    enumerated, and the tasks run in process for jobs <= 1 and on a pool of
-    ``jobs`` processes otherwise; ties between equal-radius witnesses resolve
-    to the smallest graph6 encoding.
+    the first min(n, max(5, n - 3)) vertices, one prefix per orbit of the
+    split is enumerated, and the tasks run in process for jobs <= 1 and on a
+    pool of ``jobs`` processes otherwise; ties between equal-radius
+    witnesses resolve to the smallest graph6 encoding.
     """
     with _pool(jobs) as pool:
         return _extremal(n, delta, g, allow_long, pool)
@@ -356,8 +366,9 @@ def _least_bound(n, min_degree, girth):
     no such g' (girth 3, or an acyclic graph)."""
     if min_degree < 2 or girth == INFINITE:
         return None
-    return min((upper_bound_radius(n, min_degree, ge) for ge in range(4, girth + 1, 2)),
-               default=None)
+    # at min_degree 2, n * k / 4 + 3k grows with k = g' / 2: g' = 4 gives the least
+    top = min(girth, 4) if min_degree == 2 else girth
+    return min((upper_bound_radius(n, min_degree, ge) for ge in range(4, top + 1, 2)), default=None)
 
 
 def stream_verify(lines, delta: int, g: int) -> dict:

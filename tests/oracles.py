@@ -5,7 +5,6 @@ Floyd-Warshall, girth from explicit enumeration of all simple cycles, and
 bridges from per-edge deletion.  These stay deliberately slow and obvious.
 """
 
-from functools import lru_cache
 from itertools import combinations, permutations
 
 from radgraph import build_graph
@@ -219,22 +218,38 @@ def walk_reference(n, delta, g, rows, deg, start_v, stop_v, visit):
     place(start_v)
 
 
-@lru_cache(maxsize=None)
+#: (s, rows) -> the smallest graph6 encoding over the orbit of rows
+_CANONICAL = {}
+
+
 def _canonical_prefix(s, rows):
     """The smallest graph6 encoding of the s-vertex graph with adjacency
-    rows ``rows`` over all s! relabellings."""
-    edges = [(u, w) for w in range(s) for u in range(w) if rows[w] >> u & 1]
-    return min(graph6_reference(s, [(perm[u], perm[w]) for u, w in edges])
-               for perm in permutations(range(s)))
+    rows ``rows`` over all s! relabellings.  The first call on an orbit
+    relabels its member by every permutation and enters every image."""
+    if (s, rows) not in _CANONICAL:
+        edges = [(u, w) for w in range(s) for u in range(w) if rows[w] >> u & 1]
+        images = {}
+        for perm in permutations(range(s)):
+            image = [(perm[u], perm[w]) for u, w in edges]
+            out = [0] * s
+            for u, w in image:
+                out[u] |= 1 << w
+                out[w] |= 1 << u
+            images[tuple(out)] = graph6_reference(s, image)
+        smallest = min(images.values())
+        _CANONICAL.update(((s, image), smallest) for image in images)
+    return _CANONICAL[s, rows]
 
 
 def prefix_orbits_reference(prefixes, s):
-    """The split prefixes grouped into orbits as before the orbits were
-    generated from their first members: each prefix is keyed by its
-    canonical form under all s! permutations of vertices 0..s-1.  Same
-    contract as ``search._prefix_orbits``: (rows, deg, weight) per orbit, the
-    member with the smallest encoding on s vertices and the number of
-    members, fewest prefix edges first, ties in order of first appearance."""
+    """The split prefixes grouped into orbits by brute force: each prefix is
+    keyed by its canonical form, the smallest encoding over all s!
+    permutations of vertices 0..s-1, where ``search._prefix_orbits`` reaches
+    the orbit's members by neighbouring transpositions.  Returns what
+    ``search._prefix_orbits`` returns for the walk that found ``prefixes``:
+    (rows, deg, weight) per orbit, the member with the smallest encoding on
+    s vertices and the number of members, fewest prefix edges first, ties in
+    order of first appearance."""
     groups = {}
     for rows, deg in prefixes:
         edges = [(u, w) for w in range(s) for u in range(w) if rows[w] >> u & 1]

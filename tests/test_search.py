@@ -127,12 +127,19 @@ class TestEnumerateExtremal:
         (8, 3, 4, (3, 12411, b"G?]uf?")),
         (9, 2, 6, (4, 201600, b"H?CidB?")),
         (9, 2, 7, (4, 20160, b"H?CidB?")),
+        (9, 2, 5, (4, 1486800, b"H?CidB?")),
+        (9, 2, 8, (4, 20160, b"H?CidB?")),
+        (9, 3, 4, (3, 1085070, b"H??}vRo")),
+        (9, 3, 5, (None, 0, None)),
     ])
     def test_pinned_beyond_brute_force(self, n, delta, g, expected, jobs):
-        """Values read from the enumeration before the prefix spans were
-        grouped into orbits, at orders the brute-force scan cannot reach."""
+        """Values read from the enumeration at orders the brute-force scan
+        cannot reach: n = 8 and (9, 2, 6-7) before the prefix spans were
+        grouped into orbits, the other n = 9 rows before the split went to
+        6 vertices at n = 9."""
         res = enumerate_extremal(n, delta, g, allow_long=n > 8, jobs=jobs)
-        assert (res.max_radius, res.graphs_considered, graph6_bytes(res.extremal_witness)) == expected
+        witness = res.extremal_witness and graph6_bytes(res.extremal_witness)
+        assert (res.max_radius, res.graphs_considered, witness) == expected
 
     def test_cap_enforced(self):
         with pytest.raises(ValueError):
@@ -215,32 +222,49 @@ def relabelled(edges, perm):
     return {tuple(sorted((perm[u], perm[v]))) for u, v in edges}
 
 
+@lru_cache(maxsize=None)
+def orbit_images(s, rows):
+    """The edge sets of the s! relabellings of the s-vertex graph ``rows``,
+    the number of permutations that fix it and its smallest encoding."""
+    edges = prefix_edges(rows, s)
+    images = [frozenset(relabelled(edges, perm)) for perm in permutations(range(s))]
+    smallest = min(graph6_reference(s, image) for image in set(images))
+    return frozenset(images), images.count(edges), smallest
+
+
+def walked_prefixes(n, delta, g, s):
+    """The assignments the walk visits up to s, in the order it visits them."""
+    rows, deg = [0] * n, [0] * n
+    prefixes = []
+    search._walk(n, delta, g, rows, deg, 0, s, lambda: prefixes.append((tuple(rows), tuple(deg))))
+    return prefixes
+
+
 class TestPrefixOrbits:
     """The split prefixes run as one span per orbit under the permutations
-    of vertices 0..s-1, weighted by the number of collected members."""
+    of vertices 0..s-1, weighted by the number of members the walk finds."""
 
     @pytest.mark.parametrize("n", range(1, 9))
     @pytest.mark.parametrize("delta", range(4))
     @pytest.mark.parametrize("g", range(3, 7))
     def test_orbits_partition_the_prefixes(self, n, delta, g):
-        for s in sorted({min(n, 4), min(n, 5)}):
+        for s in sorted({min(n, 4), min(n, 5), min(n, 6)}):
             self.check_partition(n, delta, g, s)
 
     @staticmethod
     def check_partition(n, delta, g, s):
-        prefixes = search._collect_prefixes(n, delta, g, s)
-        orbits = search._prefix_orbits(prefixes, s)
+        prefixes = walked_prefixes(n, delta, g, s)
+        orbits = search._prefix_orbits(n, delta, g, s)
         assert sum(weight for _, _, weight in orbits) == len(prefixes)
-        collected = {graph6_reference(s, prefix_edges(rows, s)) for rows, _ in prefixes}
+        assert {(rows, deg) for rows, deg, _ in orbits} <= set(prefixes)
+        collected = {frozenset(prefix_edges(rows, s)) for rows, _ in prefixes}
         covered = set()
         for rows, deg, weight in orbits:
-            edges = prefix_edges(rows, s)
             assert list(deg) == [bin(row).count("1") for row in rows]
-            images = {graph6_reference(s, relabelled(edges, perm)) for perm in permutations(range(s))}
-            aut = sum(1 for perm in permutations(range(s)) if relabelled(edges, perm) == edges)
+            images, aut, smallest = orbit_images(s, rows[:s])
             # the prefix prunes do not depend on labels, so whole orbits are collected
             assert weight == len(images) == math.factorial(s) // aut
-            assert graph6_reference(s, edges) == min(images)
+            assert graph6_reference(s, prefix_edges(rows, s)) == smallest
             assert images <= collected and not images & covered
             covered |= images
         assert covered == collected
@@ -249,26 +273,31 @@ class TestPrefixOrbits:
     @pytest.mark.parametrize("delta", range(4))
     @pytest.mark.parametrize("g", range(3, 7))
     def test_same_orbits_as_reference(self, n, delta, g):
-        for s in sorted({min(n, 4), min(n, 5)}):
-            prefixes = search._collect_prefixes(n, delta, g, s)
-            assert search._prefix_orbits(prefixes, s) == prefix_orbits_reference(prefixes, s)
+        for s in sorted({min(n, 4), min(n, 5), min(n, 6)}):
+            expected = prefix_orbits_reference(walked_prefixes(n, delta, g, s), s)
+            assert search._prefix_orbits(n, delta, g, s) == expected
 
-    def test_one_relabel_per_permutation_per_orbit(self, monkeypatch):
-        relabel = search._relabel
+    @pytest.mark.parametrize("n,delta,g,s,prefixes,orbits", [(8, 3, 4, 5, 388, 14), (9, 2, 6, 6, 2992, 21)])
+    def test_s_minus_one_transposition_images_per_prefix(self, n, delta, g, s, prefixes, orbits):
+        """Each orbit is generated once, by the swaps (i, i+1) of each member:
+        s - 1 translated images per prefix the walk finds, and fewer than s!
+        per orbit wherever an orbit has automorphisms."""
         calls = []
 
-        def spy(rows, perm):
-            calls.append(perm)
-            return relabel(rows, perm)
+        def profile(frame, event, arg):
+            # the C functions called by the closure that groups each prefix
+            if event == "c_call" and frame.f_code.co_name == "visit":
+                calls.append(arg.__name__)
 
-        prefixes = search._collect_prefixes(8, 3, 4, 5)
-        monkeypatch.setattr(search, "_relabel", spy)
-        orbits = search._prefix_orbits(prefixes, 5)
-        # each orbit is generated once, from its first member
-        assert (len(prefixes), len(orbits)) == (388, 14)
-        assert len(calls) == 14 * 120
+        sys.setprofile(profile)
+        try:
+            found = search._prefix_orbits(n, delta, g, s)
+        finally:
+            sys.setprofile(None)
+        assert (len(walked_prefixes(n, delta, g, s)), len(found)) == (prefixes, orbits)
+        assert calls.count("translate") == (s - 1) * prefixes
 
-    @pytest.mark.parametrize("n,delta,g,spans", [(8, 2, 4, 14), (9, 2, 6, 10)])
+    @pytest.mark.parametrize("n,delta,g,spans", [(8, 2, 4, 14), (9, 2, 6, 21)])
     def test_one_span_per_orbit(self, monkeypatch, n, delta, g, spans):
         calls = []
 
@@ -613,6 +642,26 @@ class TestStreamVerifyOracle:
         lines, facts = corpus_facts
         assert stream_verify(lines, 2, 4) == stream_reference(facts, 2, 4)
         assert degrees and min(degrees) >= 3
+
+    def test_one_bound_at_minimum_degree_two(self, corpus_facts, monkeypatch):
+        """At minimum degree 2, n * k / 4 + 3k grows with k = g' / 2, so each
+        accepted graph of minimum degree 2 reads the g' = 4 bound alone."""
+        calls = []
+
+        def spy(n, d, ge):
+            calls.append((n, d, ge))
+            return upper_bound_radius(n, d, ge)
+
+        monkeypatch.setattr(search, "upper_bound_radius", spy)
+        lines, facts = corpus_facts
+        assert stream_verify(lines, 2, 6) == stream_reference(facts, 2, 6)
+        twos = [(f[1], 2, 4) for f in facts
+                if isinstance(f, tuple) and f[2] is not None and f[3] == 2 and f[4] >= 6]
+        assert twos and sorted(call for call in calls if call[1] == 2) == sorted(twos)
+        for n in range(1, 40):
+            for girth in range(4, 20):
+                assert search._least_bound(n, 2, girth) == min(
+                    upper_bound_radius(n, 2, ge) for ge in range(4, girth + 1, 2))
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("delta,g", [(0, 3), (1, 6), (2, 4), (2, 6), (3, 5)])
