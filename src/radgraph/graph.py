@@ -6,10 +6,14 @@ be shared freely between threads or worker processes.
 
 Which metric path runs when.  ``metric_summary`` first runs one BFS from
 vertex 0 (and one from each further component), which gives connectivity,
-ecc(0) and bipartiteness.  The girth comes from per-root BFS with a depth
-cutoff one level tighter on bipartite graphs and with finished roots
-deleted, and memoised on its own (``_girth_of``) for the witness checkers;
-``is_triangle_free`` needs none: ``_has_triangle`` ANDs the rows of each edge.
+ecc(0) and bipartiteness.  Where the eccentricities come from ball growth
+(below), the girth comes with them: the same levels also catch the
+shortest cycle through each source.  Elsewhere, and for callers that need
+only the girth (``_girth_of``, memoised for the witness checkers and the
+search), it comes from per-root BFS over the shift-orbit representatives
+0..d-1 (below), with a depth cutoff one level tighter on bipartite graphs
+and with finished roots deleted; ``is_triangle_free`` needs none:
+``_has_triangle`` ANDs the rows of each edge.
 
 On a connected graph, ``_shift_period`` then looks for a label shift
 v -> (v + d) mod n that is an automorphism, checking each divisor d of n in
@@ -75,6 +79,29 @@ won, and the rings with few shift orbits (Heawood x200 at d = 14,
 Tutte-Coxeter x30 at d = 30, C_2000 at d = 1) keep the queue BFS, whose
 memory stays O(n).  Width 4096 was 1.2-1.9x faster than 2048 on the
 rows of n >= 2400 but doubles the O(n * width) bits of masks.
+
+The girth on the ball path costs two more mask operations per edge, plus
+one more pass over the edges on a graph with odd cycles, and only at the
+levels that could still beat the shortest cycle found: bit i of
+``twice`` marks a source in the balls of two neighbours of v, and when v is
+not yet in its ball, the two paths close a cycle (see
+``_ball_eccentricities``).  Every cycle has an image under the shift
+through one of the sources 0..d-1, so they suffice on both paths.  Seconds,
+best of three in process on the same machine (two such runs differed by up
+to 30 %); "all n" is the per-root BFS before it took only d roots:
+
+                                          per-root BFS     ball growth
+    graph                   n       d   all n   0..d-1   eccs  + girth
+    PG(2,27)             1514     757   0.037    0.037  0.008    0.012
+    W(9)                 1640    1640   0.044   (d = n)  0.008    0.014
+    Heawood x200         2800      14   0.021   <0.001  (queue path)
+    Tutte-Coxeter x30     900      30   0.004   <0.001  (queue path)
+    cycle C_2000         2000       1   0.001    0.001  (queue path)
+    relabelled Heawood   2800    2800   0.021   (d = n)  1.361    1.294
+      x200
+
+So the girth costs the dense cages 4-6 ms on the ball path, against about
+40 ms for the per-root BFS that runs there no more.
 """
 
 from __future__ import annotations
@@ -247,15 +274,27 @@ def _eccentricities(adj, n, k):
     return eccs
 
 
-def _ball_eccentricities(adj, n, k):
-    """Eccentricities of the sources 0..k-1 by bit-parallel ball growth, or
-    None if the graph is disconnected.
+def _ball_eccentricities(adj, n, k, best=INFINITE, odd=True):
+    """Eccentricities of the sources 0..k-1 by bit-parallel ball growth, and
+    the length of a shortest cycle through any of them if it is below
+    ``best`` (``best`` otherwise; 0 looks for no cycle), or None if the graph
+    is disconnected.
 
     Sources are taken _BALL_WIDTH at a time; bit i of ``balls[v]`` is set
     once d(lo + i, v) <= level, so one level ORs each vertex's mask with its
     neighbours' masks.  A source's eccentricity is the first level at which
     every mask holds its bit; a level that changes no mask while a source is
     unfinished means some vertex is out of its reach.
+
+    While a cycle of length 2 * level + 2 would still beat ``best``, the
+    level also collects ``twice``, the sources in the balls of two distinct
+    neighbours of v: one outside v's own ball has both at distance level and
+    v at level + 1, closing a cycle of length at most 2 * level + 2, and the
+    rest of the level then looks no further.  When
+    ``odd`` (the graph may have odd cycles), an edge whose two ends gain the
+    same source at one level closes a cycle of length at most 2 * level + 1.
+    A shortest cycle is geodesic, so a source on it sees it at exactly its
+    length, no later than the level that finishes that source.
     """
     eccs = [0] * k
     for lo in range(0, k, _BALL_WIDTH):
@@ -275,15 +314,31 @@ def _ball_eccentricities(adj, n, k):
             if not active:
                 break
             grown = []
+            look = level and 2 * level + 2 < best
             for mask, row in zip(balls, adj):
-                for w in row:
-                    mask |= balls[w]
+                if look:
+                    acc = twice = 0
+                    for w in row:
+                        b = balls[w]
+                        twice |= acc & b
+                        acc |= b
+                    if twice & ~mask:  # the rest of the level can find no shorter cycle
+                        best = 2 * level + 2
+                        look = False
+                    mask |= acc
+                else:
+                    for w in row:
+                        mask |= balls[w]
                 grown.append(mask)
             if grown == balls:
                 return None
-            balls = grown
             level += 1
-    return eccs
+            if odd and 2 * level + 1 < best:
+                new = [g ^ b for g, b in zip(grown, balls)]
+                if any(fresh & new[w] for fresh, row in zip(new, adj) if fresh for w in row):
+                    best = 2 * level + 1
+            balls = grown
+    return eccs, best
 
 
 def _levels(adj, n):
@@ -302,25 +357,28 @@ def _bipartite(adj, depth):
     return all(depth[u] != depth[w] for u, row in enumerate(adj) for w in row)
 
 
-def _girth(adj, n, bipartite):
-    """Shortest cycle length via per-root BFS, INFINITE when acyclic.
+def _girth(adj, n, bipartite, k):
+    """Shortest cycle length via BFS from the roots 0..k-1, INFINITE when
+    acyclic; k is n, or a shift period of the graph (``_shift_period``).
 
     For each root, a non-tree edge (u, w) witnesses a closed walk of length
     dist[u] + dist[w] + 1 containing a cycle no longer than that; minimising
-    over all roots attains the true girth.  A vertex at depth d closes only
-    walks of length 2d+1 (an edge inside its level, impossible when
-    ``bipartite``) or 2d+2 (a collision one level down), so a root stops
-    once that length reaches the incumbent.  Every cycle through a root is
-    accounted for once the root is done, so the root is then deleted, and
-    vertices left with degree below 2 (on no remaining cycle) are peeled
-    away: a cycle costs one BFS, a forest none.
+    over roots that include a vertex of a shortest cycle attains the girth.
+    Every cycle has an image under the shift through one of the roots
+    0..k-1, so they suffice.  A vertex at depth d closes only walks of
+    length 2d+1 (an edge inside its level, impossible when ``bipartite``) or
+    2d+2 (a collision one level down), so a root stops once that length
+    reaches the incumbent.  Every cycle through a root is accounted for once
+    the root is done, so the root is then deleted, and vertices left with
+    degree below 2 (on no remaining cycle) are peeled away: a cycle costs
+    one BFS, a forest none.
     """
     slack = 2 if bipartite else 1
     best = INFINITE
     degree = [len(row) for row in adj]
     alive = [True] * n
     doomed = [v for v in range(n) if degree[v] < 2]
-    for root in range(n):
+    for root in range(k):
         while doomed:
             v = doomed.pop()
             if alive[v]:
@@ -368,10 +426,12 @@ def _levels_of(G: Graph):
 
 def _girth_of(G: Graph):
     """Girth of G, memoised apart from the metric summary so that callers
-    needing only the girth skip the eccentricities."""
+    needing only the girth skip the eccentricities; the per-root BFS runs
+    from the shift-orbit representatives only."""
     girth = G._cache.get("girth")
     if girth is None:
-        girth = G._cache["girth"] = _girth(G.adj, G.n, _bipartite(G.adj, _levels_of(G)))
+        bipartite = _bipartite(G.adj, _levels_of(G))
+        girth = G._cache["girth"] = _girth(G.adj, G.n, bipartite, _shift_period_of(G))
     return girth
 
 
@@ -406,9 +466,10 @@ def metric_summary(G: Graph) -> MetricSummary:
     least label shift d that is an automorphism, and the eccentricities of
     the orbit representatives 0..d-1 come from ball growth when
     2 * ecc(0) <= d and from one queue BFS per source otherwise (see the
-    module docstring); vertex v inherits the eccentricity of v mod d.  The
-    result is memoised on the graph, which is safe because graphs are
-    immutable.
+    module docstring); vertex v inherits the eccentricity of v mod d.  Ball
+    growth also finds the girth unless ``_girth_of`` already has; otherwise
+    ``_girth_of`` computes it.  The result is memoised on the graph, which
+    is safe because graphs are immutable.
     """
     cached = G._cache.get("metrics")
     if cached is not None:
@@ -416,17 +477,20 @@ def metric_summary(G: Graph) -> MetricSummary:
     n = G.n
     min_degree = min((len(row) for row in G.adj), default=0)
     depth = _levels_of(G)
-    girth = _girth_of(G)
     if depth.count(0) != 1:  # one root per component, none when n = 0
-        summary = MetricSummary(None, None, girth, min_degree, ())
+        summary = MetricSummary(None, None, _girth_of(G), min_degree, ())
     else:
         d = _shift_period_of(G)
-        kernel = _ball_eccentricities if 2 * max(depth) <= d else _eccentricities
-        reps = kernel(G.adj, n, d)
+        if 2 * max(depth) > d:
+            reps = _eccentricities(G.adj, n, d)
+        elif "girth" in G._cache:  # best 0: look for no cycle
+            reps, _ = _ball_eccentricities(G.adj, n, d, 0)
+        else:  # ball growth finds the girth on the way
+            reps, G._cache["girth"] = _ball_eccentricities(G.adj, n, d, INFINITE, not _bipartite(G.adj, depth))
         radius = min(reps)
         diameter = max(reps)
         centers = tuple(v for v in range(n) if reps[v % d] == radius)
-        summary = MetricSummary(radius, diameter, girth, min_degree, centers)
+        summary = MetricSummary(radius, diameter, _girth_of(G), min_degree, centers)
     G._cache["metrics"] = summary
     return summary
 

@@ -257,10 +257,9 @@ def find_witness(G: Graph, k: int, budget: int = 10**6) -> BoundReport:
         raise ValueError(f"need k >= 2, got {k}")
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
-    girth = _girth_of(G)
-    if girth < 2 * k:
-        raise ValueError(f"girth {girth} is below the required {2 * k}")
-    ms = metric_summary(G)
+    ms = metric_summary(G)  # its girth comes free with the eccentricities on dense graphs
+    if ms.girth < 2 * k:
+        raise ValueError(f"girth {ms.girth} is below the required {2 * k}")
     n = G.n
     compat = [_compatible(G, v, k) for v in range(n)]
 

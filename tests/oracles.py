@@ -218,14 +218,16 @@ def walk_reference(n, delta, g, rows, deg, start_v, stop_v, visit):
     place(start_v)
 
 
-#: (s, rows) -> the smallest graph6 encoding over the orbit of rows
+#: (s, rows) -> (the smallest graph6 encoding over the orbit of rows, that of rows)
 _CANONICAL = {}
 
 
-def _canonical_prefix(s, rows):
-    """The smallest graph6 encoding of the s-vertex graph with adjacency
-    rows ``rows`` over all s! relabellings.  The first call on an orbit
-    relabels its member by every permutation and enters every image."""
+def _prefix_facts(s, rows):
+    """(canonical form, graph6 encoding) of the s-vertex graph with adjacency
+    rows ``rows``; the canonical form is the smallest encoding over all s!
+    relabellings.  The first call on an orbit relabels its member by every
+    permutation, encodes each distinct image once and enters every image, so
+    each later walk that reaches depth s reads its prefixes from the table."""
     if (s, rows) not in _CANONICAL:
         edges = [(u, w) for w in range(s) for u in range(w) if rows[w] >> u & 1]
         images = {}
@@ -235,9 +237,11 @@ def _canonical_prefix(s, rows):
             for u, w in image:
                 out[u] |= 1 << w
                 out[w] |= 1 << u
-            images[tuple(out)] = graph6_reference(s, image)
+            out = tuple(out)
+            if out not in images:
+                images[out] = graph6_reference(s, image)
         smallest = min(images.values())
-        _CANONICAL.update(((s, image), smallest) for image in images)
+        _CANONICAL.update(((s, image), (smallest, code)) for image, code in images.items())
     return _CANONICAL[s, rows]
 
 
@@ -252,9 +256,8 @@ def prefix_orbits_reference(prefixes, s):
     order of first appearance."""
     groups = {}
     for rows, deg in prefixes:
-        edges = [(u, w) for w in range(s) for u in range(w) if rows[w] >> u & 1]
-        member = (graph6_reference(s, edges), rows, deg)
-        groups.setdefault(_canonical_prefix(s, rows[:s]), []).append(member)
+        canonical, encoding = _prefix_facts(s, rows[:s])
+        groups.setdefault(canonical, []).append((encoding, rows, deg))
     orbits = [(*min(members)[1:], len(members)) for members in groups.values()]
     return sorted(orbits, key=lambda orbit: sum(orbit[1]))
 

@@ -11,7 +11,7 @@ from radgraph import (
     projective_plane_incidence_graph,
     symplectic_quadrangle_incidence_graph,
 )
-from radgraph.geometry import _projective_points, _symplectic_dual
+from radgraph.geometry import _perp, _prefix_products, _projective_points, _symplectic_dual
 
 
 def to_nx(G):
@@ -22,7 +22,8 @@ def to_nx(G):
 
 
 #: SHA-256 of graph6_bytes, recorded from the builds that predate the integer-table
-#: geometry; the table builds must keep producing these exact graphs.
+#: geometry (q = 11, 13, 16 of PG and 7, 8 of W from the edge-list builds that predate
+#: the direct neighbour-tuple ones); every later build must produce these exact graphs.
 PG_SHA256 = [
     (2, "ea3bf0c075800b03384b28c035ae00206b6f3632949ca81ec0efa50861b93b2b"),
     (3, "322c31b450c66d5766f07c00d8d169ad3076ec80b20f1e9254594b9fb88bc1ab"),
@@ -31,6 +32,9 @@ PG_SHA256 = [
     (7, "f5f5164b866363ecfc7f63bcb08b2df3b4d69fa3aea5962726034a6296e1a86b"),
     (8, "01c4c956d87bb8fc0db9425dedfb1a735354c97e12a77e2ba397211551717a5e"),
     (9, "74d2720ec8001fa672fb19326ec8038e8ff990423efe6d01d65217649ab0d493"),
+    (11, "2702e5e8613e3aebf2fa26a72a87c8be08a209b633e35c70bcae46b2148f13e9"),
+    (13, "d3d79640b09774e6403a6375fae568e9fa2dfdefd71da53252d43f8108f0d71c"),
+    (16, "622c9622ca7aed040af2a361c4fce9f0c79b21a6c5c973413d5439fb20a38c75"),
     (27, "9a39e0e4caca167b711d397f8ce5b03143a35195a59db06dd32d64f08b469e0a"),
 ]
 W_SHA256 = [
@@ -38,6 +42,8 @@ W_SHA256 = [
     (3, "1388e5b391bb6175b94bf8365e7ac241d1ec64077e74ae390ac6b5be7517ee2b"),
     (4, "b47f00e25c068cbc15c26efc613e8f02dc2dd236a96fe159a0425ede6b3c3283"),
     (5, "034f2c9f6b2584fe81193b2b3c2615101ccee8a89330506ba3fe9313000f3866"),
+    (7, "2e2f5e6984b8f01f497d64693bed9004c56683db08091f81a517d71079076c00"),
+    (8, "7e6f9b6107e4988a1bbe47451519629271dc9b6aa9be7ea69bb0657fa90f9c55"),
     (9, "ab79af8d2d79ce93408879b10c815372162369bb722ede7fcfc5b10ab643665d"),
 ]
 
@@ -57,6 +63,16 @@ def field_dot(F, u, v):
 def is_bipartite_split(G, left_count):
     # vertices below left_count on one side, the rest on the other
     return all((u < left_count) != (v < left_count) for u, v in G.edges())
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+def test_perp_matches_dot_products(q, dim):
+    F = field_make(q)
+    points = _projective_points(F, dim)
+    products = _prefix_products(F, dim - 1)
+    for w in points:
+        assert _perp(w, F, products) == [i for i, x in enumerate(points) if field_dot(F, w, x) == 0]
 
 
 class TestProjectivePlane:

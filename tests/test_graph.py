@@ -22,12 +22,14 @@ from radgraph import (
     metric_summary,
     projective_plane_incidence_graph,
     sphere,
+    symplectic_quadrangle_incidence_graph,
 )
 from radgraph.graph import (
     _ball_eccentricities,
     _bipartite,
     _eccentricities,
     _girth,
+    _girth_of,
     _levels,
     _reach,
     _shift_period,
@@ -246,13 +248,28 @@ def source_counts(n):
     return sorted({k for k in (1, 2, n // 2, n) if k <= n})
 
 
+def ball_eccentricities(G, k):
+    """The eccentricities of the sources 0..k-1 from ball growth, without
+    the girth it also returns (None when G is disconnected)."""
+    found = _ball_eccentricities(G.adj, G.n, k)
+    return None if found is None else found[0]
+
+
 def force_kernel(span):
     """Route every eccentricity call of metric_summary to one kernel: ball
     growth for span 0 and the queue BFS for any larger span, the two ends
-    of a cut span * ecc(0) <= k."""
+    of a cut span * ecc(0) <= k.  Each stand-in returns what its caller
+    expects: the queue side's eccentricities alone, and the ball side's
+    eccentricities with the girth, here from the per-root BFS."""
     if span == 0:
-        return patch.object(graph_module, "_eccentricities", graph_module._ball_eccentricities)
-    return patch.object(graph_module, "_ball_eccentricities", graph_module._eccentricities)
+        ball = graph_module._ball_eccentricities
+        return patch.object(graph_module, "_eccentricities", lambda adj, n, k: ball(adj, n, k)[0])
+    queue, girth = graph_module._eccentricities, graph_module._girth
+
+    def queue_with_girth(adj, n, k, best=INFINITE, odd=True):
+        return queue(adj, n, k), min(best, girth(adj, n, not odd, k))
+
+    return patch.object(graph_module, "_ball_eccentricities", queue_with_girth)
 
 
 def oracle_girth(G):
@@ -309,7 +326,7 @@ class TestMetricKernel:
         # orbit-representative mode of metric_summary
         monkeypatch.setattr(graph_module, "_BALL_WIDTH", width)
         for k in source_counts(G.n):
-            assert _ball_eccentricities(G.adj, G.n, k) == floyd_eccentricities(G, k)
+            assert ball_eccentricities(G, k) == floyd_eccentricities(G, k)
 
     @pytest.mark.parametrize("G", GRAPHS)
     def test_queue_bfs_matches_floyd(self, G):
@@ -322,19 +339,20 @@ class TestMetricKernel:
 
     @pytest.mark.parametrize("G", GRAPHS)
     def test_girth_cutoff_matches_cycle_enumeration(self, G):
-        assert _girth(G.adj, G.n, bipartite(G)) == oracle_girth(G)
+        assert _girth(G.adj, G.n, bipartite(G), G.n) == oracle_girth(G)
 
     @pytest.mark.parametrize("G", [G for G in GRAPHS if bipartite(G)])
     def test_loose_cutoff_on_bipartite_graphs(self, G):
         # the general cutoff is one level looser and must agree
-        assert _girth(G.adj, G.n, False) == oracle_girth(G)
+        assert _girth(G.adj, G.n, False, G.n) == oracle_girth(G)
 
     @pytest.mark.parametrize("n", [50, 51])
     def test_cycles_closed_forms(self, n):
         C = cycle(n)
-        assert _ball_eccentricities(C.adj, n, n) == [n // 2] * n
+        assert _ball_eccentricities(C.adj, n, n) == ([n // 2] * n, n)
         assert _eccentricities(C.adj, n, n) == [n // 2] * n
-        assert _girth(C.adj, n, n % 2 == 0) == n
+        assert _girth(C.adj, n, n % 2 == 0, n) == n
+        assert _girth(C.adj, n, n % 2 == 0, 1) == n  # C_n has shift period 1
         assert bipartite(C) == (n % 2 == 0)
 
     @pytest.mark.parametrize("span", [0, 10**9])
@@ -400,9 +418,9 @@ def kernel_calls(monkeypatch):
     (kernel name, source count k) for each call."""
     calls = []
     for name in ("_ball_eccentricities", "_eccentricities"):
-        def spy(adj, n, k, name=name, real=getattr(graph_module, name)):
+        def spy(adj, n, k, *rest, name=name, real=getattr(graph_module, name)):
             calls.append((name, k))
-            return real(adj, n, k)
+            return real(adj, n, k, *rest)
 
         monkeypatch.setattr(graph_module, name, spy)
     return calls
@@ -523,6 +541,113 @@ class TestShiftPeriod:
         assert kernels == [("_eccentricities", period)]
         assert ms.radius == ms.diameter == radius
         assert ms.centers == tuple(range(G.n))
+
+
+def cycles_on_a_tree(n, bottom, top, seed):
+    """A C_bottom on the vertices 0..bottom-1 and a C_top on the last top
+    vertices, joined through a random recursive tree on the rest: the two
+    cycles are the only ones, and with n > _BALL_WIDTH they lie in the first
+    and the last ball-growth block."""
+    rng = random.Random(seed)
+    edges = [(i, (i + 1) % bottom) for i in range(bottom)]
+    edges += [(n - top + i, n - top + (i + 1) % top) for i in range(top)]
+    edges += [(v, rng.randrange(bottom, v)) for v in range(bottom + 1, n - top)]
+    edges += [(0, bottom), (n - top, n - top - 1)]
+    return build_graph(n, edges)
+
+
+_MULTI_BLOCK = [cycles_on_a_tree(2100, bottom, top, seed)
+                for seed, (bottom, top) in enumerate([(7, 5), (5, 7), (8, 6), (6, 8)])]
+
+
+class TestGirthPaths:
+    """The girth of the ball-growth pass and of the per-root BFS over the
+    shift-orbit representatives, against cycle enumeration."""
+
+    GRAPHS = TestShiftPeriod.GRAPHS + [
+        _petersen(), cycle(5), cycle(7), circulant(13, (1, 5)), circulant(21, (1, 8)),
+        circulant(16, (1, 4)), glue_cycle(_petersen(), 10), symplectic_quadrangle_incidence_graph(2),
+    ]
+
+    def test_inputs_cover_the_shapes(self):
+        girths = {oracle_girth(G) for G in self.GRAPHS if is_connected(G)}
+        assert {3, 4, 5, 6, 7, 8, INFINITE} <= girths
+        assert any(not bipartite(G) and oracle_girth(G) == 5 for G in self.GRAPHS)
+        assert all(G.n > graph_module._BALL_WIDTH for G in _MULTI_BLOCK)
+        assert [oracle_girth(G) for G in _MULTI_BLOCK] == [5, 5, 6, 6]
+
+    @pytest.mark.parametrize("width", [1, 3, 64, graph_module._BALL_WIDTH])
+    @pytest.mark.parametrize("G", GRAPHS)
+    def test_ball_girth_matches_cycle_enumeration(self, G, width, monkeypatch):
+        # narrow blocks split the sources over several blocks
+        monkeypatch.setattr(graph_module, "_BALL_WIDTH", width)
+        self.check_ball_girth(G)
+
+    @pytest.mark.parametrize("G", _MULTI_BLOCK)
+    def test_ball_girth_across_blocks(self, G):
+        self.check_ball_girth(G)
+
+    @staticmethod
+    def check_ball_girth(G):
+        k = _shift_period(G.adj, G.n)
+        connected = is_connected(G)
+        for odd in {True, not bipartite(G)}:
+            found = _ball_eccentricities(G.adj, G.n, k, INFINITE, odd)
+            assert (found[1] if found else None) == (oracle_girth(G) if connected else None)
+
+    @pytest.mark.parametrize("G", GRAPHS + _MULTI_BLOCK)
+    def test_girth_over_shift_orbits_matches_cycle_enumeration(self, G):
+        k = _shift_period(G.adj, G.n)
+        assert _girth(G.adj, G.n, bipartite(G), k) == oracle_girth(G)
+        assert _girth(G.adj, G.n, False, k) == oracle_girth(G)
+
+    def test_ball_girth_stops_at_best(self):
+        # no cycle shorter than best is looked for, so best comes back
+        G = _petersen()
+        assert _ball_eccentricities(G.adj, 10, 10, 5)[1] == 5
+        assert _ball_eccentricities(G.adj, 10, 10, 0) == ([2] * 10, 0)
+        assert _ball_eccentricities(G.adj, 10, 10, 6)[1] == 5
+
+    def test_ring_runs_one_root_bfs_per_orbit(self, monkeypatch):
+        ring = glue_cycle(_HEAWOOD, 200)
+        starts = []
+        real = graph_module.deque
+
+        def spy(items=()):
+            starts.append(tuple(items))
+            return real(items)
+
+        monkeypatch.setattr(graph_module, "deque", spy)
+        assert _girth_of(ring) == 6
+        # one _levels sweep, then at most one BFS per residue class mod 14
+        assert starts[0] == (0,) and 1 < len(starts) <= 1 + 14
+        assert {root for (root,) in starts[1:]} <= set(range(14))
+
+    def test_ball_path_runs_no_per_root_girth(self, monkeypatch):
+        G = projective_plane_incidence_graph(4)
+        kernels = kernel_calls(monkeypatch)
+
+        def girth(*args):
+            raise AssertionError("per-root girth BFS ran")
+
+        monkeypatch.setattr(graph_module, "_girth", girth)
+        assert metric_summary(G).girth == 6
+        assert kernels == [("_ball_eccentricities", 21)]
+        assert _girth_of(G) == 6  # memoised by the summary
+
+    def test_known_girth_is_not_searched_again(self, monkeypatch):
+        G = projective_plane_incidence_graph(3)
+        assert _girth_of(G) == 6
+        bests = []
+        real = graph_module._ball_eccentricities
+
+        def spy(adj, n, k, best=INFINITE, odd=True):
+            bests.append(best)
+            return real(adj, n, k, best, odd)
+
+        monkeypatch.setattr(graph_module, "_ball_eccentricities", spy)
+        assert metric_summary(G).girth == 6
+        assert bests == [0]
 
 
 @st.composite

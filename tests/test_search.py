@@ -218,8 +218,16 @@ def prefix_edges(rows, s):
     return {(u, v) for v in range(s) for u in range(v) if rows[v] >> u & 1}
 
 
+@lru_cache(maxsize=None)
+def prefix_edge_set(s, head):
+    """``prefix_edges`` of the first s rows ``head`` as a frozenset,
+    memoised because every walk that reaches depth s without a prune visits
+    the same heads."""
+    return frozenset(prefix_edges(head, s))
+
+
 def relabelled(edges, perm):
-    return {tuple(sorted((perm[u], perm[v]))) for u, v in edges}
+    return {(a, b) if a < b else (b, a) for a, b in ((perm[u], perm[v]) for u, v in edges)}
 
 
 @lru_cache(maxsize=None)
@@ -257,7 +265,7 @@ class TestPrefixOrbits:
         orbits = search._prefix_orbits(n, delta, g, s)
         assert sum(weight for _, _, weight in orbits) == len(prefixes)
         assert {(rows, deg) for rows, deg, _ in orbits} <= set(prefixes)
-        collected = {frozenset(prefix_edges(rows, s)) for rows, _ in prefixes}
+        collected = {prefix_edge_set(s, rows[:s]) for rows, _ in prefixes}
         covered = set()
         for rows, deg, weight in orbits:
             assert list(deg) == [bin(row).count("1") for row in rows]

@@ -27,6 +27,8 @@ from radgraph import (
     upper_bound_witness_pattern,
     validate_geodesic_observations,
 )
+import radgraph.graph as graph_module
+import radgraph.witness as witness_module
 from radgraph.graph import _shift_period_of
 from radgraph.witness import _compatible, _witness_ceiling
 from conftest import barbell, cycle, geodesic_pair
@@ -190,6 +192,25 @@ class TestFindWitness:
     def test_negative_budget_rejected(self, c8):
         with pytest.raises(ValueError, match="budget must be >= 0"):
             find_witness(c8, 2, budget=-5)
+
+    def test_girth_below_2k_rejected_before_the_search(self, petersen, monkeypatch):
+        def compatible(*args):
+            raise AssertionError("_compatible ran before the girth check")
+
+        monkeypatch.setattr(witness_module, "_compatible", compatible)
+        with pytest.raises(ValueError, match="girth 5 is below the required 6"):
+            find_witness(petersen, 3)
+
+    def test_dense_cage_takes_its_girth_from_the_ball_pass(self, monkeypatch):
+        # PG(2,3): 2 * ecc(0) = 6 <= 13 shift-orbit representatives
+        G = projective_plane_incidence_graph(3)
+
+        def girth(*args):
+            raise AssertionError("per-root girth BFS ran")
+
+        monkeypatch.setattr(graph_module, "_girth", girth)
+        ws = find_witness(G, 3)
+        assert ws.passed and metric_summary(G).girth == 6
 
 
 @st.composite
