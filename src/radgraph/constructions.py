@@ -5,10 +5,9 @@ dense ball from a graph of large radius.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .graph import (
     Graph,
+    _Record,
     _geodesic,
     _reach,
     ball,
@@ -20,8 +19,7 @@ from .graph import (
 )
 
 
-@dataclass(frozen=True)
-class ExtractionResult:
+class ExtractionResult(_Record):
     """Smallest ball found along a central geodesic, with its guarantees.
 
     ``subgraph`` is induced on ball(G, geodesic[chosen_index], k);
@@ -30,13 +28,8 @@ class ExtractionResult:
     ceil(delta^2 (delta-1)^(k-2) / 2) for the edge count.
     """
 
-    center: int
-    geodesic: tuple
-    chosen_index: int
-    subgraph: Graph
-    vertex_map: tuple
-    vertex_bound: int
-    edge_bound: int
+    __slots__ = ("center", "geodesic", "chosen_index", "subgraph", "vertex_map",
+                 "vertex_bound", "edge_bound")
 
 
 def box_spec(r: int, delta: int, c: int) -> tuple:

@@ -108,7 +108,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from functools import reduce
 from operator import and_
 
@@ -175,8 +174,49 @@ class Graph:
         return f"Graph(n={self.n}, m={self.edge_count})"
 
 
-@dataclass(frozen=True)
-class MetricSummary:
+class _Record:
+    """Immutable record over its subclass's ``__slots__``, with what a frozen
+    dataclass generates, but no ``dataclasses`` import: positional or keyword
+    construction, ``==``, ``hash`` and ``repr`` over the fields, and
+    AttributeError on assignment.  Unpickling goes through the constructor
+    (``__reduce__``), since restoring slot state would assign fields."""
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        fields = self.__slots__
+        values = dict(zip(fields, args), **kwargs)
+        if len(args) + len(kwargs) != len(fields) or values.keys() != set(fields):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(fields)}")
+        for name in fields:
+            object.__setattr__(self, name, values[name])
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class MetricSummary(_Record):
     """Radius, diameter, girth, minimum degree and the centre set of a graph.
 
     ``radius``/``diameter`` are ``None`` for disconnected graphs, girth is
@@ -185,11 +225,7 @@ class MetricSummary:
     single centre).
     """
 
-    radius: int | None
-    diameter: int | None
-    girth: int | float
-    min_degree: int
-    centers: tuple
+    __slots__ = ("radius", "diameter", "girth", "min_degree", "centers")
 
 
 def build_graph(n: int, edges) -> Graph:

@@ -7,15 +7,15 @@ j = 1..n-1 the bits (0,j), (1,j), ..., (j-1,j) -- packed big-endian into
 6-bit groups, each group offset by 63.  Padding bits must be zero.
 
 Both directions of the codec go through base64, whose 6-bit groups map one
-to one onto graph6 bytes by ``bytes.translate``: the encoder appends
-columns of ``Graph.rows`` to a bit accumulator and flushes it through
-``b64encode``.  The decoder's one path, ``_graph6_decode``, checks the
-header, the body length, every body byte and the zero padding (in that
-order, each with its own ``ValueError``), decodes the body in one
-``b64decode`` call, whose set bits are the edges, so ``search stream``
-applies its edge-count floor before it builds anything.  Two readers take
-the columns off a small accumulator fed a slice at a time: ``from_graph6``
-builds sorted neighbour tuples, and ``_graph6_rows`` the bitmask rows.
+to one onto graph6 bytes by ``bytes.translate``.  The encoder sets the body
+bit of each edge of ``Graph.adj`` (the search's leaf keys pack their bitmask
+rows instead) and calls ``b64encode`` once.  The decoder's one path,
+``_graph6_decode``, checks the header, the body length, every body byte and
+the zero padding (in that order, each with its own ``ValueError``) and
+decodes the body in one ``b64decode`` call, whose set bits are the edges, so
+``search stream`` applies its edge-count floor before it builds anything.
+``from_graph6`` reads its sorted neighbour tuples, and ``_graph6_rows`` the
+bitmask rows, off a small accumulator fed a slice at a time.
 """
 
 from __future__ import annotations
@@ -75,32 +75,32 @@ _BITREV = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 def graph6_bytes(G: Graph) -> bytes:
-    """Bit-exact graph6 encoding of G (no header, no trailing newline)."""
-    return graph6_bytes_from_rows(G.n, G.rows)
+    """Bit-exact graph6 encoding of G (no header, no trailing newline): each
+    edge (i, j), i < j, of the sorted ``G.adj`` sets bit p = j(j-1)/2 + i of
+    a zeroed body, so absent edges cost nothing and no ``G.rows`` is built."""
+    body = bytearray((G.n * (G.n - 1) // 2 + 7) // 8)
+    for j, row in enumerate(G.adj):
+        base = j * (j - 1) // 2
+        for i in row:
+            if i >= j:
+                break
+            body[(base + i) >> 3] |= 128 >> ((base + i) & 7)
+    return _graph6_encode(G.n, body)
 
 
 def graph6_bytes_from_rows(n: int, rows) -> bytes:
-    """graph6 encoding from adjacency bitmask rows.
+    """graph6 encoding from bitmask rows, the inverse of :func:`_graph6_rows`:
+    column j, the low j bits of ``rows[j]``, is bit j(j-1)/2 onwards of one
+    little-endian integer, whose bytes :data:`_BITREV` turns big-endian."""
+    body = 0
+    for j, row in enumerate(rows):
+        body |= (row & ((1 << j) - 1)) << (j * (j - 1) // 2)
+    return _graph6_encode(n, body.to_bytes((n * (n - 1) // 2 + 7) // 8, "little").translate(_BITREV))
 
-    Column j's bits (0,j), ..., (j-1,j) are bit 0 up to bit j-1 of
-    ``rows[j]``.  Columns are appended big-endian to a bit accumulator that
-    is flushed 24 bits at a time through base64, whose 6-bit groups
-    :data:`_SIXBIT` maps onto graph6 bytes.
-    """
-    out = bytearray(_encode_size(n))
-    acc = fill = 0
-    for j in range(1, n):
-        acc = (acc << j) | int(format(rows[j] & ((1 << j) - 1), f"0{j}b")[::-1], 2)
-        fill += j
-        if fill >= 24:
-            keep = fill % 24
-            out += b64encode((acc >> keep).to_bytes((fill - keep) // 8, "big")).translate(_SIXBIT)
-            acc &= (1 << keep) - 1
-            fill = keep
-    if fill:
-        # zero padding up to a whole 6-bit group, as graph6 requires
-        out += b64encode((acc << (24 - fill)).to_bytes(3, "big")).translate(_SIXBIT)[: (fill + 5) // 6]
-    return bytes(out)
+
+def _graph6_encode(n: int, body) -> bytes:
+    """Size header, then the body bits as 6-bit groups, the last zero-padded."""
+    return _encode_size(n) + b64encode(body).translate(_SIXBIT)[: (n * (n - 1) // 2 + 5) // 6]
 
 
 def _graph6_decode(data) -> tuple:

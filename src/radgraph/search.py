@@ -53,19 +53,17 @@ of each leaf -- runs through the bitset frontier sweep of
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass
 
 from . import constructions
 from . import io as gio
 from .bounds import exact_radius_formula_g4, upper_bound_radius
-from .graph import INFINITE, Graph, _girth_of, _has_triangle, _reach, build_graph, metric_summary
+from .graph import INFINITE, _Record, _girth_of, _has_triangle, _reach, build_graph, metric_summary
 
 DEFAULT_CAP = 8
 HARD_CAP = 9
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(_Record):
     """Exact maximum radius for (n, delta, g) with one extremal witness.
 
     ``max_radius`` is None when no connected graph with the requested degree
@@ -75,12 +73,7 @@ class SearchResult:
     weight, so fewer graphs are evaluated than counted.
     """
 
-    n: int
-    delta: int
-    g: int
-    max_radius: int | None
-    extremal_witness: Graph | None
-    graphs_considered: int
+    __slots__ = ("n", "delta", "g", "max_radius", "extremal_witness", "graphs_considered")
 
 
 def _cycle_graph(n):

@@ -54,13 +54,22 @@ def test_graph6_bit_exact_vs_networkx(G):
     assert graph6_bytes(G) == expected
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 6, 7, 62, 63, 64, 130])
-@pytest.mark.parametrize("p", [0.0, 0.3, 0.7, 1.0])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 6, 7, 62, 63, 64, 65, 130, 300])
+@pytest.mark.parametrize("p", [0.0, 0.05, 0.3, 0.7, 1.0])
 def test_graph6_matches_bit_loop_reference(n, p):
     G = random_graph(n, p, seed=n * 31 + int(p * 10))
     expected = graph6_reference(n, list(G.edges()))
     assert graph6_bytes(G) == expected
+    # the encoder reads G.adj: the bitmask rows are neither needed nor built
+    assert "rows" not in G._cache
     assert graph6_bytes_from_rows(n, G.rows) == expected
+
+
+@pytest.mark.parametrize("G", corpus(), ids=lambda g: f"n{g.n}m{g.edge_count}")
+def test_graph6_from_rows_matches_graph6_bytes(G):
+    data = graph6_bytes(G)
+    assert "rows" not in G._cache
+    assert graph6_bytes_from_rows(G.n, G.rows) == data
 
 
 @st.composite

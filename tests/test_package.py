@@ -1,7 +1,9 @@
 """The package surface: its public names resolve lazily to their submodules'
 own objects, and importing the package executes no submodule."""
 
+import copy
 import json
+import pickle
 
 import pytest
 
@@ -76,3 +78,81 @@ print(json.dumps({name: type(module) is types.ModuleType for name, module in sys
 """
     executed = json.loads(fresh_python(code))
     assert executed == {f"radgraph.{m}": False for m in SUBMODULES}
+
+
+_PATH = radgraph.build_graph(3, [(0, 1), (1, 2)])
+
+#: Each record's fields in order, and the repr a frozen dataclass gave it.
+RECORDS = [
+    ("MetricSummary", dict(radius=1, diameter=2, girth=radgraph.INFINITE, min_degree=1, centers=(1,)),
+     "MetricSummary(radius=1, diameter=2, girth=inf, min_degree=1, centers=(1,))"),
+    ("MetricSummary", dict(radius=None, diameter=None, girth=3, min_degree=0, centers=()),
+     "MetricSummary(radius=None, diameter=None, girth=3, min_degree=0, centers=())"),
+    ("SearchResult", dict(n=5, delta=2, g=4, max_radius=2, extremal_witness=_PATH, graphs_considered=12),
+     "SearchResult(n=5, delta=2, g=4, max_radius=2, extremal_witness=Graph(n=3, m=2), "
+     "graphs_considered=12)"),
+    ("BoundReport", dict(kind="witness-general", vertices=(0, 3), claimed=5, measured=6),
+     "BoundReport(kind='witness-general', vertices=(0, 3), claimed=5, measured=6)"),
+    ("ExtractionResult", dict(center=0, geodesic=(0, 1, 2), chosen_index=1, subgraph=_PATH,
+                              vertex_map=(0, 1, 2), vertex_bound=3, edge_bound=2),
+     "ExtractionResult(center=0, geodesic=(0, 1, 2), chosen_index=1, subgraph=Graph(n=3, m=2), "
+     "vertex_map=(0, 1, 2), vertex_bound=3, edge_bound=2)"),
+    ("GeodesicObservationReport", dict(r=4, t=1, m=2, far_distance=4, violations=("shift t = 3 exceeds m = 2",)),
+     "GeodesicObservationReport(r=4, t=1, m=2, far_distance=4, violations=('shift t = 3 exceeds m = 2',))"),
+]
+
+
+@pytest.mark.parametrize("name,fields,text", RECORDS, ids=[f"{r[0]}-{i}" for i, r in enumerate(RECORDS)])
+class TestRecord:
+    """The five result records keep the semantics of the frozen dataclasses
+    they replace."""
+
+    def test_positional_and_keyword_construction(self, name, fields, text):
+        cls = getattr(radgraph, name)
+        by_position, by_keyword = cls(*fields.values()), cls(**fields)
+        for record in (by_position, by_keyword):
+            assert {key: getattr(record, key) for key in fields} == fields
+        first, *rest = fields
+        assert cls(fields[first], **{key: fields[key] for key in rest}) == by_keyword
+        assert not hasattr(by_keyword, "__dict__")
+
+    def test_wrong_fields_raise_type_error(self, name, fields, text):
+        cls = getattr(radgraph, name)
+        values = list(fields.values())
+        first = next(iter(fields))
+        for args, kwargs in [(values[:-1], {}), (values + [0], {}), (values, {first: values[0]}),
+                             (values, {"no_such_field": 0})]:
+            with pytest.raises(TypeError):
+                cls(*args, **kwargs)
+
+    def test_eq_and_hash(self, name, fields, text):
+        cls = getattr(radgraph, name)
+        record, twin = cls(**fields), cls(**fields)
+        assert record == twin and not record != twin
+        assert hash(record) == hash(twin) == hash(tuple(fields.values()))
+        assert record != tuple(fields.values())
+        last = list(fields)[-1]
+        assert record != cls(**dict(fields, **{last: "other"}))
+        assert len({record, twin}) == 1
+
+    def test_repr_is_the_dataclass_text(self, name, fields, text):
+        assert repr(getattr(radgraph, name)(**fields)) == text
+
+    def test_assignment_raises(self, name, fields, text):
+        record = getattr(radgraph, name)(**fields)
+        first = next(iter(fields))
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{first}'"):
+            setattr(record, first, 0)
+        with pytest.raises(AttributeError):
+            record.no_such_field = 0
+        with pytest.raises(AttributeError, match=f"cannot delete field '{first}'"):
+            delattr(record, first)
+        assert getattr(record, first) == fields[first]
+
+    def test_pickle_and_copy_round_trips(self, name, fields, text):
+        record = getattr(radgraph, name)(**fields)
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):  # Graph needs protocol 2 for its slots
+            back = pickle.loads(pickle.dumps(record, protocol))
+            assert back == record and type(back) is type(record)
+        for clone in (copy.copy(record), copy.deepcopy(record)):
+            assert clone == record and repr(clone) == text

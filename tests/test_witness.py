@@ -30,9 +30,10 @@ from radgraph import (
 import radgraph.graph as graph_module
 import radgraph.witness as witness_module
 from radgraph.graph import _shift_period_of
-from radgraph.witness import _compatible, _witness_ceiling
+from radgraph.witness import _compatible, _compatible_masks, _witness_ceiling
 from conftest import barbell, cycle, geodesic_pair
 from oracles import find_witness_reference, floyd_distances, max_general_witness_size
+from test_graph import TestShiftPeriod as ShiftPeriodCases, circulant
 
 
 class TestGeneralWitness:
@@ -261,6 +262,56 @@ RING_BASES = {
 def test_find_witness_matches_reference_on_rings(base, m):
     H, k = RING_BASES[base]
     assert_matches_reference(glue_cycle(H, m), k)
+
+
+def _relabelled(G, seed):
+    perm = random.Random(seed).sample(range(G.n), G.n)
+    return build_graph(G.n, [(perm[u], perm[v]) for u, v in G.edges()])
+
+
+class TestCompatibleMasks:
+    """``_compatible_masks`` sweeps the shift-orbit representatives only and
+    rotates their masks along the shift onto the other vertices."""
+
+    @staticmethod
+    def swept(G, k):
+        return [_compatible(G, v, k) for v in range(G.n)]
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("G", ShiftPeriodCases.GRAPHS)
+    def test_rotated_masks_match_every_sweep(self, G, k):
+        assert _compatible_masks(G, k) == self.swept(G, k)
+
+    @pytest.mark.parametrize("G,period", [
+        (build_graph(0, []), 0),
+        (circulant(10, [2]), 1),  # two disjoint 5-cycles, on the even and the odd labels
+        (build_graph(30, [(u + 10 * i, v + 10 * i) for i in range(3) for u, v in PETERSEN.edges()]), 10),
+        (_relabelled(glue_cycle(projective_plane_incidence_graph(2), 40), 26), 560),
+    ], ids=["empty", "two_c5", "three_petersens", "relabelled_heawood_x40"])
+    def test_rotated_masks_at_the_edges(self, G, period):
+        assert _shift_period_of(G) == period
+        for k in (2, 3):
+            assert _compatible_masks(G, k) == self.swept(G, k)
+
+    @pytest.mark.parametrize("G,k,period", [
+        (glue_cycle(projective_plane_incidence_graph(2), 200), 3, 14),
+        (glue_cycle(symplectic_quadrangle_incidence_graph(2), 30), 4, 30),
+        (cycle(2000), 3, 1),
+    ], ids=["heawood_x200", "tutte_coxeter_x30", "C_2000"])
+    def test_one_sweep_per_orbit(self, monkeypatch, G, k, period):
+        calls = []
+
+        def spy(G, v, k):
+            calls.append(v)
+            return _compatible(G, v, k)
+
+        monkeypatch.setattr(witness_module, "_compatible", spy)
+        assert _compatible_masks(G, k) == self.swept(G, k)
+        assert calls == list(range(period))
+        calls.clear()
+        ws = find_witness(G, k, budget=10**4)
+        # the mask build, then check_witness_general's one sweep per member of T
+        assert calls == list(range(period)) + list(ws.vertices)
 
 
 def witness_ceiling(G, k):
