@@ -82,10 +82,7 @@ def _json_number(value):
 
 
 def _print_json(obj, pretty=False):
-    if pretty:
-        sys.stdout.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
-    else:
-        sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
+    sys.stdout.write(json.dumps(obj, indent=2 if pretty else None, sort_keys=True) + "\n")
 
 
 def _parse_vertex_set(text):
@@ -120,6 +117,25 @@ class _Parser(argparse.ArgumentParser):
         super().__init__(*args, allow_abbrev=False, **kwargs)
 
 
+_INT = {"type": int, "required": True}
+
+#: Each ``construct`` kind: a builder over the parsed arguments and the kind's
+#: options as ``add_argument`` keywords.  A builder loads ``constructions`` or
+#: ``geometry`` only when it is called, so building the parser loads neither.
+_FAMILIES = {
+    "box": (lambda a: constructions.box_graph(a.r, a.delta, a.c),
+            {"--r": _INT, "--delta": _INT, "--c": {"type": int, "default": 0}}),
+    "bipartite2": (lambda a: constructions.bipartite_radius2(a.n, a.delta),
+                   {"--n": _INT, "--delta": _INT}),
+    "radius3": (lambda a: constructions.radius3_graph(a.n, a.delta),
+                {"--n": _INT, "--delta": _INT}),
+    "pg-plane": (lambda a: geometry.projective_plane_incidence_graph(a.q), {"--q": _INT}),
+    "gq": (lambda a: geometry.symplectic_quadrangle_incidence_graph(a.q), {"--q": _INT}),
+    "glue": (lambda a: constructions.glue_cycle(_load_graph(a.base), a.m),
+             {"--base": {"required": True, "help": "graph6 file or - for stdin"}, "--m": _INT}),
+}
+
+
 def _build_parser():
     parser = _Parser(
         prog="radgraph",
@@ -127,32 +143,22 @@ def _build_parser():
         "radius of connected graphs with degree and girth floors.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    graph_in = argparse.ArgumentParser(add_help=False)
+    graph_in.add_argument("--graph", required=True, help="graph file or - for stdin")
+    graph_in.add_argument("--input-format", choices=("graph6", "edgelist"), default="graph6")
 
     p = sub.add_parser("construct", help="build a named graph family member")
     kinds = p.add_subparsers(dest="kind", required=True)
-    for name in ("box", "bipartite2", "radius3", "pg-plane", "gq", "glue"):
+    for name, (_, options) in _FAMILIES.items():
         k = kinds.add_parser(name)
-        if name == "box":
-            k.add_argument("--r", type=int, required=True)
-            k.add_argument("--delta", type=int, required=True)
-            k.add_argument("--c", type=int, default=0)
-        elif name in ("bipartite2", "radius3"):
-            k.add_argument("--n", type=int, required=True)
-            k.add_argument("--delta", type=int, required=True)
-        elif name in ("pg-plane", "gq"):
-            k.add_argument("--q", type=int, required=True)
-        else:  # glue
-            k.add_argument("--base", required=True, help="graph6 file or - for stdin")
-            k.add_argument("--m", type=int, required=True)
+        for option, keywords in options.items():
+            k.add_argument(option, **keywords)
         k.add_argument("--format", choices=("graph6", "edgelist", "dot"), default="graph6")
         k.add_argument("--output", default="-")
-        k.add_argument("--verify", action="store_true",
-                       help="also print a JSON metric summary")
+        k.add_argument("--verify", action="store_true", help="also print a JSON metric summary")
         k.add_argument("--pretty", action="store_true")
 
-    p = sub.add_parser("analyze", help="metric summary of a graph as JSON")
-    p.add_argument("--graph", required=True, help="graph file or - for stdin")
-    p.add_argument("--input-format", choices=("graph6", "edgelist"), default="graph6")
+    p = sub.add_parser("analyze", help="metric summary of a graph as JSON", parents=[graph_in])
     p.add_argument("--pretty", action="store_true")
 
     p = sub.add_parser("bound", help="all applicable radius bounds as JSON")
@@ -171,9 +177,7 @@ def _build_parser():
     c.add_argument("--k", type=int, default=None, help="half-girth (general)")
     c.add_argument("--r", type=int, default=None, help="cycle length (cycles)")
     c.add_argument("--pretty", action="store_true")
-    f = wsub.add_parser("find")
-    f.add_argument("--graph", required=True)
-    f.add_argument("--input-format", choices=("graph6", "edgelist"), default="graph6")
+    f = wsub.add_parser("find", parents=[graph_in])
     f.add_argument("--k", type=int, required=True)
     f.add_argument("--budget", type=int, default=10**6)
     f.add_argument("--pretty", action="store_true")
@@ -198,9 +202,8 @@ def _build_parser():
     s.add_argument("--input", default="-", help="graph6 lines, file or - for stdin")
     s.add_argument("--pretty", action="store_true")
 
-    p = sub.add_parser("extract", help="smallest dense ball along a central geodesic")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--input-format", choices=("graph6", "edgelist"), default="graph6")
+    p = sub.add_parser("extract", help="smallest dense ball along a central geodesic",
+                       parents=[graph_in])
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--pretty", action="store_true")
 
@@ -208,19 +211,7 @@ def _build_parser():
 
 
 def _cmd_construct(args):
-    if args.kind == "box":
-        G = constructions.box_graph(args.r, args.delta, args.c)
-    elif args.kind == "bipartite2":
-        G = constructions.bipartite_radius2(args.n, args.delta)
-    elif args.kind == "radius3":
-        G = constructions.radius3_graph(args.n, args.delta)
-    elif args.kind == "pg-plane":
-        G = geometry.projective_plane_incidence_graph(args.q)
-    elif args.kind == "gq":
-        G = geometry.symplectic_quadrangle_incidence_graph(args.q)
-    else:
-        base = _load_graph(args.base)
-        G = constructions.glue_cycle(base, args.m)
+    G = _FAMILIES[args.kind][0](args)
     _emit(_render_graph(G, args.format), args.output)
     if args.verify:
         _print_json(_metrics_dict(G), args.pretty)

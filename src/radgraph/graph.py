@@ -173,6 +173,10 @@ class Graph:
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.edge_count})"
 
+    def __reduce__(self):
+        # every pickle protocol, and no memo in the pickle
+        return (Graph, (self.n, self.adj, self.edge_count))
+
 
 class _Record:
     """Immutable record over its subclass's ``__slots__``, with what a frozen

@@ -4,6 +4,8 @@ import pytest
 
 import radgraph.witness
 from radgraph import (
+    bipartite_radius2,
+    box_graph,
     build_graph,
     check_witness_general,
     find_witness,
@@ -12,7 +14,10 @@ from radgraph import (
     graph6_bytes,
     metric_summary,
     projective_plane_incidence_graph,
+    radius3_graph,
+    symplectic_quadrangle_incidence_graph,
 )
+from radgraph import cli
 from radgraph.cli import main
 from conftest import cycle, fresh_python
 
@@ -85,6 +90,48 @@ class TestConstruct:
             assert code == 0
             G = from_graph6(out.strip().splitlines()[0])
             assert graph6_bytes(G).decode() == out.strip().splitlines()[0]
+
+
+#: The required options of each ``construct`` kind with sample values, and the
+#: library build they name; ``glue`` reads h.g6, the Heawood graph, from the
+#: working directory.
+FAMILY_SAMPLES = {
+    "box": (["--r", "4", "--delta", "2"], lambda: box_graph(4, 2)),
+    "bipartite2": (["--n", "6", "--delta", "2"], lambda: bipartite_radius2(6, 2)),
+    "radius3": (["--n", "8", "--delta", "3"], lambda: radius3_graph(8, 3)),
+    "pg-plane": (["--q", "2"], lambda: projective_plane_incidence_graph(2)),
+    "gq": (["--q", "2"], lambda: symplectic_quadrangle_incidence_graph(2)),
+    "glue": (["--base", "h.g6", "--m", "3"],
+             lambda: glue_cycle(projective_plane_incidence_graph(2), 3)),
+}
+
+
+def test_family_samples_cover_the_table():
+    assert FAMILY_SAMPLES.keys() == cli._FAMILIES.keys()
+
+
+@pytest.mark.parametrize("kind", list(cli._FAMILIES))
+def test_family_prints_its_library_build(capsys, monkeypatch, tmp_path, kind):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "h.g6").write_bytes(graph6_bytes(projective_plane_incidence_graph(2)))
+    options, build = FAMILY_SAMPLES[kind]
+    G = build()
+    line = graph6_bytes(G).decode()
+    assert run(capsys, "construct", kind, *options) == (0, line + "\n", "")
+    code, out, err = run(capsys, "construct", kind, *options, "--verify")
+    assert code == 0 and err == ""
+    assert out.splitlines()[0] == line
+    assert json.loads(out.splitlines()[1]) == cli._metrics_dict(G)
+    # every sample option is required; the kind's other options have defaults
+    required = [option for option, keywords in cli._FAMILIES[kind][1].items()
+                if "default" not in keywords]
+    assert required == options[::2]
+    for at in range(0, len(options), 2):
+        option = options[at]
+        with pytest.raises(SystemExit) as exc:
+            main(["construct", kind, *options[:at], *options[at + 2:]])
+        assert exc.value.code == 2
+        assert f"the following arguments are required: {option}\n" in capsys.readouterr().err
 
 
 class TestAnalyze:
@@ -455,6 +502,8 @@ print(json.dumps([code, sorted(executed), "dataclasses" in sys.modules]))
     ("search enumerate --n 6 --delta 2 --g 4 --jobs 1", "bounds constructions graph io search"),
     ("construct glue --base h.g6 --m 3", "constructions graph io"),
     ("construct gq --q 3", "fields geometry graph io"),
+    ("construct box --r 4 --delta 2", "constructions graph io"),
+    ("construct pg-plane --q 2", "fields geometry graph io"),
     ("analyze --graph ring.g6", "graph io"),
     ("witness find --graph ring.g6 --k 3", "graph io witness"),
     ("extract --graph ring.g6 --k 3", "constructions graph io"),

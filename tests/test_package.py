@@ -151,8 +151,17 @@ class TestRecord:
 
     def test_pickle_and_copy_round_trips(self, name, fields, text):
         record = getattr(radgraph, name)(**fields)
-        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):  # Graph needs protocol 2 for its slots
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
             back = pickle.loads(pickle.dumps(record, protocol))
             assert back == record and type(back) is type(record)
         for clone in (copy.copy(record), copy.deepcopy(record)):
             assert clone == record and repr(clone) == text
+
+
+def test_graph_pickles_at_every_protocol_without_its_memo():
+    G = radgraph.build_graph(5, [(i, (i + 1) % 5) for i in range(5)])
+    radgraph.metric_summary(G)
+    assert G._cache
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(G, protocol))
+        assert back == G and back.edge_count == G.edge_count and back._cache == {}
