@@ -40,11 +40,8 @@ _EXPORTS = {
     "io": ("from_edgelist_text", "from_graph6", "graph6_bytes", "to_dot", "to_edgelist_text"),
     "search": ("SearchResult", "enumerate_extremal", "stream_verify",
                "verify_theorem_main_small"),
-    "witness": ("BoundReport", "GeodesicObservationReport", "WitnessValidationError",
-                "check_easycases_instantiation", "check_witness_general",
-                "check_witness_triangle_free", "check_witness_two_cycles",
-                "easycases_configuration", "easycases_pattern", "find_witness",
-                "upper_bound_witness_pattern", "validate_geodesic_observations"),
+    "witness": ("BoundReport", "WitnessValidationError", "check_witness_general",
+                "check_witness_triangle_free", "check_witness_two_cycles", "find_witness"),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = list(_SOURCE)

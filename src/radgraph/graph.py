@@ -146,14 +146,8 @@ class Graph:
             self._cache["rows"] = rows
         return rows
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
     def degrees(self) -> list[int]:
         return [len(row) for row in self.adj]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
 
     def edges(self):
         """Yield every edge once as a pair (u, v) with u < v, sorted."""
@@ -490,8 +484,8 @@ def _shift_period(adj, n):
 
 
 def _shift_period_of(G: Graph):
-    """``_shift_period`` of G, memoised because the metric summary and the
-    easy-cases centre choice both read it."""
+    """``_shift_period`` of G, memoised because ``_girth_of``,
+    ``metric_summary`` and ``witness._compatible_masks`` all read it."""
     d = G._cache.get("shift")
     if d is None:
         d = G._cache["shift"] = _shift_period(G.adj, G.n)

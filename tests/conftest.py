@@ -8,8 +8,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 import radgraph
-from radgraph import bfs, build_graph, metric_summary
-from radgraph.graph import _geodesic
+from radgraph import build_graph
 
 
 def cycle(n):
@@ -40,23 +39,6 @@ def barbell(a, ell, b):
     edges += [(boff + i, boff + (i + 1) % b) for i in range(b)]
     edges.append((prev, boff))
     return build_graph(a + ell + b, edges)
-
-
-def geodesic_pair(G, s):
-    """Two geodesics (path, vprime_path) from the centre ``centers[0]`` of a
-    connected G of radius r, as tuples.
-
-    ``path`` ends at the lowest farthest vertex, so it has r edges, and
-    ``vprime_path`` at the lowest v' with d(path[s], v') >= r, which exists
-    because every eccentricity is at least r.  The stride-2k witness pattern
-    reads this pair at s = 2k and the geodesic observations at s = m.
-    """
-    ms = metric_summary(G)
-    dist0 = bfs(G, ms.centers[0])
-    path = _geodesic(G, dist0, dist0.index(ms.radius))
-    dist_s = bfs(G, path[s])
-    vprime = next(v for v in range(G.n) if dist_s[v] >= ms.radius)
-    return tuple(path), tuple(_geodesic(G, dist0, vprime))
 
 
 @pytest.fixture

@@ -19,11 +19,9 @@ from radgraph import (
     box_graph,
     build_graph,
     cage_lower_bound,
-    check_easycases_instantiation,
     check_witness_general,
     check_witness_triangle_free,
     check_witness_two_cycles,
-    easycases_configuration,
     exact_radius_formula_g4,
     extract_dense_subgraph,
     find_witness,
@@ -33,12 +31,17 @@ from radgraph import (
     radius3_graph,
     symplectic_quadrangle_incidence_graph,
     upper_bound_radius,
-    upper_bound_witness_pattern,
-    validate_geodesic_observations,
 )
 from radgraph.search import enumerate_extremal, verify_theorem_main_small
 from radgraph.witness import WitnessValidationError
-from conftest import barbell, cycle, geodesic_pair
+from conftest import barbell, cycle
+from geodesic_patterns import (
+    check_easycases_instantiation,
+    easycases_configuration,
+    geodesic_pair,
+    upper_bound_witness_pattern,
+    validate_geodesic_observations,
+)
 
 
 def _announce(num, name):

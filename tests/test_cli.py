@@ -500,18 +500,25 @@ print(json.dumps([code, sorted(executed), "dataclasses" in sys.modules]))
     ("bound --n 15 --delta 3 --g 4", "bounds"),
     ("search stream --delta 2 --g 4 --input ring.g6", "bounds graph io search"),
     ("search enumerate --n 6 --delta 2 --g 4 --jobs 1", "bounds constructions graph io search"),
+    ("search verify-theorem --n-max 4 --deltas 2 --jobs 1", "bounds constructions graph io search"),
     ("construct glue --base h.g6 --m 3", "constructions graph io"),
     ("construct gq --q 3", "fields geometry graph io"),
     ("construct box --r 4 --delta 2", "constructions graph io"),
+    ("construct bipartite2 --n 6 --delta 2", "constructions graph io"),
+    ("construct radius3 --n 8 --delta 3", "constructions graph io"),
     ("construct pg-plane --q 2", "fields geometry graph io"),
     ("analyze --graph ring.g6", "graph io"),
     ("witness find --graph ring.g6 --k 3", "graph io witness"),
+    ("witness check general --graph h.g6 --set 0,8 --k 3", "graph io witness"),
+    ("witness check tf --graph c8.g6 --set 0,1,4,5", "graph io witness"),
+    ("witness check cycles --graph c8.g6 --set 0,1,2,3,4,5,6,7 --r 4", "graph io witness"),
     ("extract --graph ring.g6 --k 3", "constructions graph io"),
 ])
 def test_command_executes_only_its_modules(tmp_path, argv, modules):
     heawood = projective_plane_incidence_graph(2)
     (tmp_path / "h.g6").write_bytes(graph6_bytes(heawood))
     (tmp_path / "ring.g6").write_bytes(graph6_bytes(glue_cycle(heawood, 4)))
+    (tmp_path / "c8.g6").write_bytes(graph6_bytes(cycle(8)))
     code, executed, dataclasses = json.loads(fresh_python(LAUNCH, *argv.split(), cwd=tmp_path))
     assert code == 0
     assert executed == sorted(f"radgraph.{name}" for name in ["cli", *modules.split()])

@@ -8,6 +8,7 @@ import pickle
 import pytest
 
 import radgraph
+import geodesic_patterns
 from conftest import fresh_python
 
 SUBMODULES = ("bounds", "constructions", "fields", "geometry", "graph", "io", "search", "witness")
@@ -23,16 +24,26 @@ PUBLIC = {
     "induced_subgraph", "is_connected", "is_triangle_free", "metric_summary", "sphere",
     "from_edgelist_text", "from_graph6", "graph6_bytes", "to_dot", "to_edgelist_text",
     "SearchResult", "enumerate_extremal", "stream_verify", "verify_theorem_main_small",
-    "BoundReport", "GeodesicObservationReport", "WitnessValidationError",
-    "check_easycases_instantiation", "check_witness_general", "check_witness_triangle_free",
-    "check_witness_two_cycles", "easycases_configuration", "easycases_pattern",
-    "find_witness", "upper_bound_witness_pattern", "validate_geodesic_observations",
+    "BoundReport", "WitnessValidationError", "check_witness_general",
+    "check_witness_triangle_free", "check_witness_two_cycles", "find_witness",
 }
+
+#: The geodesic-pair proof replays, now in ``tests/geodesic_patterns.py``.
+REMOVED = ("GeodesicObservationReport", "check_easycases_instantiation", "easycases_configuration",
+           "easycases_pattern", "upper_bound_witness_pattern", "validate_geodesic_observations")
 
 
 def test_all_is_the_public_names():
-    assert len(PUBLIC) == 48
-    assert len(radgraph.__all__) == 48 and set(radgraph.__all__) == PUBLIC
+    assert len(PUBLIC) == 42
+    assert len(radgraph.__all__) == 42 and set(radgraph.__all__) == PUBLIC
+
+
+@pytest.mark.parametrize("name", REMOVED)
+def test_removed_name_is_not_exported(name):
+    with pytest.raises(AttributeError, match=name):
+        getattr(radgraph, name)
+    with pytest.raises(ImportError):
+        exec(f"from radgraph import {name}", {})
 
 
 @pytest.mark.parametrize("name", sorted(PUBLIC))
@@ -82,33 +93,38 @@ print(json.dumps({name: type(module) is types.ModuleType for name, module in sys
 
 _PATH = radgraph.build_graph(3, [(0, 1), (1, 2)])
 
-#: Each record's fields in order, and the repr a frozen dataclass gave it.
+#: Each record class, its fields in order, and the repr a frozen dataclass
+#: gave it.  ``GeodesicObservationReport`` belongs to the test-side proof
+#: replays in ``tests/geodesic_patterns.py``.
 RECORDS = [
-    ("MetricSummary", dict(radius=1, diameter=2, girth=radgraph.INFINITE, min_degree=1, centers=(1,)),
+    (radgraph.MetricSummary,
+     dict(radius=1, diameter=2, girth=radgraph.INFINITE, min_degree=1, centers=(1,)),
      "MetricSummary(radius=1, diameter=2, girth=inf, min_degree=1, centers=(1,))"),
-    ("MetricSummary", dict(radius=None, diameter=None, girth=3, min_degree=0, centers=()),
+    (radgraph.MetricSummary, dict(radius=None, diameter=None, girth=3, min_degree=0, centers=()),
      "MetricSummary(radius=None, diameter=None, girth=3, min_degree=0, centers=())"),
-    ("SearchResult", dict(n=5, delta=2, g=4, max_radius=2, extremal_witness=_PATH, graphs_considered=12),
+    (radgraph.SearchResult,
+     dict(n=5, delta=2, g=4, max_radius=2, extremal_witness=_PATH, graphs_considered=12),
      "SearchResult(n=5, delta=2, g=4, max_radius=2, extremal_witness=Graph(n=3, m=2), "
      "graphs_considered=12)"),
-    ("BoundReport", dict(kind="witness-general", vertices=(0, 3), claimed=5, measured=6),
+    (radgraph.BoundReport, dict(kind="witness-general", vertices=(0, 3), claimed=5, measured=6),
      "BoundReport(kind='witness-general', vertices=(0, 3), claimed=5, measured=6)"),
-    ("ExtractionResult", dict(center=0, geodesic=(0, 1, 2), chosen_index=1, subgraph=_PATH,
-                              vertex_map=(0, 1, 2), vertex_bound=3, edge_bound=2),
+    (radgraph.ExtractionResult, dict(center=0, geodesic=(0, 1, 2), chosen_index=1, subgraph=_PATH,
+                                     vertex_map=(0, 1, 2), vertex_bound=3, edge_bound=2),
      "ExtractionResult(center=0, geodesic=(0, 1, 2), chosen_index=1, subgraph=Graph(n=3, m=2), "
      "vertex_map=(0, 1, 2), vertex_bound=3, edge_bound=2)"),
-    ("GeodesicObservationReport", dict(r=4, t=1, m=2, far_distance=4, violations=("shift t = 3 exceeds m = 2",)),
+    (geodesic_patterns.GeodesicObservationReport,
+     dict(r=4, t=1, m=2, far_distance=4, violations=("shift t = 3 exceeds m = 2",)),
      "GeodesicObservationReport(r=4, t=1, m=2, far_distance=4, violations=('shift t = 3 exceeds m = 2',))"),
 ]
 
 
-@pytest.mark.parametrize("name,fields,text", RECORDS, ids=[f"{r[0]}-{i}" for i, r in enumerate(RECORDS)])
+@pytest.mark.parametrize("cls,fields,text", RECORDS,
+                         ids=[f"{r[0].__name__}-{i}" for i, r in enumerate(RECORDS)])
 class TestRecord:
     """The five result records keep the semantics of the frozen dataclasses
     they replace."""
 
-    def test_positional_and_keyword_construction(self, name, fields, text):
-        cls = getattr(radgraph, name)
+    def test_positional_and_keyword_construction(self, cls, fields, text):
         by_position, by_keyword = cls(*fields.values()), cls(**fields)
         for record in (by_position, by_keyword):
             assert {key: getattr(record, key) for key in fields} == fields
@@ -116,8 +132,7 @@ class TestRecord:
         assert cls(fields[first], **{key: fields[key] for key in rest}) == by_keyword
         assert not hasattr(by_keyword, "__dict__")
 
-    def test_wrong_fields_raise_type_error(self, name, fields, text):
-        cls = getattr(radgraph, name)
+    def test_wrong_fields_raise_type_error(self, cls, fields, text):
         values = list(fields.values())
         first = next(iter(fields))
         for args, kwargs in [(values[:-1], {}), (values + [0], {}), (values, {first: values[0]}),
@@ -125,8 +140,7 @@ class TestRecord:
             with pytest.raises(TypeError):
                 cls(*args, **kwargs)
 
-    def test_eq_and_hash(self, name, fields, text):
-        cls = getattr(radgraph, name)
+    def test_eq_and_hash(self, cls, fields, text):
         record, twin = cls(**fields), cls(**fields)
         assert record == twin and not record != twin
         assert hash(record) == hash(twin) == hash(tuple(fields.values()))
@@ -135,11 +149,11 @@ class TestRecord:
         assert record != cls(**dict(fields, **{last: "other"}))
         assert len({record, twin}) == 1
 
-    def test_repr_is_the_dataclass_text(self, name, fields, text):
-        assert repr(getattr(radgraph, name)(**fields)) == text
+    def test_repr_is_the_dataclass_text(self, cls, fields, text):
+        assert repr(cls(**fields)) == text
 
-    def test_assignment_raises(self, name, fields, text):
-        record = getattr(radgraph, name)(**fields)
+    def test_assignment_raises(self, cls, fields, text):
+        record = cls(**fields)
         first = next(iter(fields))
         with pytest.raises(AttributeError, match=f"cannot assign to field '{first}'"):
             setattr(record, first, 0)
@@ -149,8 +163,8 @@ class TestRecord:
             delattr(record, first)
         assert getattr(record, first) == fields[first]
 
-    def test_pickle_and_copy_round_trips(self, name, fields, text):
-        record = getattr(radgraph, name)(**fields)
+    def test_pickle_and_copy_round_trips(self, cls, fields, text):
+        record = cls(**fields)
         for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
             back = pickle.loads(pickle.dumps(record, protocol))
             assert back == record and type(back) is type(record)

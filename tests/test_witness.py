@@ -12,26 +12,29 @@ from radgraph import (
     bipartite_radius2,
     box_graph,
     build_graph,
-    check_easycases_instantiation,
     check_witness_general,
     check_witness_triangle_free,
     check_witness_two_cycles,
-    easycases_configuration,
-    easycases_pattern,
     find_witness,
     from_graph6,
     glue_cycle,
     metric_summary,
     projective_plane_incidence_graph,
     symplectic_quadrangle_incidence_graph,
-    upper_bound_witness_pattern,
-    validate_geodesic_observations,
 )
 import radgraph.graph as graph_module
 import radgraph.witness as witness_module
 from radgraph.graph import _shift_period_of
 from radgraph.witness import _compatible, _compatible_masks, _witness_ceiling
-from conftest import barbell, cycle, geodesic_pair
+from conftest import barbell, cycle
+from geodesic_patterns import (
+    check_easycases_instantiation,
+    easycases_configuration,
+    easycases_pattern,
+    geodesic_pair,
+    upper_bound_witness_pattern,
+    validate_geodesic_observations,
+)
 from oracles import find_witness_reference, floyd_distances, max_general_witness_size
 from test_graph import TestShiftPeriod as ShiftPeriodCases, circulant
 
