@@ -6,10 +6,11 @@ dense ball from a graph of large radius.
 from __future__ import annotations
 
 from .graph import (
+    UNREACHABLE,
     Graph,
     _Record,
+    _distances,
     _geodesic,
-    _reach,
     ball,
     bfs,
     build_graph,
@@ -136,15 +137,10 @@ def glue_cycle(H: Graph, m: int) -> Graph:
         raise ValueError("base graph must be connected")
     if min(H.degrees(), default=0) < 2:
         raise ValueError("base graph must have minimum degree >= 2")
-    rows = list(H.rows)
     for v, w in H.edges():
-        rows[v] ^= 1 << w
-        rows[w] ^= 1 << v
         # (v, w) lies on a cycle exactly when v still reaches w without it
-        on_cycle = _reach(rows, 1 << v, H.n)[0] >> w & 1
-        rows[v] ^= 1 << w
-        rows[w] ^= 1 << v
-        if on_cycle:
+        adj = [tuple(x for x in row if x not in (v, w)) if u in (v, w) else row for u, row in enumerate(H.adj)]
+        if _distances(adj, v, [UNREACHABLE] * H.n)[w] != UNREACHABLE:
             break
     base_edges = [e for e in H.edges() if e != (v, w)]
     n = H.n

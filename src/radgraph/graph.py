@@ -12,8 +12,8 @@ shortest cycle through each source.  Elsewhere, and for callers that need
 only the girth (``_girth_of``, memoised for the witness checkers and the
 search), it comes from per-root BFS over the shift-orbit representatives
 0..d-1 (below), with a depth cutoff one level tighter on bipartite graphs
-and with finished roots deleted; ``is_triangle_free`` needs none:
-``_has_triangle`` ANDs the rows of each edge.
+and with finished roots deleted; ``is_triangle_free`` needs none: it
+tests whether the two ends of an edge share a neighbour.
 
 On a connected graph, ``_shift_period`` then looks for a label shift
 v -> (v + d) mod n that is an automorphism, checking each divisor d of n in
@@ -136,15 +136,6 @@ class Graph:
         self.adj = adj
         self.edge_count = edge_count
         self._cache: dict = {}
-
-    @property
-    def rows(self) -> tuple:
-        """Adjacency bitmasks: bit w of ``rows[v]`` is set when v ~ w."""
-        rows = self._cache.get("rows")
-        if rows is None:
-            rows = tuple(sum(1 << w for w in row) for row in self.adj)
-            self._cache["rows"] = rows
-        return rows
 
     def degrees(self) -> list[int]:
         return [len(row) for row in self.adj]
@@ -450,8 +441,8 @@ def _girth(adj, n, bipartite, k):
 
 
 def _levels_of(G: Graph):
-    """``_levels`` of G, memoised because the girth and the metric summary
-    both start from it."""
+    """``_levels`` of G, memoised because the girth, the metric summary and
+    ``is_connected`` all start from it."""
     depth = G._cache.get("levels")
     if depth is None:
         depth = G._cache["levels"] = _levels(G.adj, G.n)
@@ -531,7 +522,7 @@ def metric_summary(G: Graph) -> MetricSummary:
 
 def is_connected(G: Graph) -> bool:
     """True when the graph has a single component (vacuously for n <= 1)."""
-    return G.n <= 1 or _reach(G.rows, 1, G.n)[0] == (1 << G.n) - 1
+    return _levels_of(G).count(0) <= 1
 
 
 def _has_triangle(rows) -> bool:
@@ -547,36 +538,39 @@ def _has_triangle(rows) -> bool:
 
 
 def is_triangle_free(G: Graph) -> bool:
-    """True when the graph contains no 3-cycle (girth > 3, possibly INFINITE)."""
-    return not _has_triangle(G.rows)
+    """True when the graph contains no 3-cycle (girth > 3, possibly INFINITE):
+    the two ends of no edge share a neighbour."""
+    adj = G.adj
+    return all(near.isdisjoint(adj[w]) for u, near in enumerate(map(set, adj)) for w in adj[u] if w > u)
 
 
-def _ball_mask(G, v, k):
+def _spheres(G: Graph, v: int, k: int) -> list:
+    """The spheres 0..k around v as vertex lists, by a BFS over ``G.adj``
+    that stops at depth k, or after the last non-empty sphere."""
     if not 0 <= v < G.n:
         raise ValueError(f"vertex {v} out of range for graph on {G.n} vertices")
     if k < 0:
         raise ValueError(f"radius must be non-negative, got {k}")
-    return _reach(G.rows, 1 << v, k)[0]
-
-
-def _members(mask):
-    out = set()
-    while mask:
-        b = mask & -mask
-        out.add(b.bit_length() - 1)
-        mask ^= b
-    return out
+    seen = {v}
+    levels = [[v]]
+    for _ in range(k):
+        level = list(dict.fromkeys(w for u in levels[-1] for w in G.adj[u] if w not in seen))
+        if not level:
+            break
+        seen.update(level)
+        levels.append(level)
+    return levels
 
 
 def ball(G: Graph, v: int, k: int) -> set:
     """The set { w : d(v, w) <= k }."""
-    return _members(_ball_mask(G, v, k))
+    return {w for level in _spheres(G, v, k) for w in level}
 
 
 def sphere(G: Graph, v: int, k: int) -> set:
     """The set { w : d(v, w) == k }."""
-    outer = _ball_mask(G, v, k)
-    return _members(outer & ~_ball_mask(G, v, k - 1)) if k else {v}
+    levels = _spheres(G, v, k)
+    return set(levels[k]) if k < len(levels) else set()
 
 
 def _geodesic(G: Graph, dist, target) -> list:

@@ -77,7 +77,7 @@ _BITREV = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 def graph6_bytes(G: Graph) -> bytes:
     """Bit-exact graph6 encoding of G (no header, no trailing newline): each
     edge (i, j), i < j, of the sorted ``G.adj`` sets bit p = j(j-1)/2 + i of
-    a zeroed body, so absent edges cost nothing and no ``G.rows`` is built."""
+    a zeroed body, so absent edges cost nothing and no bitmask rows are built."""
     body = bytearray((G.n * (G.n - 1) // 2 + 7) // 8)
     for j, row in enumerate(G.adj):
         base = j * (j - 1) // 2
@@ -132,7 +132,7 @@ def _graph6_decode(data) -> tuple:
 
 
 def _graph6_rows(n: int, body: bytes) -> tuple:
-    """``Graph.rows`` of a body from :func:`_graph6_decode`.  Read slice by
+    """Adjacency bitmasks of a body from :func:`_graph6_decode`.  Read slice by
     slice through :data:`_BITREV` as a little-endian integer, the body's p-th
     bit is bit p, so column j is the low j bits of the accumulator."""
     rows = [0] * n

@@ -20,6 +20,8 @@ from .graph import (
     _girth_of,
     _reach,
     _shift_period_of,
+    _spheres,
+    ball,
     bfs,
     is_triangle_free,
     metric_summary,
@@ -78,27 +80,29 @@ def _clean_vertex_set(G, vertices):
     return out
 
 
-def _compatible(G, v, k):
-    """Mask of the vertices a general set may hold next to v: those
-    adjacent to v or at distance >= 2k-1 (other components included)."""
-    near = _reach(G.rows, 1 << v, 2 * k - 2)[0]
-    return (~near | G.rows[v]) & ((1 << G.n) - 1)
-
-
 def _compatible_masks(G, k):
-    """``_compatible(G, v, k)`` for every v, computed for the shift-orbit
-    representatives 0..d-1 only (``_shift_period_of``): the shift by t, a
-    multiple of d, is an automorphism, so it maps the mask of v onto that of
-    v + t, the mask rotated left by t places mod n."""
+    """Per vertex v, the mask of the vertices a general set may hold next to
+    v: those adjacent to v or at distance >= 2k-1 (other components
+    included).  Computed for the shift-orbit representatives 0..d-1 only
+    (``_shift_period_of``): the shift by t, a multiple of d, is an
+    automorphism, so it maps the mask of v onto that of v + t, the mask
+    rotated left by t places mod n."""
     n = G.n
     d = _shift_period_of(G)
     full = (1 << n) - 1
     compat = [0] * n
     for v in range(d):
-        mask = _compatible(G, v, k)
+        mask = full ^ sum(1 << w for w in ball(G, v, 2 * k - 2).difference(G.adj[v]))
         for t in range(0, n, d):
             compat[v + t] = ((mask << t) | (mask >> (n - t))) & full
     return compat
+
+
+def _distance_two(G, T):
+    """Per member u of the sorted set T, the members at distance exactly 2
+    from u, in increasing order."""
+    members = set(T)
+    return [sorted(members.intersection(sphere(G, u, 2))) for u in T]
 
 
 def _require_triangle_free(G):
@@ -121,13 +125,14 @@ def check_witness_general(G: Graph, T, k: int) -> BoundReport:
     if girth < 2 * k:
         raise ValueError(f"girth {girth} is below the required {2 * k}")
     T = _clean_vertex_set(G, T)
-    later = sum(1 << v for v in T)
+    members = set(T)
+    spheres = []
     for u in T:
-        later ^= 1 << u
-        clash = later & ~_compatible(G, u, k)
+        levels = _spheres(G, u, 2 * k - 2)
+        spheres.append(set(levels[k - 1]) if k <= len(levels) else set())
+        clash = [(w, d) for d, level in enumerate(levels[2:], 2) for w in level if w > u and w in members]
         if clash:
-            w = (clash & -clash).bit_length() - 1
-            d = bfs(G, u)[w]
+            w, d = min(clash)
             raise WitnessValidationError(
                 f"vertices {u} and {w} are non-adjacent at distance {d} < {2 * k - 1}",
                 kind=_GENERAL,
@@ -135,13 +140,7 @@ def check_witness_general(G: Graph, T, k: int) -> BoundReport:
             )
     delta = min(G.degrees(), default=0)
     size_floor = delta * (delta - 1) ** (k - 2)
-    spheres = [sphere(G, v, k - 1) for v in T]
-    union: set = set()
-    total = 0
-    for s in spheres:
-        union |= s
-        total += len(s)
-    if total != len(union):
+    if sum(map(len, spheres)) != len(set().union(*spheres)):
         raise RuntimeError("sphere disjointness failed despite valid witness")
     if any(len(s) < size_floor for s in spheres):
         raise RuntimeError("sphere size bound failed despite valid witness")
@@ -157,15 +156,13 @@ def check_witness_triangle_free(G: Graph, T) -> BoundReport:
     """
     _require_triangle_free(G)
     T = _clean_vertex_set(G, T)
-    dist = {v: bfs(G, v) for v in T}
-    for i, u in enumerate(T):
-        for w in T[i + 1:]:
-            if dist[u][w] == 2:
-                raise WitnessValidationError(
-                    f"vertices {u} and {w} are at distance exactly 2",
-                    kind=_TRIANGLE_FREE,
-                    pair=(u, w),
-                )
+    pair = next(((u, w) for u, near in zip(T, _distance_two(G, T)) for w in near if w > u), None)
+    if pair:
+        raise WitnessValidationError(
+            "vertices {} and {} are at distance exactly 2".format(*pair),
+            kind=_TRIANGLE_FREE,
+            pair=pair,
+        )
     delta = min(G.degrees(), default=0)
     claimed = 2 * ((delta * len(T) + 1) // 2)
     return BoundReport(_TRIANGLE_FREE, tuple(T), claimed, G.n)
@@ -186,13 +183,8 @@ def check_witness_two_cycles(G: Graph, U, r: int) -> BoundReport:
             f"witness has {len(U)} distinct vertices, need exactly 2r = {2 * r}",
             kind=_TWO_CYCLES,
         )
-    dist = {v: bfs(G, v) for v in U}
-    aux = [0] * len(U)
-    for i, u in enumerate(U):
-        for j in range(i + 1, len(U)):
-            if dist[u][U[j]] == 2:
-                aux[i] |= 1 << j
-                aux[j] |= 1 << i
+    index = {v: i for i, v in enumerate(U)}
+    aux = [sum(1 << index[w] for w in near) for near in _distance_two(G, U)]
     comp_sizes = []
     rest = (1 << len(U)) - 1
     while rest:
@@ -253,7 +245,9 @@ def find_witness(G: Graph, k: int, budget: int = 10**6) -> BoundReport:
     graph then searches for a larger one within ``budget`` branch nodes.
     The compatibility masks are swept from the shift-orbit representatives
     only and rotated onto the other vertices (``_compatible_masks``), so
-    glued Heawood x200 sweeps 14 of its 2800.
+    glued Heawood x200 sweeps 14 of its 2800.  They are the one graph path
+    that keeps an n-bit mask per vertex, n^2/8 bytes in all; every check
+    and ball reads the neighbour tuples.
     When the search completes it returns the lexicographically smallest
     maximum-size set.  The set is the report's ``vertices``; the check runs
     once, on the set returned.

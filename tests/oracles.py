@@ -168,6 +168,11 @@ def find_witness_reference(n, edges, k, budget):
     return tuple(min((greedy, best), key=lambda s: (-len(s), s)))
 
 
+def rows_of(G):
+    """Adjacency bitmasks of G: bit w of ``rows_of(G)[v]`` is set when v ~ w."""
+    return tuple(sum(1 << w for w in row) for row in G.adj)
+
+
 def ball_reference(rows, u, radius):
     """Mask of the vertices within ``radius`` hops of u over the adjacency
     bitmasks ``rows``, one vertex at a time."""

@@ -35,7 +35,7 @@ from radgraph.graph import (
     _shift_period,
 )
 from conftest import cycle
-from oracles import floyd_distances, naive_bridges, naive_girth, naive_radius_diameter
+from oracles import floyd_distances, naive_bridges, naive_girth, naive_radius_diameter, rows_of
 
 
 def random_graph(n, p, seed):
@@ -178,7 +178,8 @@ class TestBallSphere:
 
 
 class TestReachKernel:
-    """ball, sphere, is_connected and G.rows against Floyd-Warshall."""
+    """ball, sphere and is_connected against Floyd-Warshall, on the
+    neighbour tuples alone."""
 
     GRAPHS = [random_graph(6 + seed % 6, 0.08 + 0.05 * seed, seed=300 + seed) for seed in range(10)] + [
         build_graph(7, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 3)]),  # three components
@@ -208,10 +209,17 @@ class TestReachKernel:
 
     @pytest.mark.parametrize("G", GRAPHS)
     def test_rows_agree_with_adj(self, G):
-        assert len(G.rows) == G.n
+        # the graph keeps no bit rows, before or after these questions
         for v in range(G.n):
-            assert {w for w in range(G.n) if G.rows[v] >> w & 1} == set(G.adj[v])
-            assert G.rows[v] >> G.n == 0
+            ball(G, v, 2), sphere(G, v, 2)
+        is_connected(G), is_triangle_free(G)
+        assert not hasattr(G, "rows") and "rows" not in G._cache
+        # the bit rows the tests build as an oracle match the neighbour tuples
+        rows = rows_of(G)
+        assert len(rows) == G.n
+        for v in range(G.n):
+            assert {w for w in range(G.n) if rows[v] >> w & 1} == set(G.adj[v])
+            assert rows[v] >> G.n == 0
 
     def test_bad_vertex_and_negative_radius_rejected(self, c8):
         for f in (ball, sphere):
@@ -220,6 +228,28 @@ class TestReachKernel:
                     f(c8, v, 1)
             with pytest.raises(ValueError, match="non-negative"):
                 f(c8, 0, -1)
+
+    def test_negative_radius_message_and_order(self, c8):
+        for f in (ball, sphere):
+            for k in (-1, -5):
+                with pytest.raises(ValueError) as err:
+                    f(c8, 3, k)
+                assert str(err.value) == f"radius must be non-negative, got {k}"
+            # the vertex is checked first
+            with pytest.raises(ValueError) as err:
+                f(c8, 8, -1)
+            assert str(err.value) == "vertex 8 out of range for graph on 8 vertices"
+
+    def test_radius_past_every_eccentricity(self):
+        G = self.GRAPHS[-1]  # components {0, 1, 2}, {3, 4, 5} and {6}
+        for k in (2, 3, 7, 10**9):
+            assert ball(G, 0, k) == {0, 1, 2}
+            assert ball(G, 4, k) == {3, 4, 5}
+            assert ball(G, 6, k) == {6}
+            assert sphere(G, 6, k) == set()
+        assert sphere(G, 0, 2) == {2} and sphere(G, 1, 2) == set()
+        for k in (3, 7, 10**9):
+            assert sphere(G, 0, k) == sphere(G, 4, k) == set()
 
 
 def random_bipartite(a, b, p, seed):
@@ -711,7 +741,7 @@ def reach_bridges(G):
     no longer gets from v to w: the test ``glue_cycle`` makes per edge."""
     out = set()
     for v, w in G.edges():
-        rows = list(G.rows)
+        rows = list(rows_of(G))
         rows[v] ^= 1 << w
         rows[w] ^= 1 << v
         if not _reach(rows, 1 << v, G.n)[0] >> w & 1:

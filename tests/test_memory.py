@@ -1,0 +1,57 @@
+"""Traced memory of the graph questions on a long ring.
+
+Each question below reads the neighbour tuples of C_20000 only: none may
+build an n-bit mask per vertex, which takes up to n^2/8 bytes (26 MiB on
+this ring) to answer balls of a few vertices.  ``find_witness`` is left out on
+purpose: its branch and bound works on one n-bit compatibility mask per
+vertex, so it needs those n^2/8 bytes.
+"""
+
+import tracemalloc
+
+import pytest
+
+from radgraph import (
+    WitnessValidationError,
+    ball,
+    build_graph,
+    check_witness_general,
+    check_witness_triangle_free,
+    check_witness_two_cycles,
+    extract_dense_subgraph,
+    is_connected,
+    is_triangle_free,
+    sphere,
+)
+
+N = 20000
+LIMIT = 16 * 2**20
+
+
+def rejected(check, *args):
+    with pytest.raises(WitnessValidationError):
+        check(*args)
+
+
+QUESTIONS = {
+    "ball": lambda G: ball(G, 7, 5),
+    "sphere": lambda G: sphere(G, 7, 5),
+    "is_connected": is_connected,
+    "is_triangle_free": is_triangle_free,
+    "check_witness_general": lambda G: check_witness_general(G, [0, 3, 9, 10], 2),
+    "check_witness_triangle_free": lambda G: check_witness_triangle_free(G, [0, 1, 4, 5]),
+    "check_witness_two_cycles": lambda G: rejected(check_witness_two_cycles, G, range(8), 4),
+    "extract_dense_subgraph": lambda G: extract_dense_subgraph(G, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(QUESTIONS))
+def test_traced_peak_on_c20000(name):
+    G = build_graph(N, [(v, (v + 1) % N) for v in range(N)])
+    tracemalloc.start()
+    try:
+        QUESTIONS[name](G)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < LIMIT, f"{name}: traced peak {peak / 2**20:.1f} MiB"

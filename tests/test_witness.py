@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from radgraph import (
     BoundReport,
     WitnessValidationError,
+    ball,
     bfs,
     bipartite_radius2,
     box_graph,
@@ -24,8 +25,8 @@ from radgraph import (
 )
 import radgraph.graph as graph_module
 import radgraph.witness as witness_module
-from radgraph.graph import _shift_period_of
-from radgraph.witness import _compatible, _compatible_masks, _witness_ceiling
+from radgraph.graph import _shift_period_of, _spheres
+from radgraph.witness import _compatible_masks, _witness_ceiling
 from conftest import barbell, cycle
 from geodesic_patterns import (
     check_easycases_instantiation,
@@ -199,9 +200,9 @@ class TestFindWitness:
 
     def test_girth_below_2k_rejected_before_the_search(self, petersen, monkeypatch):
         def compatible(*args):
-            raise AssertionError("_compatible ran before the girth check")
+            raise AssertionError("_compatible_masks ran before the girth check")
 
-        monkeypatch.setattr(witness_module, "_compatible", compatible)
+        monkeypatch.setattr(witness_module, "_compatible_masks", compatible)
         with pytest.raises(ValueError, match="girth 5 is below the required 6"):
             find_witness(petersen, 3)
 
@@ -278,7 +279,10 @@ class TestCompatibleMasks:
 
     @staticmethod
     def swept(G, k):
-        return [_compatible(G, v, k) for v in range(G.n)]
+        """One mask per vertex, each from its own ball: the vertices
+        adjacent to v or outside ball(v, 2k - 2)."""
+        full = (1 << G.n) - 1
+        return [full ^ sum(1 << w for w in ball(G, v, 2 * k - 2) - set(G.adj[v])) for v in range(G.n)]
 
     @pytest.mark.parametrize("k", [2, 3])
     @pytest.mark.parametrize("G", ShiftPeriodCases.GRAPHS)
@@ -306,11 +310,14 @@ class TestCompatibleMasks:
 
         def spy(G, v, k):
             calls.append(v)
-            return _compatible(G, v, k)
+            return _spheres(G, v, k)
 
-        monkeypatch.setattr(witness_module, "_compatible", spy)
-        assert _compatible_masks(G, k) == self.swept(G, k)
+        # the depth-bounded BFS behind ``ball``, and check_witness_general's own
+        monkeypatch.setattr(graph_module, "_spheres", spy)
+        monkeypatch.setattr(witness_module, "_spheres", spy)
+        masks = _compatible_masks(G, k)
         assert calls == list(range(period))
+        assert masks == self.swept(G, k)
         calls.clear()
         ws = find_witness(G, k, budget=10**4)
         # the mask build, then check_witness_general's one sweep per member of T
@@ -318,7 +325,7 @@ class TestCompatibleMasks:
 
 
 def witness_ceiling(G, k):
-    return _witness_ceiling([_compatible(G, v, k) for v in range(G.n)])
+    return _witness_ceiling(_compatible_masks(G, k))
 
 
 class TestWitnessCeiling:
@@ -367,6 +374,120 @@ def test_check_witness_general_property(case, data):
         assert err.value.pair in bad
     else:
         assert check_witness_general(G, T, k).vertices == tuple(T)
+
+
+def girth_graph(n, k, seed):
+    """Seeded random graph on n vertices with girth >= 2k, and its distance
+    table: a random share of the shuffled vertex pairs, each kept only while
+    its ends are at distance >= 2k - 1, with the table updated per edge."""
+    rng = random.Random(seed)
+    pairs = list(combinations(range(n), 2))
+    rng.shuffle(pairs)
+    dist = [[0 if a == b else float("inf") for b in range(n)] for a in range(n)]
+    edges = []
+    for u, w in pairs[:rng.randint(n // 2, len(pairs))]:
+        if dist[u][w] >= 2 * k - 1:
+            edges.append((u, w))
+            for a in range(n):
+                for b in range(n):
+                    dist[a][b] = min(dist[a][b], dist[a][u] + 1 + dist[w][b], dist[a][w] + 1 + dist[u][b])
+    assert dist == floyd_distances(n, edges)
+    return build_graph(n, edges), dist
+
+
+def random_sets(n, seed):
+    rng = random.Random(seed)
+    return [sorted(rng.sample(range(n), rng.randint(2, n))) for _ in range(6)]
+
+
+class TestCheckFailures:
+    """Which pair a failing check names, its message, and which of several
+    faults in one call is reported."""
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_general_names_the_first_clash(self, seed, k):
+        G, dist = girth_graph(10 + seed % 7, k, 500 + seed)
+        outcomes = set()
+        for T in random_sets(G.n, seed):
+            clashes = [(u, w) for u, w in combinations(T, 2) if 2 <= dist[u][w] < 2 * k - 1]
+            if not clashes:
+                assert check_witness_general(G, T, k).vertices == tuple(T)
+                outcomes.add("pass")
+                continue
+            u, w = clashes[0]  # the lowest u with a clash, then its lowest w
+            with pytest.raises(WitnessValidationError) as err:
+                check_witness_general(G, T, k)
+            assert err.value.pair == (u, w) and err.value.kind == "witness-general"
+            assert str(err.value) == f"vertices {u} and {w} are non-adjacent at distance {dist[u][w]} < {2 * k - 1}"
+            outcomes.add("fail")
+        assert "fail" in outcomes
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_triangle_free_names_the_first_pair_at_distance_two(self, seed):
+        G, dist = girth_graph(8 + seed % 9, 2, 700 + seed)
+        for T in random_sets(G.n, seed):
+            pairs = [(u, w) for u, w in combinations(T, 2) if dist[u][w] == 2]
+            if not pairs:
+                assert check_witness_triangle_free(G, T).vertices == tuple(T)
+                continue
+            with pytest.raises(WitnessValidationError) as err:
+                check_witness_triangle_free(G, T)
+            assert err.value.pair == pairs[0] and err.value.kind == "witness-triangle-free"
+            assert str(err.value) == "vertices {} and {} are at distance exactly 2".format(*pairs[0])
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_two_cycles_message_matches_the_distance_table(self, seed):
+        G, dist = girth_graph(12 + seed % 5, 2, 900 + seed)
+        r = 4 + seed % 3
+        U = sorted(random.Random(seed).sample(range(G.n), 2 * r))
+        nbrs = {u: {w for w in U if dist[u][w] == 2} for u in U}
+        sizes, rest = [], set(U)
+        while rest:
+            comp = {min(rest)}
+            while frontier := set().union(*(nbrs[u] for u in comp)) - comp:
+                comp |= frontier
+            sizes.append(len(comp))
+            rest -= comp
+        degrees = sorted(len(nbrs[u]) for u in U)
+        if sizes == [r, r] and degrees[0] == degrees[-1] == 2:
+            assert check_witness_two_cycles(G, U, r).vertices == tuple(U)
+            return
+        with pytest.raises(WitnessValidationError) as err:
+            check_witness_two_cycles(G, U, r)
+        assert err.value.pair is None and str(err.value) == (
+            f"auxiliary distance-2 graph is not two disjoint {r}-cycles: component sizes "
+            f"{sorted(sizes)}, degrees range {degrees[0]}..{degrees[-1]}")
+
+    @staticmethod
+    def raised(check, *args):
+        with pytest.raises(ValueError) as err:
+            check(*args)
+        return type(err.value).__name__, str(err.value)
+
+    def test_fault_order(self, c8, petersen):
+        triangle = build_graph(5, [(0, 1), (1, 2), (0, 2)])
+        # a triangle, an out-of-range vertex and a wrong set size together
+        assert self.raised(check_witness_triangle_free, triangle, [0, 9]) == (
+            "ValueError", "graph contains a triangle")
+        assert self.raised(check_witness_two_cycles, triangle, [0, 9], 4) == (
+            "ValueError", "graph contains a triangle")
+        assert self.raised(check_witness_two_cycles, triangle, [0, 9], 3) == (
+            "ValueError", "need cycle length r >= 4, got 3")
+        # no triangle: the out-of-range vertex, then the set size
+        assert self.raised(check_witness_triangle_free, c8, [0, 9]) == (
+            "ValueError", "vertex 9 out of range for graph on 8 vertices")
+        assert self.raised(check_witness_two_cycles, c8, [0, 9], 4) == (
+            "ValueError", "vertex 9 out of range for graph on 8 vertices")
+        assert self.raised(check_witness_two_cycles, c8, [0, 2, 2], 4) == (
+            "WitnessValidationError", "witness has 2 distinct vertices, need exactly 2r = 8")
+        # the general check: k, then the girth, then the vertices
+        assert self.raised(check_witness_general, petersen, [0, 99], 1) == (
+            "ValueError", "need k >= 2, got 1")
+        assert self.raised(check_witness_general, petersen, [0, 99], 3) == (
+            "ValueError", "girth 5 is below the required 6")
+        assert self.raised(check_witness_general, c8, [0, 99, 2], 2) == (
+            "ValueError", "vertex 99 out of range for graph on 8 vertices")
 
 
 class TestEasycasesPattern:
