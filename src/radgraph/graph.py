@@ -12,9 +12,8 @@ shortest cycle through each source.  Elsewhere, and for callers that need
 only the girth (``_girth_of``, memoised for the witness checkers and the
 search), it comes from per-root BFS over the shift-orbit representatives
 0..d-1 (below), with a depth cutoff one level tighter on bipartite graphs
-and with finished roots deleted; ``is_triangle_free`` needs none: a
-graph the ``_levels`` sweep shows bipartite has no triangle, and otherwise
-it tests whether the two ends of an edge share a neighbour.
+and with finished roots deleted; ``is_triangle_free`` needs none: it
+tests whether the two ends of an edge share a neighbour.
 
 On a connected graph, ``_shift_period`` then looks for a label shift
 v -> (v + d) mod n that is an automorphism, checking each divisor d of n in
@@ -540,11 +539,9 @@ def _has_triangle(rows) -> bool:
 
 def is_triangle_free(G: Graph) -> bool:
     """True when the graph contains no 3-cycle (girth > 3, possibly INFINITE):
-    at once when the memoised levels show it bipartite, and otherwise when
     the two ends of no edge share a neighbour."""
     adj = G.adj
-    return _bipartite(adj, _levels_of(G)) or all(
-        near.isdisjoint(adj[w]) for u, near in enumerate(map(set, adj)) for w in adj[u] if w > u)
+    return all(near.isdisjoint(adj[w]) for u, near in enumerate(map(set, adj)) for w in adj[u] if w > u)
 
 
 def _spheres(G: Graph, v: int, k: int) -> list:

@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import marshal
 import os
+from contextlib import suppress
 
 from . import constructions
 from . import io as gio
@@ -180,11 +181,8 @@ def _enumerate_span(n, delta, g, rows, deg, start_v, best_r_init):
     (best_radius, best_graph6, count) over the span, where graphs whose
     radius is provably below ``best_r_init`` are counted but not encoded.
     """
-    rows = list(rows)
-    deg = list(deg)
-    best_r = best_r_init
-    best_key = None
-    count = 0
+    rows, deg = list(rows), list(deg)
+    best_r, best_key, count = best_r_init, None, 0
     full = (1 << n) - 1
 
     def leaf():
@@ -268,22 +266,29 @@ def _spans(tasks, jobs):
     jobs = min(jobs, len(tasks))
     if jobs <= 1 or not hasattr(os, "fork"):
         return list(map(_span_task, tasks))
+    import signal  # here, so that a run in process never loads it
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, ())
     children = []  # (pid, read end) of each child not yet reaped
     try:
+        # signals wait until each child is recorded, and in a child until its try
+        signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
         for w in range(1, jobs):
             read_fd, write_fd = os.pipe()
+            pipe = open(read_fd, "rb")
             if (pid := os.fork()) == 0:
                 try:
+                    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
                     with open(write_fd, "wb") as out:
                         marshal.dump(list(map(_span_task, tasks[w::jobs])), out)
                     os._exit(0)
                 except BaseException:
-                    import traceback  # here, as signal below: only a call cut short loads them
+                    import traceback  # only a failing child loads it
                     os.write(2, traceback.format_exc().encode())
                 finally:
                     os._exit(1)
+            children.append((pid, pipe))
             os.close(write_fd)  # before the next fork, or that child would hold it open
-            children.append((pid, open(read_fd, "rb")))
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         shares = [list(map(_span_task, tasks[::jobs]))]
         for pid, pipe in list(children):
             with pipe:
@@ -296,15 +301,15 @@ def _spans(tasks, jobs):
         return [shares[i % jobs][i // jobs] for i in range(len(tasks))]
     finally:
         for pid, pipe in children:
-            import signal
             pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+            with suppress(ProcessLookupError):  # reaped just before the call was cut short
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
 
 def _extremal(n, delta, g, allow_long, jobs):
-    """:func:`enumerate_extremal` on ``jobs`` workers.  The theorem table calls
-    this, so perfbench traces none of its rows as ``enumerate_extremal``."""
+    """:func:`enumerate_extremal` apart, so a trace counts no theorem-table row as one."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     cap = HARD_CAP if allow_long else DEFAULT_CAP
@@ -330,14 +335,8 @@ def _extremal(n, delta, g, allow_long, jobs):
     return SearchResult(n, delta, g, -neg_r, gio.from_graph6(best_key), count)
 
 
-def enumerate_extremal(
-    n: int,
-    delta: int,
-    g: int,
-    *,
-    allow_long: bool = False,
-    jobs: int = 1,
-) -> SearchResult:
+def enumerate_extremal(n: int, delta: int, g: int, *, allow_long: bool = False,
+                       jobs: int = 1) -> SearchResult:
     """Exact maximum radius over all connected labelled graphs on n vertices
     with minimum degree >= delta and girth >= g, with one witness graph.
 
@@ -358,9 +357,9 @@ def verify_theorem_main_small(n_max: int, delta_set, *, jobs: int = 1) -> dict:
 
     Returns {"rows": [...], "all_equal": bool}; each row carries the
     enumerated value, the formula value and an EQUAL/MISMATCH verdict
-    (both sides use None for "no such graph").  With jobs > 1 each row
-    forks its own span workers.  An n_max below 1 or an
-    empty delta_set raises ValueError: the table would check nothing.
+    (both sides use None for "no such graph").  With jobs > 1 each row forks
+    its own span workers.  An n_max below 1 or an empty delta_set raises
+    ValueError: the table would check nothing.
     """
     deltas = sorted(set(delta_set))
     if n_max < 1:

@@ -398,7 +398,7 @@ class TestMetricKernel:
     def test_triangle_check_skips_eccentricities(self):
         C = cycle(3000)
         assert is_triangle_free(C)
-        # the triangle test reads the levels and the neighbour tuples only: no girth, no eccentricity
+        # the triangle test reads the neighbour tuples only: no girth, no eccentricity
         assert "metrics" not in C._cache and "girth" not in C._cache
         assert metric_summary(C).girth == 3000
 
@@ -810,11 +810,11 @@ _K3 = build_graph(3, [(0, 1), (1, 2), (0, 2)])
 
 
 @pytest.mark.parametrize("G", [
-    # bipartite: answered from the levels alone
+    # bipartite
     cycle(8), _K33, _HEAWOOD, glue_cycle(_HEAWOOD, 4), projective_plane_incidence_graph(3),
     symplectic_quadrangle_incidence_graph(2), build_graph(5, [(0, 1), (1, 2), (1, 3), (3, 4)]),
     build_graph(0, []), build_graph(4, []), _disjoint_union(cycle(4), cycle(6)),
-    # not bipartite: the per-edge test decides
+    # not bipartite
     cycle(9), _petersen(), glue_cycle(_petersen(), 10), _K3, _K4_MINUS_EDGE,
     build_graph(4, list(combinations(range(4), 2))), circulant(12, (1, 5, 6)), circulant(13, (1, 5)),
     _disjoint_union(cycle(4), _K3), _disjoint_union(cycle(6), cycle(5)), _disjoint_union(_K33, cycle(7)),

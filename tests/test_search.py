@@ -1,6 +1,7 @@
 import math
 import os
 import random
+import signal
 import sys
 import time
 from fractions import Fraction
@@ -374,9 +375,13 @@ def test_enumerate_extremal_jobs_property(params):
         par.max_radius, par.graphs_considered, par.extremal_witness)
 
 
+_SIGNAL_MASK = signal.pthread_sigmask(signal.SIG_BLOCK, ())
+
+
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    assert signal.pthread_sigmask(signal.SIG_BLOCK, ()) == _SIGNAL_MASK
 
 
 class TestForkedSpans:
@@ -398,6 +403,20 @@ class TestForkedSpans:
         seq = enumerate_extremal(8, 3, 4, jobs=1)
         monkeypatch.delattr(os, "fork")
         assert enumerate_extremal(8, 3, 4, jobs=2) == seq
+
+    def test_a_signal_during_the_forks_waits_until_each_child_is_recorded(self, monkeypatch):
+        fork = os.fork
+
+        def fork_then_interrupt():
+            pid = fork()
+            if pid:
+                os.kill(os.getpid(), signal.SIGINT)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork_then_interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            enumerate_extremal(8, 3, 4, jobs=3)
+        assert_no_child_left()
 
     def test_a_failing_child_raises_and_is_reaped(self, monkeypatch, capfd):
         caller, span_task = os.getpid(), search._span_task
