@@ -9,7 +9,7 @@ the package registers its submodules lazily (see ``radgraph/__init__.py``),
 so a command executes only the modules it calls: ``bound`` runs ``bounds``
 alone, ``search stream`` ``bounds``, ``graph``, ``io`` and ``search``, and
 ``witness find`` ``graph``, ``io`` and ``witness``.  For the same reason a
-failed witness check is caught in ``_cmd_witness``, not in ``main``.
+failed witness check is caught in its command's handler, not in ``main``.
 """
 
 from __future__ import annotations
@@ -36,22 +36,29 @@ def _open_input(path):
     return open(path, "rb")
 
 
+#: The choices of ``--input-format``, ``construct --format`` and ``witness
+#: check``.  An entry reaches ``io`` or ``witness`` only when it is called, so
+#: building the parser executes neither.
+_LOADERS = {  # the graph read from a file's bytes (or stdin's text)
+    "graph6": lambda data: gio.from_graph6(data),
+    "edgelist": lambda data: gio.from_edgelist_text(
+        data.decode("ascii") if isinstance(data, bytes) else data),
+}
+_RENDERERS = {  # the text written for a graph
+    "graph6": lambda G: gio.graph6_bytes(G).decode("ascii") + "\n",
+    "edgelist": lambda G: gio.to_edgelist_text(G),
+    "dot": lambda G: gio.to_dot(G),
+}
+_CHECKS = {  # the checker's name in ``witness`` and the one parameter option it takes
+    "general": ("check_witness_general", "k"),
+    "tf": ("check_witness_triangle_free", None),
+    "cycles": ("check_witness_two_cycles", "r"),
+}
+
+
 def _load_graph(path, fmt="graph6"):
     with _open_input(path) as fh:
-        data = fh.read()
-    if fmt == "edgelist":
-        return gio.from_edgelist_text(data.decode("ascii") if isinstance(data, bytes) else data)
-    return gio.from_graph6(data)
-
-
-def _render_graph(G, fmt):
-    if fmt == "graph6":
-        return gio.graph6_bytes(G).decode("ascii") + "\n"
-    if fmt == "edgelist":
-        return gio.to_edgelist_text(G)
-    if fmt == "dot":
-        return gio.to_dot(G)
-    raise ValueError(f"unknown output format {fmt!r}")
+        return _LOADERS[fmt](fh.read())
 
 
 def _emit(text, output):
@@ -79,10 +86,6 @@ def _metrics_dict(G):
 def _json_number(value):
     """A Fraction as an int when it is integral and as a float otherwise."""
     return int(value) if value.denominator == 1 else float(value)
-
-
-def _print_json(obj, pretty=False):
-    sys.stdout.write(json.dumps(obj, indent=2 if pretty else None, sort_keys=True) + "\n")
 
 
 def _parse_vertex_set(text):
@@ -143,94 +146,87 @@ def _build_parser():
         "radius of connected graphs with degree and girth floors.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    pretty = argparse.ArgumentParser(add_help=False)
+    pretty.add_argument("--pretty", action="store_true")
+    jobs = argparse.ArgumentParser(add_help=False)
+    jobs.add_argument("--jobs", type=_at_least(1), default=os.cpu_count() or 1)
     graph_in = argparse.ArgumentParser(add_help=False)
     graph_in.add_argument("--graph", required=True, help="graph file or - for stdin")
-    graph_in.add_argument("--input-format", choices=("graph6", "edgelist"), default="graph6")
+    graph_in.add_argument("--input-format", choices=_LOADERS, default="graph6")
 
     p = sub.add_parser("construct", help="build a named graph family member")
     kinds = p.add_subparsers(dest="kind", required=True)
     for name, (_, options) in _FAMILIES.items():
-        k = kinds.add_parser(name)
+        k = kinds.add_parser(name, parents=[pretty])
         for option, keywords in options.items():
             k.add_argument(option, **keywords)
-        k.add_argument("--format", choices=("graph6", "edgelist", "dot"), default="graph6")
+        k.add_argument("--format", choices=_RENDERERS, default="graph6")
         k.add_argument("--output", default="-")
         k.add_argument("--verify", action="store_true", help="also print a JSON metric summary")
-        k.add_argument("--pretty", action="store_true")
+        k.set_defaults(run=_cmd_construct)
 
-    p = sub.add_parser("analyze", help="metric summary of a graph as JSON", parents=[graph_in])
-    p.add_argument("--pretty", action="store_true")
+    p = sub.add_parser("analyze", help="metric summary of a graph as JSON",
+                       parents=[graph_in, pretty])
+    p.set_defaults(run=_cmd_analyze)
 
-    p = sub.add_parser("bound", help="all applicable radius bounds as JSON")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--delta", type=int, required=True)
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--pretty", action="store_true")
+    p = sub.add_parser("bound", help="all applicable radius bounds as JSON", parents=[pretty])
+    p.add_argument("--n", type=_at_least(1), required=True)
+    p.add_argument("--delta", type=_at_least(2), required=True)
+    p.add_argument("--g", type=_at_least(3), required=True)
+    p.set_defaults(run=_cmd_bound)
 
     p = sub.add_parser("witness", help="check or search witness sets")
     wsub = p.add_subparsers(dest="action", required=True)
-    c = wsub.add_parser("check")
-    c.add_argument("what", choices=("general", "tf", "cycles"))
+    c = wsub.add_parser("check", parents=[pretty])
+    c.add_argument("what", choices=_CHECKS)
     c.add_argument("--graph", required=True)
-    c.add_argument("--input-format", choices=("graph6", "edgelist"), default="graph6")
+    c.add_argument("--input-format", choices=_LOADERS, default="graph6")
     c.add_argument("--set", dest="vertex_set", type=_parse_vertex_set, required=True)
     c.add_argument("--k", type=int, default=None, help="half-girth (general)")
     c.add_argument("--r", type=int, default=None, help="cycle length (cycles)")
-    c.add_argument("--pretty", action="store_true")
-    f = wsub.add_parser("find", parents=[graph_in])
+    c.set_defaults(run=_cmd_check)
+    f = wsub.add_parser("find", parents=[graph_in, pretty])
     f.add_argument("--k", type=int, required=True)
     f.add_argument("--budget", type=int, default=10**6)
-    f.add_argument("--pretty", action="store_true")
+    f.set_defaults(run=_cmd_find)
 
     p = sub.add_parser("search", help="exhaustive enumeration and stream checks")
     ssub = p.add_subparsers(dest="action", required=True)
-    e = ssub.add_parser("enumerate")
+    e = ssub.add_parser("enumerate", parents=[jobs, pretty])
     e.add_argument("--n", type=int, required=True)
     e.add_argument("--delta", type=int, required=True)
     e.add_argument("--g", type=int, default=4)
     e.add_argument("--long-run", action="store_true")
-    e.add_argument("--jobs", type=_at_least(1), default=os.cpu_count() or 1)
-    e.add_argument("--pretty", action="store_true")
-    v = ssub.add_parser("verify-theorem")
+    e.set_defaults(run=_cmd_enumerate)
+    v = ssub.add_parser("verify-theorem", parents=[jobs, pretty])
     v.add_argument("--n-max", type=int, required=True)
     v.add_argument("--deltas", default="2,3", help="comma-separated degree floors")
-    v.add_argument("--jobs", type=_at_least(1), default=os.cpu_count() or 1)
-    v.add_argument("--pretty", action="store_true")
-    s = ssub.add_parser("stream")
+    v.set_defaults(run=_cmd_verify_theorem)
+    s = ssub.add_parser("stream", parents=[pretty])
     s.add_argument("--delta", type=_at_least(0), required=True)
     s.add_argument("--g", type=_at_least(3), required=True)
     s.add_argument("--input", default="-", help="graph6 lines, file or - for stdin")
-    s.add_argument("--pretty", action="store_true")
+    s.set_defaults(run=_cmd_stream)
 
     p = sub.add_parser("extract", help="smallest dense ball along a central geodesic",
-                       parents=[graph_in])
+                       parents=[graph_in, pretty])
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--pretty", action="store_true")
+    p.set_defaults(run=_cmd_extract)
 
     return parser
 
 
 def _cmd_construct(args):
     G = _FAMILIES[args.kind][0](args)
-    _emit(_render_graph(G, args.format), args.output)
-    if args.verify:
-        _print_json(_metrics_dict(G), args.pretty)
-    return EXIT_OK
+    _emit(_RENDERERS[args.format](G), args.output)
+    return (_metrics_dict(G) if args.verify else None), EXIT_OK
 
 
 def _cmd_analyze(args):
-    G = _load_graph(args.graph, args.input_format)
-    _print_json(_metrics_dict(G), args.pretty)
-    return EXIT_OK
+    return _metrics_dict(_load_graph(args.graph, args.input_format)), EXIT_OK
 
 
 def _cmd_bound(args):
-    if args.n < 1:
-        raise ValueError(f"order must be >= 1, got {args.n}")
-    if args.g < 3:
-        raise ValueError(f"girth must be >= 3, got {args.g}")
-    if args.delta < 2:
-        raise ValueError(f"minimum degree must be >= 2, got {args.delta}")
     out = {}
     if args.g == 4:
         exact = bounds.exact_radius_formula_g4(args.n, args.delta)
@@ -239,74 +235,68 @@ def _cmd_bound(args):
         out["upper"] = _json_number(bounds.upper_bound_radius(args.n, args.delta, args.g))
     if args.g in (6, 8, 12):
         out["cage_lower"] = _json_number(bounds.cage_lower_bound(args.n, args.delta, args.g))
-    _print_json(out, args.pretty)
-    return EXIT_OK
+    return out, EXIT_OK
 
 
-def _cmd_witness(args):
+def _cmd_check(args):
     G = _load_graph(args.graph, args.input_format)
-    if args.action == "find":
-        try:
-            report = witness.find_witness(G, args.k, args.budget)
-        except witness.WitnessValidationError as exc:
-            sys.stderr.write(f"check failed: {exc}\n")
-            return EXIT_CHECK_FAILED
-    else:
-        # each check's checker and the one parameter option it takes, if any
-        check, takes = {"general": (witness.check_witness_general, "k"),
-                        "tf": (witness.check_witness_triangle_free, None),
-                        "cycles": (witness.check_witness_two_cycles, "r")}[args.what]
-        if takes and getattr(args, takes) is None:
-            raise ValueError(f"--{takes} is required for the {args.what} check")
-        for name in ("k", "r"):
-            if name != takes and getattr(args, name) is not None:
-                raise ValueError(f"--{name} does not apply to the {args.what} check")
-        extra = [getattr(args, takes)] if takes else []
-        try:
-            report = check(G, args.vertex_set, *extra)
-        except witness.WitnessValidationError as exc:
-            _print_json({"kind": exc.kind, "error": str(exc),
-                         "pair": list(exc.pair) if exc.pair else None, "pass": False},
-                        args.pretty)
-            return EXIT_CHECK_FAILED
-    _print_json(report.to_json_dict(), args.pretty)
-    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
+    checker, takes = _CHECKS[args.what]
+    if takes and getattr(args, takes) is None:
+        raise ValueError(f"--{takes} is required for the {args.what} check")
+    for name in ("k", "r"):
+        if name != takes and getattr(args, name) is not None:
+            raise ValueError(f"--{name} does not apply to the {args.what} check")
+    extra = [getattr(args, takes)] if takes else []
+    try:
+        report = getattr(witness, checker)(G, args.vertex_set, *extra)
+    except witness.WitnessValidationError as exc:
+        return {"kind": exc.kind, "error": str(exc),
+                "pair": list(exc.pair) if exc.pair else None, "pass": False}, EXIT_CHECK_FAILED
+    return report.to_json_dict(), EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
-def _cmd_search(args):
-    if args.action == "enumerate":
-        result = search.enumerate_extremal(
-            args.n, args.delta, args.g, allow_long=args.long_run, jobs=args.jobs
-        )
-        payload = {
-            "n": result.n,
-            "delta": result.delta,
-            "g": result.g,
-            "max_radius": result.max_radius,
-            "witness": (
-                gio.graph6_bytes(result.extremal_witness).decode("ascii")
-                if result.extremal_witness
-                else None
-            ),
-            "graphs_considered": result.graphs_considered,
-        }
-        _print_json(payload, args.pretty)
-        return EXIT_OK
-    if args.action == "verify-theorem":
-        deltas = [int(tok) for tok in args.deltas.split(",") if tok]
-        table = search.verify_theorem_main_small(args.n_max, deltas, jobs=args.jobs)
-        _print_json(table, args.pretty)
-        return EXIT_OK if table["all_equal"] else EXIT_CHECK_FAILED
+def _cmd_find(args):
+    G = _load_graph(args.graph, args.input_format)
+    try:
+        report = witness.find_witness(G, args.k, args.budget)
+    except witness.WitnessValidationError as exc:
+        sys.stderr.write(f"check failed: {exc}\n")
+        return None, EXIT_CHECK_FAILED
+    return report.to_json_dict(), EXIT_OK if report.passed else EXIT_CHECK_FAILED
+
+
+def _cmd_enumerate(args):
+    result = search.enumerate_extremal(
+        args.n, args.delta, args.g, allow_long=args.long_run, jobs=args.jobs
+    )
+    return {
+        "n": result.n,
+        "delta": result.delta,
+        "g": result.g,
+        "max_radius": result.max_radius,
+        "witness": (gio.graph6_bytes(result.extremal_witness).decode("ascii")
+                    if result.extremal_witness else None),
+        "graphs_considered": result.graphs_considered,
+    }, EXIT_OK
+
+
+def _cmd_verify_theorem(args):
+    deltas = [int(tok) for tok in args.deltas.split(",") if tok]
+    table = search.verify_theorem_main_small(args.n_max, deltas, jobs=args.jobs)
+    return table, EXIT_OK if table["all_equal"] else EXIT_CHECK_FAILED
+
+
+def _cmd_stream(args):
     with _open_input(args.input) as fh:
         report = search.stream_verify(fh, args.delta, args.g)
-    _print_json(report, args.pretty)
-    return EXIT_OK if not report["bound_violations"] else EXIT_CHECK_FAILED
+    return report, EXIT_OK if not report["bound_violations"] else EXIT_CHECK_FAILED
 
 
 def _cmd_extract(args):
     G = _load_graph(args.graph, args.input_format)
     res = constructions.extract_dense_subgraph(G, args.k)
-    payload = {
+    ok = res.subgraph.n <= res.vertex_bound and res.subgraph.edge_count >= res.edge_bound
+    return {
         "center": res.center,
         "geodesic": list(res.geodesic),
         "chosen_index": res.chosen_index,
@@ -316,25 +306,18 @@ def _cmd_extract(args):
         "vertex_map": list(res.vertex_map),
         "vertex_bound": res.vertex_bound,
         "edge_bound": res.edge_bound,
-    }
-    _print_json(payload, args.pretty)
-    ok = res.subgraph.n <= res.vertex_bound and res.subgraph.edge_count >= res.edge_bound
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    }, EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "construct": _cmd_construct,
-        "analyze": _cmd_analyze,
-        "bound": _cmd_bound,
-        "witness": _cmd_witness,
-        "search": _cmd_search,
-        "extract": _cmd_extract,
-    }
+    """Run the command's handler, which returns (JSON payload or None, exit code)."""
+    args = _build_parser().parse_args(argv)
     try:
-        return handlers[args.command](args)
+        payload, code = args.run(args)
+        if payload is not None:
+            sys.stdout.write(json.dumps(payload, indent=2 if args.pretty else None,
+                                        sort_keys=True) + "\n")
+        return code
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

@@ -302,8 +302,7 @@ def _eccentricities(adj, n, k):
 def _ball_eccentricities(adj, n, k, best=INFINITE, odd=True):
     """Eccentricities of the sources 0..k-1 by bit-parallel ball growth, and
     the length of a shortest cycle through any of them if it is below
-    ``best`` (``best`` otherwise; 0 looks for no cycle), or None if the graph
-    is disconnected.
+    ``best`` (``best`` otherwise), or None if the graph is disconnected.
 
     Sources are taken _BALL_WIDTH at a time; bit i of ``balls[v]`` is set
     once d(lo + i, v) <= level, so one level ORs each vertex's mask with its
@@ -492,9 +491,10 @@ def metric_summary(G: Graph) -> MetricSummary:
     the orbit representatives 0..d-1 come from ball growth when
     2 * ecc(0) <= d and from one queue BFS per source otherwise (see the
     module docstring); vertex v inherits the eccentricity of v mod d.  Ball
-    growth also finds the girth unless ``_girth_of`` already has; otherwise
-    ``_girth_of`` computes it.  The result is memoised on the graph, which
-    is safe because graphs are immutable.
+    growth also finds the girth, looking only for a cycle shorter than one
+    ``_girth_of`` already found; otherwise ``_girth_of`` computes it.  The
+    result is memoised on the graph, which is safe because graphs are
+    immutable.
     """
     cached = G._cache.get("metrics")
     if cached is not None:
@@ -508,10 +508,9 @@ def metric_summary(G: Graph) -> MetricSummary:
         d = _shift_period_of(G)
         if 2 * max(depth) > d:
             reps = _eccentricities(G.adj, n, d)
-        elif "girth" in G._cache:  # best 0: look for no cycle
-            reps, _ = _ball_eccentricities(G.adj, n, d, 0)
-        else:  # ball growth finds the girth on the way
-            reps, G._cache["girth"] = _ball_eccentricities(G.adj, n, d, INFINITE, not _bipartite(G.adj, depth))
+        else:  # ball growth finds the girth on the way, or keeps the one known
+            reps, G._cache["girth"] = _ball_eccentricities(
+                G.adj, n, d, G._cache.get("girth", INFINITE), not _bipartite(G.adj, depth))
         radius = min(reps)
         diameter = max(reps)
         centers = tuple(v for v in range(n) if reps[v % d] == radius)

@@ -55,6 +55,7 @@ from __future__ import annotations
 import marshal
 import os
 from contextlib import suppress
+from itertools import starmap
 
 from . import constructions
 from . import io as gio
@@ -255,17 +256,14 @@ def _prefix_orbits(n, delta, g, s):
     return sorted((tuple(orbit[1:]) for orbit in orbits), key=lambda orbit: sum(orbit[1]))
 
 
-def _span_task(args):
-    return _enumerate_span(*args)
-
-
 def _spans(tasks, jobs):
-    """``_span_task`` over tasks, in order, task i in worker i mod jobs:
-    worker 0 is the caller, and each other one a child forked once the tasks
-    are built, which sends back one ``marshal`` string through its own pipe."""
+    """``_enumerate_span(*task)`` for each task, in order, task i in worker
+    i mod jobs: worker 0 is the caller, and each other one a child forked once
+    the tasks are built, which sends back one ``marshal`` string through its
+    own pipe."""
     jobs = min(jobs, len(tasks))
     if jobs <= 1 or not hasattr(os, "fork"):
-        return list(map(_span_task, tasks))
+        return list(starmap(_enumerate_span, tasks))
     import signal  # here, so that a run in process never loads it
     mask = signal.pthread_sigmask(signal.SIG_BLOCK, ())
     children = []  # (pid, read end) of each child not yet reaped
@@ -279,7 +277,7 @@ def _spans(tasks, jobs):
                 try:
                     signal.pthread_sigmask(signal.SIG_SETMASK, mask)
                     with open(write_fd, "wb") as out:
-                        marshal.dump(list(map(_span_task, tasks[w::jobs])), out)
+                        marshal.dump(list(starmap(_enumerate_span, tasks[w::jobs])), out)
                     os._exit(0)
                 except BaseException:
                     import traceback  # only a failing child loads it
@@ -289,7 +287,7 @@ def _spans(tasks, jobs):
             children.append((pid, pipe))
             os.close(write_fd)  # before the next fork, or that child would hold it open
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        shares = [list(map(_span_task, tasks[::jobs]))]
+        shares = [list(starmap(_enumerate_span, tasks[::jobs]))]
         for pid, pipe in list(children):
             with pipe:
                 data = pipe.read()
@@ -341,8 +339,9 @@ def enumerate_extremal(n: int, delta: int, g: int, *, allow_long: bool = False,
     with minimum degree >= delta and girth >= g, with one witness graph.
 
     n is capped at 8 by default; n = 9 requires ``allow_long``, and
-    (9, 2, 4) took 1.5 s with jobs = 1 and 0.93 s with jobs = 2 (best of 3
-    launches on a 2-core box under CPython 3.11).  The backtracking forest
+    (9, 2, 4) takes 1.79 s with jobs = 1 and 0.97 s with jobs = 2 in process,
+    1.70 s and 1.26 s as a ``radgraph`` launch (medians of 5 alternating
+    runs on a shared 2-core box under CPython 3.11).  The backtracking forest
     is always split after the first min(n, max(5, n - 3)) vertices, one
     prefix per orbit of the split is enumerated, and the tasks run on
     ``jobs`` workers, the caller and forked children (``_spans``); ties

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -175,24 +176,6 @@ class TestBound:
     def test_nonexistent(self, capsys):
         code, out, _ = run(capsys, "bound", "--n", "5", "--delta", "3", "--g", "4")
         assert json.loads(out)["exact"] == "nonexistent"
-
-    @pytest.mark.parametrize("n,delta,g", [("-5", "3", "6"), ("0", "3", "8"), ("0", "3", "4"),
-                                           ("-5", "3", "5"), ("0", "3", "7"), ("0", "3", "3")])
-    def test_empty_order_exit_2(self, capsys, n, delta, g):
-        code, out, err = run(capsys, "bound", "--n", n, "--delta", delta, "--g", g)
-        assert code == 2 and out == "" and "order must be >= 1" in err
-
-    @pytest.mark.parametrize("g", ["2", "-4"])
-    def test_girth_below_3_exit_2(self, capsys, g):
-        code, out, err = run(capsys, "bound", "--n", "15", "--delta", "3", "--g", g)
-        assert code == 2 and out == "" and "girth must be >= 3" in err
-
-    @pytest.mark.parametrize("delta,g", [("0", "7"), ("1", "3"), ("1", "5"), ("-2", "3"),
-                                         ("1", "6"), ("0", "4")])
-    def test_degree_floor_below_2_exit_2(self, capsys, delta, g):
-        code, out, err = run(capsys, "bound", "--n", "15", "--delta", delta, "--g", g)
-        assert code == 2 and out == ""
-        assert err == f"error: minimum degree must be >= 2, got {delta}\n"
 
     def test_girth_3_has_no_bound(self, capsys):
         code, out, _ = run(capsys, "bound", "--n", "15", "--delta", "3", "--g", "3")
@@ -381,21 +364,29 @@ class TestSearch:
         assert code == 2 and out == "" and err == f"error: {message}\n"
 
     @pytest.mark.parametrize("argv,message", [
-        (("enumerate", "--n", "5", "--delta", "2", "--g", "4", "--jobs", "0"), "--jobs: must be >= 1, got 0"),
-        (("enumerate", "--n", "5", "--delta", "2", "--g", "4", "--jobs", "-3"), "--jobs: must be >= 1, got -3"),
-        (("verify-theorem", "--n-max", "4", "--deltas", "2", "--jobs", "0"), "--jobs: must be >= 1, got 0"),
-        (("verify-theorem", "--n-max", "4", "--deltas", "2", "--jobs", "-2"), "--jobs: must be >= 1, got -2"),
-        (("stream", "--delta", "-3", "--g", "4"), "--delta: must be >= 0, got -3"),
-        (("stream", "--delta", "2", "--g", "0"), "--g: must be >= 3, got 0"),
-        (("stream", "--delta", "2", "--g", "2"), "--g: must be >= 3, got 2"),
+        (("search", "enumerate", "--n", "5", "--delta", "2", "--g", "4", "--jobs", "0"), "--jobs: must be >= 1, got 0"),
+        (("search", "enumerate", "--n", "5", "--delta", "2", "--g", "4", "--jobs", "-3"), "--jobs: must be >= 1, got -3"),
+        (("search", "verify-theorem", "--n-max", "4", "--deltas", "2", "--jobs", "0"), "--jobs: must be >= 1, got 0"),
+        (("search", "verify-theorem", "--n-max", "4", "--deltas", "2", "--jobs", "-2"), "--jobs: must be >= 1, got -2"),
+        (("search", "stream", "--delta", "-3", "--g", "4"), "--delta: must be >= 0, got -3"),
+        (("search", "stream", "--delta", "2", "--g", "0"), "--g: must be >= 3, got 0"),
+        (("search", "stream", "--delta", "2", "--g", "2"), "--g: must be >= 3, got 2"),
+        # bound: an empty order, a girth floor below 3 and a degree floor below 2
+        *[(("bound", "--n", n, "--delta", "3", "--g", g), f"--n: must be >= 1, got {n}")
+          for n, g in [("-5", "6"), ("0", "8"), ("0", "4"), ("-5", "5"), ("0", "7"), ("0", "3")]],
+        *[(("bound", "--n", "15", "--delta", "3", "--g", g), f"--g: must be >= 3, got {g}")
+          for g in ["2", "-4"]],
+        *[(("bound", "--n", "15", "--delta", delta, "--g", g), f"--delta: must be >= 2, got {delta}")
+          for delta, g in [("0", "7"), ("1", "3"), ("1", "5"), ("-2", "3"), ("1", "6"), ("0", "4")]],
     ])
     def test_out_of_domain_exit_2(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
-            main(["search", *argv])
+            main(list(argv))
         out = capsys.readouterr()
         assert exc.value.code == 2 and out.out == ""
+        command = " ".join(word for word in argv[:2] if not word.startswith("-"))
         assert [line for line in out.err.splitlines() if "error:" in line] == [
-            f"radgraph search {argv[0]}: error: argument {message}"]
+            f"radgraph {command}: error: argument {message}"]
 
     def test_stream_domain_minimum_accepted(self, capsys, tmp_path):
         path = tmp_path / "c5.g6"
@@ -480,6 +471,55 @@ def test_option_names_are_not_abbreviated(capsys, tmp_path):
     assert "unrecognized arguments: --input" in capsys.readouterr().err
     code, out, _ = run(capsys, "search", "stream", "--delta", "2", "--g", "4", "--input", str(path))
     assert code == 0 and json.loads(out)["accepted"] == 1
+
+
+def leaf_parsers(parser, path=()):
+    """(command words, parser) of every sub-parser that has no sub-commands."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield " ".join(path), parser
+    for action in subs:
+        for name, child in action.choices.items():
+            yield from leaf_parsers(child, (*path, name))
+
+
+def test_parser_walk():
+    # each leaf names its handler and takes --pretty once; each choices list is its table's keys
+    leaves = dict(leaf_parsers(cli._build_parser()))
+    assert set(leaves) == {*(f"construct {kind}" for kind in cli._FAMILIES), "analyze", "bound",
+                           "witness check", "witness find", "search enumerate",
+                           "search verify-theorem", "search stream", "extract"}
+    tables = {"format": cli._RENDERERS, "input_format": cli._LOADERS, "what": cli._CHECKS}
+    chosen = {name: [] for name in tables}
+    for path, parser in leaves.items():
+        assert callable(parser.get_default("run")), path
+        assert [a.option_strings for a in parser._actions].count(["--pretty"]) == 1, path
+        for action in parser._actions:
+            if action.dest in tables:
+                assert list(action.choices) == list(tables[action.dest]), (path, action.dest)
+                chosen[action.dest].append(path)
+    assert chosen == {
+        "format": [f"construct {kind}" for kind in cli._FAMILIES],
+        "input_format": ["analyze", "witness check", "witness find", "extract"],
+        "what": ["witness check"],
+    }
+
+
+@pytest.mark.parametrize("argv", [
+    "bound --n 14 --delta 3 --g 6",
+    "analyze --graph c8.g6",
+    "construct box --r 4 --delta 2 --verify",
+    "witness check tf --graph c8.g6 --set 0,2",
+    "search enumerate --n 6 --delta 2 --g 4 --jobs 1",
+])
+def test_pretty_indents_the_plain_payload(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c8.g6").write_bytes(graph6_bytes(cycle(8)))
+    code, plain, err = run(capsys, *argv.split())
+    *lines, payload = plain.splitlines()  # construct writes its graph first
+    want = "".join(line + "\n" for line in lines)
+    want += json.dumps(json.loads(payload), indent=2, sort_keys=True) + "\n"
+    assert run(capsys, *argv.split(), "--pretty") == (code, want, err)
 
 
 #: Runs main(argv) in a fresh interpreter; prints the exit code, the radgraph

@@ -573,6 +573,12 @@ class TestShiftPeriod:
         assert ms.centers == tuple(range(G.n))
 
 
+def relabelled(G, rng):
+    """G with its vertices permuted at random."""
+    perm = rng.sample(range(G.n), G.n)
+    return build_graph(G.n, [(perm[u], perm[v]) for u, v in G.edges()])
+
+
 def cycles_on_a_tree(n, bottom, top, seed):
     """A C_bottom on the vertices 0..bottom-1 and a C_top on the last top
     vertices, joined through a random recursive tree on the rest: the two
@@ -677,7 +683,21 @@ class TestGirthPaths:
 
         monkeypatch.setattr(graph_module, "_ball_eccentricities", spy)
         assert metric_summary(G).girth == 6
-        assert bests == [0]
+        assert bests == [6]
+
+    @pytest.mark.parametrize("build", [
+        lambda: projective_plane_incidence_graph(3),
+        lambda: symplectic_quadrangle_incidence_graph(2),
+        _petersen,
+        lambda: relabelled(glue_cycle(_HEAWOOD, 4), random.Random(29)),
+    ], ids=["PG(2,3)", "W(2)", "Petersen", "relabelled Heawood x4"])
+    def test_summary_is_the_same_after_the_girth_is_known(self, monkeypatch, build):
+        # a known girth is the best ball growth looks below, and it comes back unchanged
+        first, later = build(), build()
+        assert _girth_of(later) == oracle_girth(later)
+        kernels = kernel_calls(monkeypatch)
+        assert metric_summary(later) == metric_summary(first)
+        assert [name for name, _ in kernels] == ["_ball_eccentricities"] * 2
 
 
 @st.composite

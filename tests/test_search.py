@@ -419,14 +419,14 @@ class TestForkedSpans:
         assert_no_child_left()
 
     def test_a_failing_child_raises_and_is_reaped(self, monkeypatch, capfd):
-        caller, span_task = os.getpid(), search._span_task
+        caller, enumerate_span = os.getpid(), search._enumerate_span
 
-        def span_in_caller_only(args):
+        def span_in_caller_only(*task):
             if os.getpid() != caller:
                 raise ValueError("a span failed in a child")
-            return span_task(args)
+            return enumerate_span(*task)
 
-        monkeypatch.setattr(search, "_span_task", span_in_caller_only)
+        monkeypatch.setattr(search, "_enumerate_span", span_in_caller_only)
         with pytest.raises(RuntimeError, match="exited with status 1"):
             enumerate_extremal(8, 3, 4, jobs=3)
         assert_no_child_left()
@@ -436,15 +436,15 @@ class TestForkedSpans:
     def test_the_callers_error_comes_out_unchanged(self, monkeypatch, error):
         caller = os.getpid()
 
-        def span_that_stalls_in_the_child(args):
+        def span_that_stalls_in_the_child(*task):
             if os.getpid() == caller:
                 raise error
             time.sleep(60)  # a child still at work when the caller fails is killed, not awaited
 
-        monkeypatch.setattr(search, "_span_task", span_that_stalls_in_the_child)
+        monkeypatch.setattr(search, "_enumerate_span", span_that_stalls_in_the_child)
         start = time.monotonic()
         with pytest.raises(type(error)) as exc:
-            search._spans(["task 0, the caller's", "task 1, the child's"], 2)
+            search._spans([("task 0, the caller's",), ("task 1, the child's",)], 2)
         assert exc.value is error
         assert time.monotonic() - start < 30
         assert_no_child_left()
