@@ -36,9 +36,8 @@ def _open_input(path):
     return open(path, "rb")
 
 
-#: The choices of ``--input-format``, ``construct --format`` and ``witness
-#: check``.  An entry reaches ``io`` or ``witness`` only when it is called, so
-#: building the parser executes neither.
+#: The choices of ``--input-format`` and ``construct --format``.  An entry
+#: reaches ``io`` only when it is called, so building the parser does not run it.
 _LOADERS = {  # the graph read from a file's bytes (or stdin's text)
     "graph6": lambda data: gio.from_graph6(data),
     "edgelist": lambda data: gio.from_edgelist_text(
@@ -48,11 +47,6 @@ _RENDERERS = {  # the text written for a graph
     "graph6": lambda G: gio.graph6_bytes(G).decode("ascii") + "\n",
     "edgelist": lambda G: gio.to_edgelist_text(G),
     "dot": lambda G: gio.to_dot(G),
-}
-_CHECKS = {  # the checker's name in ``witness`` and the one parameter option it takes
-    "general": ("check_witness_general", "k"),
-    "tf": ("check_witness_triangle_free", None),
-    "cycles": ("check_witness_two_cycles", "r"),
 }
 
 
@@ -88,24 +82,26 @@ def _json_number(value):
     return int(value) if value.denominator == 1 else float(value)
 
 
-def _parse_vertex_set(text):
-    """The comma-separated vertices of ``text``; a set with none is rejected."""
+def _int_list(text):
+    """The comma-separated integers of ``text``; a list with none is rejected."""
     try:
-        vertices = [int(tok) for tok in text.split(",") if tok != ""]
+        values = [int(tok) for tok in text.split(",") if tok != ""]
     except ValueError:
-        vertices = []
-    if not vertices:
-        raise argparse.ArgumentTypeError(f"bad vertex set {text!r}: expected e.g. 0,1,4,5")
-    return vertices
+        values = []
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    return values
 
 
-def _at_least(lo):
-    """An argparse ``type=`` for the integers >= lo."""
+def _at_least(lo, **default):
+    """``add_argument`` keywords for an integer option >= lo, required unless it
+    has a default.  lo is the least value the library takes for some choice of
+    the command's other options, so the library keeps its own checks."""
     def integer(text):
         if int(text) < lo:
             raise argparse.ArgumentTypeError(f"must be >= {lo}, got {int(text)}")
         return int(text)
-    return integer
+    return {"type": integer, "required": not default, **default}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -120,22 +116,20 @@ class _Parser(argparse.ArgumentParser):
         super().__init__(*args, allow_abbrev=False, **kwargs)
 
 
-_INT = {"type": int, "required": True}
-
 #: Each ``construct`` kind: a builder over the parsed arguments and the kind's
 #: options as ``add_argument`` keywords.  A builder loads ``constructions`` or
 #: ``geometry`` only when it is called, so building the parser loads neither.
 _FAMILIES = {
     "box": (lambda a: constructions.box_graph(a.r, a.delta, a.c),
-            {"--r": _INT, "--delta": _INT, "--c": {"type": int, "default": 0}}),
+            {"--r": _at_least(4), "--delta": _at_least(2), "--c": _at_least(0, default=0)}),
     "bipartite2": (lambda a: constructions.bipartite_radius2(a.n, a.delta),
-                   {"--n": _INT, "--delta": _INT}),
+                   {"--n": _at_least(4), "--delta": _at_least(2)}),
     "radius3": (lambda a: constructions.radius3_graph(a.n, a.delta),
-                {"--n": _INT, "--delta": _INT}),
-    "pg-plane": (lambda a: geometry.projective_plane_incidence_graph(a.q), {"--q": _INT}),
-    "gq": (lambda a: geometry.symplectic_quadrangle_incidence_graph(a.q), {"--q": _INT}),
+                {"--n": _at_least(6), "--delta": _at_least(2)}),
+    "pg-plane": (lambda a: geometry.projective_plane_incidence_graph(a.q), {"--q": _at_least(2)}),
+    "gq": (lambda a: geometry.symplectic_quadrangle_incidence_graph(a.q), {"--q": _at_least(2)}),
     "glue": (lambda a: constructions.glue_cycle(_load_graph(a.base), a.m),
-             {"--base": {"required": True, "help": "graph6 file or - for stdin"}, "--m": _INT}),
+             {"--base": {"required": True, "help": "graph6 file or - for stdin"}, "--m": _at_least(2)}),
 }
 
 
@@ -149,7 +143,7 @@ def _build_parser():
     pretty = argparse.ArgumentParser(add_help=False)
     pretty.add_argument("--pretty", action="store_true")
     jobs = argparse.ArgumentParser(add_help=False)
-    jobs.add_argument("--jobs", type=_at_least(1), default=os.cpu_count() or 1)
+    jobs.add_argument("--jobs", **_at_least(1, default=os.cpu_count() or 1))
     graph_in = argparse.ArgumentParser(add_help=False)
     graph_in.add_argument("--graph", required=True, help="graph file or - for stdin")
     graph_in.add_argument("--input-format", choices=_LOADERS, default="graph6")
@@ -170,47 +164,50 @@ def _build_parser():
     p.set_defaults(run=_cmd_analyze)
 
     p = sub.add_parser("bound", help="all applicable radius bounds as JSON", parents=[pretty])
-    p.add_argument("--n", type=_at_least(1), required=True)
-    p.add_argument("--delta", type=_at_least(2), required=True)
-    p.add_argument("--g", type=_at_least(3), required=True)
+    p.add_argument("--n", **_at_least(1))
+    p.add_argument("--delta", **_at_least(2))
+    p.add_argument("--g", **_at_least(3))
     p.set_defaults(run=_cmd_bound)
 
     p = sub.add_parser("witness", help="check or search witness sets")
     wsub = p.add_subparsers(dest="action", required=True)
-    c = wsub.add_parser("check", parents=[pretty])
-    c.add_argument("what", choices=_CHECKS)
-    c.add_argument("--graph", required=True)
-    c.add_argument("--input-format", choices=_LOADERS, default="graph6")
-    c.add_argument("--set", dest="vertex_set", type=_parse_vertex_set, required=True)
-    c.add_argument("--k", type=int, default=None, help="half-girth (general)")
-    c.add_argument("--r", type=int, default=None, help="cycle length (cycles)")
-    c.set_defaults(run=_cmd_check)
+    checks = wsub.add_parser("check").add_subparsers(dest="what", required=True)
+    witness_set = argparse.ArgumentParser(add_help=False, parents=[graph_in, pretty])
+    witness_set.add_argument("--set", dest="vertex_set", type=_int_list, required=True)
+    c = checks.add_parser("general", parents=[witness_set])
+    c.add_argument("--k", **_at_least(2), help="half-girth")
+    c.set_defaults(run=_cmd_check, check=lambda G, a: witness.check_witness_general(G, a.vertex_set, a.k))
+    c = checks.add_parser("tf", parents=[witness_set])
+    c.set_defaults(run=_cmd_check, check=lambda G, a: witness.check_witness_triangle_free(G, a.vertex_set))
+    c = checks.add_parser("cycles", parents=[witness_set])
+    c.add_argument("--r", **_at_least(4), help="cycle length")
+    c.set_defaults(run=_cmd_check, check=lambda G, a: witness.check_witness_two_cycles(G, a.vertex_set, a.r))
     f = wsub.add_parser("find", parents=[graph_in, pretty])
-    f.add_argument("--k", type=int, required=True)
-    f.add_argument("--budget", type=int, default=10**6)
+    f.add_argument("--k", **_at_least(2))
+    f.add_argument("--budget", **_at_least(0, default=10**6))
     f.set_defaults(run=_cmd_find)
 
     p = sub.add_parser("search", help="exhaustive enumeration and stream checks")
     ssub = p.add_subparsers(dest="action", required=True)
     e = ssub.add_parser("enumerate", parents=[jobs, pretty])
-    e.add_argument("--n", type=int, required=True)
-    e.add_argument("--delta", type=int, required=True)
-    e.add_argument("--g", type=int, default=4)
+    e.add_argument("--n", **_at_least(1))
+    e.add_argument("--delta", **_at_least(0))
+    e.add_argument("--g", **_at_least(3, default=4))
     e.add_argument("--long-run", action="store_true")
     e.set_defaults(run=_cmd_enumerate)
     v = ssub.add_parser("verify-theorem", parents=[jobs, pretty])
-    v.add_argument("--n-max", type=int, required=True)
-    v.add_argument("--deltas", default="2,3", help="comma-separated degree floors")
+    v.add_argument("--n-max", **_at_least(1))
+    v.add_argument("--deltas", type=_int_list, default="2,3", help="comma-separated degree floors")
     v.set_defaults(run=_cmd_verify_theorem)
     s = ssub.add_parser("stream", parents=[pretty])
-    s.add_argument("--delta", type=_at_least(0), required=True)
-    s.add_argument("--g", type=_at_least(3), required=True)
+    s.add_argument("--delta", **_at_least(0))
+    s.add_argument("--g", **_at_least(3))
     s.add_argument("--input", default="-", help="graph6 lines, file or - for stdin")
     s.set_defaults(run=_cmd_stream)
 
     p = sub.add_parser("extract", help="smallest dense ball along a central geodesic",
                        parents=[graph_in, pretty])
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", **_at_least(2))
     p.set_defaults(run=_cmd_extract)
 
     return parser
@@ -227,6 +224,8 @@ def _cmd_analyze(args):
 
 
 def _cmd_bound(args):
+    if args.g > args.n:  # at delta >= 2 every graph has a cycle, so its girth is at most n
+        return {"exists": False}, EXIT_OK
     out = {}
     if args.g == 4:
         exact = bounds.exact_radius_formula_g4(args.n, args.delta)
@@ -240,15 +239,8 @@ def _cmd_bound(args):
 
 def _cmd_check(args):
     G = _load_graph(args.graph, args.input_format)
-    checker, takes = _CHECKS[args.what]
-    if takes and getattr(args, takes) is None:
-        raise ValueError(f"--{takes} is required for the {args.what} check")
-    for name in ("k", "r"):
-        if name != takes and getattr(args, name) is not None:
-            raise ValueError(f"--{name} does not apply to the {args.what} check")
-    extra = [getattr(args, takes)] if takes else []
     try:
-        report = getattr(witness, checker)(G, args.vertex_set, *extra)
+        report = args.check(G, args)
     except witness.WitnessValidationError as exc:
         return {"kind": exc.kind, "error": str(exc),
                 "pair": list(exc.pair) if exc.pair else None, "pass": False}, EXIT_CHECK_FAILED
@@ -281,8 +273,7 @@ def _cmd_enumerate(args):
 
 
 def _cmd_verify_theorem(args):
-    deltas = [int(tok) for tok in args.deltas.split(",") if tok]
-    table = search.verify_theorem_main_small(args.n_max, deltas, jobs=args.jobs)
+    table = search.verify_theorem_main_small(args.n_max, args.deltas, jobs=args.jobs)
     return table, EXIT_OK if table["all_equal"] else EXIT_CHECK_FAILED
 
 

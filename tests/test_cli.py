@@ -1,8 +1,13 @@
 import argparse
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
+import radgraph.bounds
 import radgraph.witness
 from radgraph import (
     bipartite_radius2,
@@ -17,6 +22,8 @@ from radgraph import (
     projective_plane_incidence_graph,
     radius3_graph,
     symplectic_quadrangle_incidence_graph,
+    to_edgelist_text,
+    verify_theorem_main_small,
 )
 from radgraph import cli
 from radgraph.cli import main
@@ -78,8 +85,15 @@ class TestConstruct:
         assert code == 0 and out.startswith("graph G {")
 
     def test_bad_parameters_exit_2(self, capsys):
-        code, _, err = run(capsys, "construct", "box", "--r", "3", "--delta", "3")
-        assert code == 2 and "r >= 4" in err
+        # the parser holds each option's own floor, the library the rules that join two options
+        with pytest.raises(SystemExit) as exc:
+            main(["construct", "box", "--r", "3", "--delta", "3"])
+        assert exc.value.code == 2 and "argument --r: must be >= 4, got 3" in capsys.readouterr().err
+        with pytest.raises(ValueError, match="r >= 4"):
+            box_graph(3, 3)
+        code, out, err = run(capsys, "construct", "bipartite2", "--n", "5", "--delta", "3")
+        assert (code, out) == (2, "") and err == (
+            "error: no connected triangle-free graph with min degree 3 on 5 < 6 vertices\n")
 
     def test_emitted_graph6_round_trips(self, capsys):
         for argv in (
@@ -181,6 +195,18 @@ class TestBound:
         code, out, _ = run(capsys, "bound", "--n", "15", "--delta", "3", "--g", "3")
         assert code == 0 and json.loads(out) == {}
 
+    @pytest.mark.parametrize("g", ["16", "1000000000000"])
+    def test_girth_above_the_order_is_empty(self, capsys, monkeypatch, g):
+        # at delta >= 2 every graph has a cycle, so its girth is at most n: no bound is computed
+        for name in ("exact_radius_formula_g4", "upper_bound_radius", "cage_lower_bound"):
+            monkeypatch.setattr(radgraph.bounds, name, None)
+        assert run(capsys, "bound", "--n", "15", "--delta", "3", "--g", g) == (
+            0, '{"exists": false}\n', "")
+
+    def test_girth_equal_to_the_order_is_not_empty(self, capsys):
+        code, out, _ = run(capsys, "bound", "--n", "16", "--delta", "2", "--g", "16")
+        assert code == 0 and json.loads(out) == {"upper": 56}
+
 
 class TestWitness:
     def test_check_tf_pass(self, capsys, tmp_path):
@@ -231,11 +257,19 @@ class TestWitness:
         (("cycles", "--k", "2"), "--r is required for the cycles check"),
     ])
     def test_check_parameter_of_another_kind_exit_2(self, capsys, tmp_path, argv, message):
-        path = tmp_path / "c8.g6"
-        path.write_text(graph6_bytes(cycle(8)).decode())
-        code, out, err = run(capsys, "witness", "check", *argv, "--graph", str(path),
-                             "--set", "0,1,2,3,4,5,6,7")
-        assert code == 2 and out == "" and err == f"error: {message}\n"
+        # each check is its own leaf command, so its parser enforces the rule
+        # before the (here missing) graph file is opened
+        option, rule = message.split(" ", 1)
+        with pytest.raises(SystemExit) as exc:
+            main(["witness", "check", *argv, "--graph", str(tmp_path / "missing.g6"),
+                  "--set", "0,1,2,3,4,5,6,7"])
+        out = capsys.readouterr()
+        assert exc.value.code == 2 and out.out == "" and "No such file" not in out.err
+        [error] = [line for line in out.err.splitlines() if "error:" in line]
+        if rule.startswith("does not apply"):
+            assert "error: unrecognized arguments: " in error and option in error.split()
+        else:
+            assert error.endswith(f"error: the following arguments are required: {option}")
 
     @pytest.mark.parametrize("what,passing,failing", [
         ("general", ("--set", "0,4", "--k", "2"), ("--set", "0,2", "--k", "2")),
@@ -253,13 +287,13 @@ class TestWitness:
 
     @pytest.mark.parametrize("text", [",", "", ",,"])
     def test_check_empty_set_exit_2(self, capsys, tmp_path, text):
-        path = tmp_path / "c8.g6"
-        path.write_text(graph6_bytes(cycle(8)).decode())
         with pytest.raises(SystemExit) as exc:
-            main(["witness", "check", "general", "--graph", str(path), "--set", text, "--k", "2"])
+            main(["witness", "check", "general", "--graph", str(tmp_path / "missing.g6"),
+                  "--set", text, "--k", "2"])
         assert exc.value.code == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and "bad vertex set" in captured.err
+        assert captured.out == "" and captured.err.endswith(
+            f"error: argument --set: expected comma-separated integers, got {text!r}\n")
 
     def test_find(self, capsys, tmp_path):
         path = tmp_path / "h.g6"
@@ -304,12 +338,14 @@ class TestWitness:
         assert code == 0 and json.loads(out)["pass"] and "Traceback" not in err
 
     def test_find_negative_budget_exit_2(self, capsys, tmp_path):
-        path = tmp_path / "c8.g6"
-        path.write_text(graph6_bytes(cycle(8)).decode())
-        code, out, err = run(capsys, "witness", "find", "--graph", str(path), "--k", "2",
-                             "--budget", "-5")
-        assert code == 2 and out == ""
-        assert err == "error: budget must be >= 0, got -5\n"
+        with pytest.raises(SystemExit) as exc:
+            main(["witness", "find", "--graph", str(tmp_path / "missing.g6"), "--k", "2",
+                  "--budget", "-5"])
+        out = capsys.readouterr()
+        assert exc.value.code == 2 and out.out == ""
+        assert out.err.endswith("error: argument --budget: must be >= 0, got -5\n")
+        with pytest.raises(ValueError, match="^budget must be >= 0, got -5$"):
+            find_witness(cycle(8), 2, -5)
 
     def test_malformed_set_exit_2(self, capsys, tmp_path):
         path = tmp_path / "c8.g6"
@@ -360,8 +396,19 @@ class TestSearch:
         (("--n-max", "4", "--deltas", ""), "delta_set names no degree floor"),
     ])
     def test_verify_theorem_empty_table_exit_2(self, capsys, argv, message):
-        code, out, err = run(capsys, "search", "verify-theorem", *argv, "--jobs", "1")
-        assert code == 2 and out == "" and err == f"error: {message}\n"
+        # the parser rejects the option named last before the library sees the table
+        option = argv[-2]
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "verify-theorem", *argv, "--jobs", "1"])
+        out = capsys.readouterr()
+        assert exc.value.code == 2 and out.out == ""
+        [error] = [line for line in out.err.splitlines() if "error:" in line]
+        assert error.startswith(f"radgraph search verify-theorem: error: argument {option}: ")
+        # and the library keeps its own check of the same input
+        options = dict(zip(argv[::2], argv[1::2]))
+        deltas = [int(tok) for tok in options.get("--deltas", "2,3").split(",") if tok]
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            verify_theorem_main_small(int(options["--n-max"]), deltas)
 
     @pytest.mark.parametrize("argv,message", [
         (("search", "enumerate", "--n", "5", "--delta", "2", "--g", "4", "--jobs", "0"), "--jobs: must be >= 1, got 0"),
@@ -483,13 +530,22 @@ def leaf_parsers(parser, path=()):
             yield from leaf_parsers(child, (*path, name))
 
 
+CHECKS = ["witness check general", "witness check tf", "witness check cycles"]
+
+
 def test_parser_walk():
     # each leaf names its handler and takes --pretty once; each choices list is its table's keys
     leaves = dict(leaf_parsers(cli._build_parser()))
     assert set(leaves) == {*(f"construct {kind}" for kind in cli._FAMILIES), "analyze", "bound",
-                           "witness check", "witness find", "search enumerate",
+                           *CHECKS, "witness find", "search enumerate",
                            "search verify-theorem", "search stream", "extract"}
-    tables = {"format": cli._RENDERERS, "input_format": cli._LOADERS, "what": cli._CHECKS}
+    # each check binds its checker, and only general takes --k and only cycles --r
+    for path, parameter in zip(CHECKS, [["--k"], [], ["--r"]]):
+        parser = leaves[path]
+        assert callable(parser.get_default("check")), path
+        assert [a.option_strings[0] for a in parser._actions if a.required] == [
+            "--graph", "--set", *parameter], path
+    tables = {"format": cli._RENDERERS, "input_format": cli._LOADERS}
     chosen = {name: [] for name in tables}
     for path, parser in leaves.items():
         assert callable(parser.get_default("run")), path
@@ -500,9 +556,154 @@ def test_parser_walk():
                 chosen[action.dest].append(path)
     assert chosen == {
         "format": [f"construct {kind}" for kind in cli._FAMILIES],
-        "input_format": ["analyze", "witness check", "witness find", "extract"],
-        "what": ["witness check"],
+        "input_format": ["analyze", *CHECKS, "witness find", "extract"],
     }
+
+
+#: The floor of every integer option, by leaf command: the least value the
+#: library takes for some choice of the command's other options.
+FLOORS = {
+    "construct box": {"--r": 4, "--delta": 2, "--c": 0},
+    "construct bipartite2": {"--n": 4, "--delta": 2},
+    "construct radius3": {"--n": 6, "--delta": 2},
+    "construct pg-plane": {"--q": 2},
+    "construct gq": {"--q": 2},
+    "construct glue": {"--m": 2},
+    "bound": {"--n": 1, "--delta": 2, "--g": 3},
+    "witness check general": {"--k": 2},
+    "witness check cycles": {"--r": 4},
+    "witness find": {"--k": 2, "--budget": 0},
+    "search enumerate": {"--n": 1, "--delta": 0, "--g": 3, "--jobs": 1},
+    "search verify-theorem": {"--n-max": 1, "--jobs": 1},
+    "search stream": {"--delta": 0, "--g": 3},
+    "extract": {"--k": 2},
+}
+#: The other options that a leaf in FLOORS needs, with files in the working directory.
+OTHERS = {
+    "construct glue": "--base h.g6",
+    "witness check general": "--graph c8.g6 --set 0",
+    "witness check cycles": "--graph c8.g6 --set 0,1,2,3,4,5,6,7",
+    "witness find": "--graph c8.g6",
+    "search stream": "--input c8.g6",
+    "extract": "--graph c8.g6",
+}
+
+
+def at_floors(path, **values):
+    """The argv of ``path`` with every integer option at its floor unless given in values."""
+    argv = [*path.split(), *OTHERS.get(path, "").split()]
+    for option, floor in FLOORS[path].items():
+        argv += [option, str(values.get(option, floor))]
+    return argv
+
+
+def test_every_integer_option_has_a_floor():
+    for path, parser in leaf_parsers(cli._build_parser()):
+        assert all(action.type is not int for action in parser._actions), path
+        integers = [action.option_strings[0] for action in parser._actions
+                    if getattr(action.type, "__name__", None) == "integer"]
+        assert set(integers) == set(FLOORS.get(path, [])), path
+
+
+@pytest.mark.parametrize("path", list(FLOORS))
+def test_every_floor_runs(capsys, monkeypatch, tmp_path, path):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "h.g6").write_bytes(graph6_bytes(projective_plane_incidence_graph(2)))
+    (tmp_path / "c8.g6").write_bytes(graph6_bytes(cycle(8)))
+    code, out, err = run(capsys, *at_floors(path))
+    assert code == 0 and err == ""
+
+
+@pytest.mark.parametrize("path,option", [(path, option) for path in FLOORS for option in FLOORS[path]])
+def test_below_the_floor_exit_2_before_any_read(capsys, monkeypatch, tmp_path, path, option):
+    # every file the command names is missing, so a read before the parse error would show
+    monkeypatch.chdir(tmp_path)
+    floor = FLOORS[path][option]
+    with pytest.raises(SystemExit) as exc:
+        main(at_floors(path, **{option: floor - 1}))
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == "" and "No such file" not in out.err
+    assert [line for line in out.err.splitlines() if "error:" in line] == [
+        f"radgraph {path}: error: argument {option}: must be >= {floor}, got {floor - 1}"]
+
+
+#: The files the property below names: graphs with and without a triangle, a
+#: tree, an edge list, a malformed and an empty file, and one that is missing.
+GRAPHS = {
+    "c8.g6": graph6_bytes(cycle(8)),
+    "h.g6": graph6_bytes(projective_plane_incidence_graph(2)),
+    "k4.g6": b"C~",
+    "path.g6": graph6_bytes(build_graph(3, [(0, 1), (1, 2)])),
+}
+FILES = {**GRAPHS, "c8.el": to_edgelist_text(cycle(8)).encode(), "bad.g6": b"G?!bad", "empty.g6": b""}
+#: Fixed ranges the property draws integers from, by option or by (leaf, option),
+#: so that each run stays small; any other integer takes floor .. floor + 4, or
+#: from floor - 2 in a careless command line.
+RANGES = {"--jobs": (1, 2), "--budget": (-1, 1000), ("search enumerate", "--n"): (-1, 6),
+          ("search verify-theorem", "--n-max"): (-1, 5), ("construct gq", "--q"): (0, 5)}
+LEAVES = list(leaf_parsers(cli._build_parser()))
+
+
+@pytest.fixture(scope="module")
+def small_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("files")
+    for name, data in FILES.items():
+        (root / name).write_bytes(data + b"\n" if data else data)
+    return root
+
+
+def option_words(path, action, root, careless):
+    """A strategy for the words that follow ``action``'s option in ``path``.
+
+    A careful command line keeps to each option's domain and names graph
+    files; a careless one also draws values below the floors, choices and
+    lists that do not parse, and files that do not hold a graph."""
+    option = action.option_strings[0]
+    if action.nargs == 0:
+        return st.just([])
+    if action.choices:
+        words = st.sampled_from([*action.choices, "xyz"] if careless else list(action.choices))
+    elif getattr(action.type, "__name__", None) == "integer":
+        floor = FLOORS[path][option]
+        lo, hi = RANGES.get(option, RANGES.get((path, option), (floor - 2 if careless else floor, floor + 4)))
+        words = st.integers(lo, hi).map(str)
+    elif action.type is cli._int_list:
+        if careless:
+            words = st.lists(st.integers(-1, 9), max_size=4).map(lambda xs: ",".join(map(str, xs)))
+            words = st.one_of(words, st.sampled_from(["a,b", "1,,2", " "]))
+        else:  # the vertices of every graph in GRAPHS
+            words = st.lists(st.integers(0, 2), min_size=1, max_size=4).map(lambda xs: ",".join(map(str, xs)))
+    elif option == "--output":
+        words = st.sampled_from(["-", str(root / "out.txt")])
+    else:  # --graph, --base, --input
+        names = [*FILES, "missing.g6"] if careless else list(GRAPHS)
+        words = st.sampled_from([str(root / name) for name in names])
+    return words.map(lambda word: [word])
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_any_command_line_exits_0_1_or_2(small_files, data):
+    path, parser = data.draw(st.sampled_from(LEAVES), label="leaf")
+    careless = data.draw(st.booleans(), label="careless")
+    argv = path.split()
+    for action in data.draw(st.permutations(parser._actions)):
+        if action.option_strings in (["-h", "--help"], ["--long-run"]):
+            continue
+        # a careless line leaves out a required option now and then; either takes
+        # an optional one half the time
+        if data.draw(st.integers(0, 9)) < ((9 if careless else 10) if action.required else 5):
+            argv += [action.option_strings[0],
+                     *data.draw(option_words(path, action, small_files, careless))]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    event(f"exit {code}")
+    assert code in (0, 1, 2), (argv, stderr.getvalue())
+    assert "Traceback" not in stderr.getvalue(), argv
 
 
 @pytest.mark.parametrize("argv", [
