@@ -82,15 +82,20 @@ def _json_number(value):
     return int(value) if value.denominator == 1 else float(value)
 
 
-def _int_list(text):
-    """The comma-separated integers of ``text``; a list with none is rejected."""
-    try:
-        values = [int(tok) for tok in text.split(",") if tok != ""]
-    except ValueError:
-        values = []
-    if not values:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-    return values
+def _int_list(lo):
+    """The ``type`` of an option of comma-separated integers, each >= lo (as
+    in :func:`_at_least`); a list with none is rejected."""
+    def integers(text):
+        try:
+            values = [int(tok) for tok in text.split(",") if tok != ""]
+        except ValueError:
+            values = []
+        if not values:
+            raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+        if min(values) < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {min(values)}")
+        return values
+    return integers
 
 
 def _at_least(lo, **default):
@@ -173,7 +178,7 @@ def _build_parser():
     wsub = p.add_subparsers(dest="action", required=True)
     checks = wsub.add_parser("check").add_subparsers(dest="what", required=True)
     witness_set = argparse.ArgumentParser(add_help=False, parents=[graph_in, pretty])
-    witness_set.add_argument("--set", dest="vertex_set", type=_int_list, required=True)
+    witness_set.add_argument("--set", dest="vertex_set", type=_int_list(0), required=True)
     c = checks.add_parser("general", parents=[witness_set])
     c.add_argument("--k", **_at_least(2), help="half-girth")
     c.set_defaults(run=_cmd_check, check=lambda G, a: witness.check_witness_general(G, a.vertex_set, a.k))
@@ -197,9 +202,9 @@ def _build_parser():
     e.set_defaults(run=_cmd_enumerate)
     v = ssub.add_parser("verify-theorem", parents=[jobs, pretty])
     v.add_argument("--n-max", **_at_least(1))
-    v.add_argument("--deltas", type=_int_list, default="2,3", help="comma-separated degree floors")
+    v.add_argument("--deltas", type=_int_list(2), default="2,3", help="comma-separated degree floors")
     v.set_defaults(run=_cmd_verify_theorem)
-    s = ssub.add_parser("stream", parents=[pretty])
+    s = ssub.add_parser("stream", parents=[jobs, pretty])
     s.add_argument("--delta", **_at_least(0))
     s.add_argument("--g", **_at_least(3))
     s.add_argument("--input", default="-", help="graph6 lines, file or - for stdin")
@@ -279,7 +284,7 @@ def _cmd_verify_theorem(args):
 
 def _cmd_stream(args):
     with _open_input(args.input) as fh:
-        report = search.stream_verify(fh, args.delta, args.g)
+        report = search.stream_verify(fh, args.delta, args.g, jobs=args.jobs)
     return report, EXIT_OK if not report["bound_violations"] else EXIT_CHECK_FAILED
 
 

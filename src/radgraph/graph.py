@@ -524,18 +524,6 @@ def is_connected(G: Graph) -> bool:
     return _levels_of(G).count(0) <= 1
 
 
-def _has_triangle(rows) -> bool:
-    """True when an edge (u, v) of the bitmask ``rows`` has rows[u] & rows[v]."""
-    for v, row in enumerate(rows):
-        low = row & ((1 << v) - 1)
-        while low:
-            b = low & -low
-            if row & rows[b.bit_length() - 1]:
-                return True
-            low ^= b
-    return False
-
-
 def is_triangle_free(G: Graph) -> bool:
     """True when the graph contains no 3-cycle (girth > 3, possibly INFINITE):
     the two ends of no edge share a neighbour."""

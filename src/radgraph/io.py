@@ -14,8 +14,11 @@ rows instead) and calls ``b64encode`` once.  The decoder's one path,
 the zero padding (in that order, each with its own ``ValueError``) and
 decodes the body in one ``b64decode`` call, whose set bits are the edges, so
 ``search stream`` applies its edge-count floor before it builds anything.
+Its two steps are apart, ``_graph6_size`` and ``_graph6_body``, so that
+``search stream`` can read a line's order before it decodes the rest.
 ``from_graph6`` reads its sorted neighbour tuples, and ``_graph6_rows`` the
-bitmask rows, off a small accumulator fed a slice at a time.
+bitmask rows and whether there is a triangle, off a small accumulator fed a
+slice at a time.
 """
 
 from __future__ import annotations
@@ -103,17 +106,23 @@ def _graph6_encode(n: int, body) -> bytes:
     return _encode_size(n) + b64encode(body).translate(_SIXBIT)[: (n * (n - 1) // 2 + 5) // 6]
 
 
-def _graph6_decode(data) -> tuple:
-    """(n, body) of one graph6 value: its order and adjacency bits, decoded
-    in one ``b64decode`` call, so the body's popcount is the edge count.
-    Raises ``ValueError`` for a bad header, size field, body length, body
-    byte or non-zero padding, checked in that order."""
+def _graph6_size(data) -> tuple:
+    """(data, n, pos) of one graph6 value: its bytes, stripped and without
+    the format header, its order and where its body starts.  Raises
+    ``ValueError`` for a bad header or size field."""
     if isinstance(data, str):
         data = data.encode("ascii")
     data = data.strip()
     if data.startswith(_HEADER):
         data = data[len(_HEADER):]
-    n, pos = _decode_size(data)
+    return (data, *_decode_size(data))
+
+
+def _graph6_body(data: bytes, n: int, pos: int) -> bytes:
+    """The adjacency bits of a value from :func:`_graph6_size`, decoded in
+    one ``b64decode`` call, so their popcount is the edge count.  Raises
+    ``ValueError`` for a bad body length, body byte or non-zero padding,
+    checked in that order."""
     expect = (n * (n - 1) // 2 + 5) // 6
     if len(data) - pos != expect:
         raise ValueError(
@@ -128,15 +137,29 @@ def _graph6_decode(data) -> tuple:
         raise ValueError("non-zero padding bits in graph6 data")
     body = data[pos:].translate(_BASE64)
     # zero groups complete the last base64 quantum
-    return n, b64decode(body + b"A" * (-len(body) % 4))
+    return b64decode(body + b"A" * (-len(body) % 4))
 
 
-def _graph6_rows(n: int, body: bytes) -> tuple:
-    """Adjacency bitmasks of a body from :func:`_graph6_decode`.  Read slice by
+def _graph6_decode(data) -> tuple:
+    """(n, body) of one graph6 value: :func:`_graph6_size`, then
+    :func:`_graph6_body`."""
+    data, n, pos = _graph6_size(data)
+    return n, _graph6_body(data, n, pos)
+
+
+def _graph6_rows(n: int, body: bytes, stop_at_triangle: bool = False) -> tuple:
+    """(rows, triangle): the adjacency bitmasks of a body from
+    :func:`_graph6_body` and whether the graph has a triangle.  Read slice by
     slice through :data:`_BITREV` as a little-endian integer, the body's p-th
-    bit is bit p, so column j is the low j bits of the accumulator."""
+    bit is bit p, so column j is the low j bits of the accumulator.
+
+    Column j enters its edges (top, j) from the highest top down; rows[top]
+    then holds top's neighbours below j, and col j's neighbours below top,
+    so one AND per edge finds each triangle at its middle vertex.  With
+    ``stop_at_triangle`` the first one returns (None, True)."""
     rows = [0] * n
     acc = fill = pos = 0
+    triangle = False
     for j in range(1, n):
         while fill < j:
             chunk = body[pos:pos + _DECODE_SLICE]
@@ -149,9 +172,13 @@ def _graph6_rows(n: int, body: bytes) -> tuple:
         fill -= j
         while col:
             top = col.bit_length() - 1
-            rows[top] |= bit
             col ^= 1 << top
-    return tuple(rows)
+            if rows[top] & col:
+                if stop_at_triangle:
+                    return None, True
+                triangle = True
+            rows[top] |= bit
+    return tuple(rows), triangle
 
 
 def from_graph6(data) -> Graph:

@@ -54,13 +54,14 @@ from __future__ import annotations
 
 import marshal
 import os
+import stat
 from contextlib import suppress
 from itertools import starmap
 
 from . import constructions
 from . import io as gio
 from .bounds import exact_radius_formula_g4, upper_bound_radius
-from .graph import INFINITE, _Record, _girth_of, _has_triangle, _reach, build_graph, metric_summary
+from .graph import INFINITE, _Record, _girth_of, _reach, build_graph, metric_summary
 
 DEFAULT_CAP = 8
 HARD_CAP = 9
@@ -256,14 +257,15 @@ def _prefix_orbits(n, delta, g, s):
     return sorted((tuple(orbit[1:]) for orbit in orbits), key=lambda orbit: sum(orbit[1]))
 
 
-def _spans(tasks, jobs):
-    """``_enumerate_span(*task)`` for each task, in order, task i in worker
-    i mod jobs: worker 0 is the caller, and each other one a child forked once
-    the tasks are built, which sends back one ``marshal`` string through its
-    own pipe."""
+def _spans(task, tasks, jobs):
+    """``task(*args)`` for each args of ``tasks``, in order, tasks[i] in
+    worker i mod jobs: worker 0 is the caller, and each other one a child
+    forked once the tasks are built, which sends back one ``marshal`` string
+    through its own pipe.  The enumeration's tasks are its prefix spans
+    (``_enumerate_span``), and ``search stream``'s one share per worker."""
     jobs = min(jobs, len(tasks))
     if jobs <= 1 or not hasattr(os, "fork"):
-        return list(starmap(_enumerate_span, tasks))
+        return list(starmap(task, tasks))
     import signal  # here, so that a run in process never loads it
     mask = signal.pthread_sigmask(signal.SIG_BLOCK, ())
     children = []  # (pid, read end) of each child not yet reaped
@@ -277,7 +279,7 @@ def _spans(tasks, jobs):
                 try:
                     signal.pthread_sigmask(signal.SIG_SETMASK, mask)
                     with open(write_fd, "wb") as out:
-                        marshal.dump(list(starmap(_enumerate_span, tasks[w::jobs])), out)
+                        marshal.dump(list(starmap(task, tasks[w::jobs])), out)
                     os._exit(0)
                 except BaseException:
                     import traceback  # only a failing child loads it
@@ -287,7 +289,7 @@ def _spans(tasks, jobs):
             children.append((pid, pipe))
             os.close(write_fd)  # before the next fork, or that child would hold it open
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        shares = [list(starmap(_enumerate_span, tasks[::jobs]))]
+        shares = [list(starmap(task, tasks[::jobs]))]
         for pid, pipe in list(children):
             with pipe:
                 data = pipe.read()
@@ -324,7 +326,7 @@ def _extremal(n, delta, g, allow_long, jobs):
     split_v = min(n, max(5, n - 3))
     orbits = _prefix_orbits(n, delta, g, split_v)
     tasks = [(n, delta, g, rows, deg, split_v, best_r_init) for rows, deg, _ in orbits]
-    results = _spans(tasks, jobs)
+    results = _spans(_enumerate_span, tasks, jobs)
     count = sum(weight * c for (_, _, weight), (_, _, c) in zip(orbits, results))
     if count == 0:
         return SearchResult(n, delta, g, None, None, 0)
@@ -387,7 +389,111 @@ def _least_bound(n, min_degree, girth):
     return min((upper_bound_radius(n, min_degree, ge) for ge in range(4, top + 1, 2)), default=None)
 
 
-def stream_verify(lines, delta: int, g: int) -> dict:
+def _stream_share(lines, delta, g, w, jobs):
+    """Worker w's share of :func:`stream_verify` over ``lines``: the lines of
+    the orders it owns (the k-th distinct order that a header gives is
+    owned by worker k mod jobs) and, in worker 0, the lines whose header
+    does not decode.
+
+    Returns (total, malformed, filtered_out, accepted, by_n, violations),
+    with by_n[n] = [count, max_radius, witness index, witness] and each
+    violation as (index, line), where an index counts every line of
+    ``lines``, so the merge restores file order.
+    """
+    total = malformed = filtered_out = accepted = 0
+    by_n: dict = {}
+    violations = []
+    mine = {}  # order -> whether this worker decides its lines
+    bounds = {}  # (n, min_degree, girth) -> _least_bound
+    for index, raw in enumerate(lines):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            data, n, pos = gio._graph6_size(line)
+        except ValueError:
+            if w == 0:
+                total += 1
+                malformed += 1
+            continue
+        if (owned := mine.get(n)) is None:
+            owned = mine[n] = len(mine) % jobs == w
+        if not owned:
+            continue
+        total += 1
+        try:
+            body = gio._graph6_body(data, n, pos)
+        except ValueError:
+            malformed += 1
+            continue
+        if 2 * int.from_bytes(body, "big").bit_count() < delta * n:
+            filtered_out += 1
+            continue
+        rows, triangle = gio._graph6_rows(n, body, g >= 4)
+        full = (1 << n) - 1
+        if (triangle and g >= 4 or (min_degree := min(map(int.bit_count, rows), default=0)) < delta
+                or (sweep := _reach(rows, 1, n))[0] != full):
+            filtered_out += 1
+            continue
+        ecc = sweep[1]
+        # girth 4 stands for "at least 4" until the exact girth is read
+        girth = 3 if triangle else 4
+        G = gio.from_graph6(line) if girth == 4 and (g >= 5 or min_degree >= 3) else None
+        if G is not None and (girth := _girth_of(G)) < g:
+            filtered_out += 1
+            continue
+        accepted += 1
+        if (key := (n, min_degree, girth)) not in bounds:
+            bounds[key] = _least_bound(*key)
+        least = bounds[key]
+        slot = by_n.get(n)
+        if slot is not None:
+            cap = slot[1] if least is None else min(slot[1], least)
+            if ecc > cap:
+                # a midpoint of a shortest path from 0 to the lowest farthest t:
+                # balls of radius ecc - ecc // 2 around 0 and ecc // 2 around t meet only there
+                far = full & ~_reach(rows, 1, ecc - 1)[0]
+                mid = _reach(rows, 1, ecc - ecc // 2)[0] & _reach(rows, far & -far, ecc // 2)[0]
+                ecc = _reach(rows, mid & -mid, n)[1]
+            if ecc <= cap:
+                slot[0] += 1
+                continue
+        radius = metric_summary(G or gio.from_graph6(line)).radius
+        text = line if isinstance(line, str) else line.decode("ascii")
+        if least is not None and radius > least:
+            violations.append((index, text))
+        if slot is None:
+            by_n[n] = [1, radius, index, text]
+        else:
+            slot[0] += 1
+            if radius > slot[1]:
+                slot[1:] = radius, index, text
+    return total, malformed, filtered_out, accepted, by_n, violations
+
+
+def _stream_file_share(path, start, delta, g, w, jobs):
+    """:func:`_stream_share` over the lines of the file at ``path`` from byte
+    ``start``, opened anew, so that each worker reads with its own offset."""
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        return _stream_share(fh, delta, g, w, jobs)
+
+
+def _file_path(lines):
+    """The name of ``lines`` when it is a binary file open on a regular file
+    that the name still names, else None: only such a file can be read again
+    by every worker.  stdin, whose name is ``<stdin>``, and pipes are not."""
+    try:
+        name, here = lines.name, os.fstat(lines.fileno())
+        if (lines.mode == "rb" and not isinstance(name, int) and stat.S_ISREG(here.st_mode)
+                and os.path.samestat(here, os.stat(name))):
+            return name
+    except (AttributeError, OSError, ValueError):
+        pass
+    return None
+
+
+def stream_verify(lines, delta: int, g: int, *, jobs: int = 1) -> dict:
     """Filter a graph6 line stream and report per-order maximum radii.
 
     Members must be connected with min degree >= delta and girth >= g; every
@@ -397,86 +503,55 @@ def stream_verify(lines, delta: int, g: int) -> dict:
     lines that do not decode are counted as malformed.  Lines may be str or
     bytes; only lines that reach the report are decoded to text.
 
+    With jobs > 1 and ``lines`` a binary file open on a regular file, the
+    lines are split by order over ``jobs`` workers, the caller and forked
+    children (``_spans``), each of which reads the file again by its name:
+    the k-th distinct order the lines give goes to worker k mod jobs, and
+    the lines whose header does not decode to worker 0.  Everything a line
+    leaves for the next is per order: the count, the maximum so far and the
+    dismissal cap below.  So each worker decides its lines as the serial
+    pass does, and the merged report, which keeps the earliest line on
+    every tie and the violations in line order, does not depend on
+    ``jobs``.  Any other ``lines`` run in process.
+
     Each line is decided on bitmask rows decoded once from its graph6 body,
     cheapest filter first: the edge count m, the body's popcount, before any
-    row is built (2m < delta * n leaves a degree below delta); the minimum
-    degree; a triangle test; connectivity and ecc(0) from one ``_reach``
-    sweep; and the exact girth, on a ``Graph``, only where the report reads
-    it: a floor g >= 5, or the bound at minimum degree >= 3 (at degree 2,
-    n * k / 4 + 3k grows with k = g' / 2, so g' = 4 gives the least bound
-    for every girth >= 4).  The radius is at most every eccentricity, so a
-    graph with one at most both its order's maximum radius so far and its
-    least applicable bound can neither raise that maximum (ties keep the
-    earlier witness) nor violate a bound: it only adds to its order's count.
-    ecc(0) is tried first, then the eccentricity of a midpoint of a shortest
-    path from 0 to its farthest vertex, nearer the centre; every other
-    accepted graph pays for its eccentricities in ``metric_summary``.
+    row is built (2m < delta * n leaves a degree below delta); a triangle,
+    found while the rows are built and at g >= 4 ending the decode; the
+    minimum degree; connectivity and ecc(0) from one ``_reach`` sweep; and
+    the exact girth, on a ``Graph``, only where the report reads it: a floor
+    g >= 5, or the bound at minimum degree >= 3 (at degree 2, n * k / 4 + 3k
+    grows with k = g' / 2, so g' = 4 gives the least bound for every girth
+    >= 4).  The least bound is computed once per (n, minimum degree,
+    girth).  The radius is at most every eccentricity, so a graph with one
+    at most both its order's maximum radius so far and its least applicable
+    bound can neither raise that maximum (ties keep the earlier witness)
+    nor violate a bound: it only adds to its order's count.  ecc(0) is
+    tried first, then the eccentricity of a midpoint of a shortest path
+    from 0 to its farthest vertex, nearer the centre; every other accepted
+    graph pays for its eccentricities in ``metric_summary``.
     """
-    total = malformed = filtered_out = accepted = 0
-    by_n: dict = {}
-    violations = []
-    overall = None
-    for raw in lines:
-        line = raw.strip()
-        if not line:
-            continue
-        total += 1
-        try:
-            n, body = gio._graph6_decode(line)
-        except ValueError:
-            malformed += 1
-            continue
-        if 2 * int.from_bytes(body, "big").bit_count() < delta * n:
-            filtered_out += 1
-            continue
-        rows = gio._graph6_rows(n, body)
-        min_degree = min(map(int.bit_count, rows), default=0)
-        full = (1 << n) - 1
-        # girth 4 stands for "at least 4" until the exact girth is read
-        if (min_degree < delta or (girth := 3 if _has_triangle(rows) else 4) < min(g, 4)
-                or (sweep := _reach(rows, 1, n))[0] != full):
-            filtered_out += 1
-            continue
-        ecc = sweep[1]
-        G = gio.from_graph6(line) if girth == 4 and (g >= 5 or min_degree >= 3) else None
-        if G is not None and (girth := _girth_of(G)) < g:
-            filtered_out += 1
-            continue
-        accepted += 1
-        least = _least_bound(n, min_degree, girth)
-        slot = by_n.get(n)
-        if slot is not None:
-            cap = slot["max_radius"] if least is None else min(slot["max_radius"], least)
-            if ecc > cap:
-                # a midpoint of a shortest path from 0 to the lowest farthest t:
-                # balls of radius ecc - ecc // 2 around 0 and ecc // 2 around t meet only there
-                far = full & ~_reach(rows, 1, ecc - 1)[0]
-                mid = _reach(rows, 1, ecc - ecc // 2)[0] & _reach(rows, far & -far, ecc // 2)[0]
-                ecc = _reach(rows, mid & -mid, n)[1]
-            if ecc <= cap:
-                slot["count"] += 1
-                continue
-        radius = metric_summary(G or gio.from_graph6(line)).radius
-        text = line if isinstance(line, str) else line.decode("ascii")
-        if least is not None and radius > least:
-            violations.append(text)
-        if slot is None or radius > slot["max_radius"]:
-            by_n[n] = {"count": (slot["count"] + 1 if slot else 1),
-                       "max_radius": radius,
-                       "witness": text}
-        else:
-            slot["count"] += 1
-        if overall is None or radius > overall[0]:
-            overall = (radius, text)
+    path = _file_path(lines) if jobs > 1 else None
+    if path is None:
+        shares = [_stream_share(lines, delta, g, 0, 1)]
+    else:
+        start = lines.tell()
+        shares = _spans(_stream_file_share, [(path, start, delta, g, w, jobs) for w in range(jobs)], jobs)
+    by_n = {}
+    for share in shares:
+        by_n.update(share[4])
+    # the largest radius, then the earliest line
+    best = max(by_n.values(), key=lambda slot: (slot[1], -slot[2]), default=None)
     return {
         "delta": delta,
         "g": g,
-        "total": total,
-        "malformed": malformed,
-        "filtered_out": filtered_out,
-        "accepted": accepted,
-        "max_radius": overall[0] if overall else None,
-        "witness": overall[1] if overall else None,
-        "by_n": {str(k): v for k, v in sorted(by_n.items())},
-        "bound_violations": violations,
+        "total": sum(share[0] for share in shares),
+        "malformed": sum(share[1] for share in shares),
+        "filtered_out": sum(share[2] for share in shares),
+        "accepted": sum(share[3] for share in shares),
+        "max_radius": best[1] if best else None,
+        "witness": best[3] if best else None,
+        "by_n": {str(n): {"count": count, "max_radius": radius, "witness": text}
+                 for n, (count, radius, _, text) in sorted(by_n.items())},
+        "bound_violations": [text for _, text in sorted(v for share in shares for v in share[5])],
     }

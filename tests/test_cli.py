@@ -460,6 +460,41 @@ class TestSearch:
         assert code == 0 and data["total"] == 3 and data["malformed"] == 1
         assert data["accepted"] == 2 and data["max_radius"] == 4
 
+    #: Petersen, C_6, C_8 plus a chord, a malformed line, a blank line, K_3,3,
+    #: C_5 behind the format header, an edgeless n = 2 line with a padding bit
+    #: set, and K_3 and K_4, which fail on a triangle.
+    CATALOGUE = b"IheA@GUAo\nEhEG\nGhcGKC\nG?!bad\n\nEFz_\n>>graph6<<Dhc\nA@\nBw\nC~\n"
+
+    @pytest.mark.parametrize("delta,g", [(2, 4), (3, 5), (0, 3)])
+    def test_stream_prints_the_same_for_every_job_count(self, capsys, monkeypatch, tmp_path, delta, g):
+        path = tmp_path / "catalogue.g6"
+        path.write_bytes(self.CATALOGUE)
+        argv = ("search", "stream", "--delta", str(delta), "--g", str(g))
+        printed = {run(capsys, *argv, "--input", str(path), "--jobs", str(jobs)) for jobs in (1, 2, 3)}
+        for jobs in (1, 2):
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(self.CATALOGUE), encoding="ascii"))
+            printed.add(run(capsys, *argv, "--jobs", str(jobs)))
+        assert len(printed) == 1
+        [(code, out, err)] = printed
+        assert code == 0 and err == "" and json.loads(out)["total"] == 9
+
+    @pytest.mark.parametrize("command,options,message", [
+        ("search verify-theorem", "--n-max 2 --deltas 0", "--deltas: must be >= 2, got 0"),
+        ("search verify-theorem", "--n-max 2 --deltas 3,1,2", "--deltas: must be >= 2, got 1"),
+        ("witness check tf", "--graph missing.g6 --set=-1,3", "--set: must be >= 0, got -1"),
+        ("witness check general", "--graph missing.g6 --set 4,0,-3 --k 2", "--set: must be >= 0, got -3"),
+    ])
+    def test_list_element_below_its_floor_exit_2_before_any_read(self, capsys, monkeypatch, tmp_path,
+                                                                   command, options, message):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([*command.split(), *options.split()])
+        out = capsys.readouterr()
+        assert exc.value.code == 2 and out.out == "" and "No such file" not in out.err
+        assert out.err.startswith(f"usage: radgraph {command} ")
+        assert [line for line in out.err.splitlines() if "error:" in line] == [
+            f"radgraph {command}: error: argument {message}"]
+
     def test_stream_non_ascii_line_is_malformed(self, capsys, monkeypatch, tmp_path):
         import io
 
@@ -561,7 +596,8 @@ def test_parser_walk():
 
 
 #: The floor of every integer option, by leaf command: the least value the
-#: library takes for some choice of the command's other options.
+#: library takes for some choice of the command's other options.  A list
+#: option's floor holds for each of its elements.
 FLOORS = {
     "construct box": {"--r": 4, "--delta": 2, "--c": 0},
     "construct bipartite2": {"--n": 4, "--delta": 2},
@@ -570,18 +606,22 @@ FLOORS = {
     "construct gq": {"--q": 2},
     "construct glue": {"--m": 2},
     "bound": {"--n": 1, "--delta": 2, "--g": 3},
-    "witness check general": {"--k": 2},
-    "witness check cycles": {"--r": 4},
+    "witness check general": {"--set": 0, "--k": 2},
+    "witness check tf": {"--set": 0},
+    "witness check cycles": {"--set": 0, "--r": 4},
     "witness find": {"--k": 2, "--budget": 0},
     "search enumerate": {"--n": 1, "--delta": 0, "--g": 3, "--jobs": 1},
-    "search verify-theorem": {"--n-max": 1, "--jobs": 1},
-    "search stream": {"--delta": 0, "--g": 3},
+    "search verify-theorem": {"--n-max": 1, "--deltas": 2, "--jobs": 1},
+    "search stream": {"--delta": 0, "--g": 3, "--jobs": 1},
     "extract": {"--k": 2},
 }
-#: The other options that a leaf in FLOORS needs, with files in the working directory.
+#: The other options that a leaf in FLOORS needs, with files in the working
+#: directory, and the values that replace a floor where the floor alone fails
+#: the check (a set of one vertex is no witness for two cycles).
 OTHERS = {
     "construct glue": "--base h.g6",
-    "witness check general": "--graph c8.g6 --set 0",
+    "witness check general": "--graph c8.g6",
+    "witness check tf": "--graph c8.g6",
     "witness check cycles": "--graph c8.g6 --set 0,1,2,3,4,5,6,7",
     "witness find": "--graph c8.g6",
     "search stream": "--input c8.g6",
@@ -590,10 +630,13 @@ OTHERS = {
 
 
 def at_floors(path, **values):
-    """The argv of ``path`` with every integer option at its floor unless given in values."""
-    argv = [*path.split(), *OTHERS.get(path, "").split()]
+    """The argv of ``path`` with every integer option at its floor unless
+    given in values, or else in OTHERS."""
+    others = OTHERS.get(path, "").split()
+    argv = [*path.split(), *others]
     for option, floor in FLOORS[path].items():
-        argv += [option, str(values.get(option, floor))]
+        if option in values or option not in others:
+            argv += [option, str(values.get(option, floor))]
     return argv
 
 
@@ -601,7 +644,7 @@ def test_every_integer_option_has_a_floor():
     for path, parser in leaf_parsers(cli._build_parser()):
         assert all(action.type is not int for action in parser._actions), path
         integers = [action.option_strings[0] for action in parser._actions
-                    if getattr(action.type, "__name__", None) == "integer"]
+                    if getattr(action.type, "__name__", None) in ("integer", "integers")]
         assert set(integers) == set(FLOORS.get(path, [])), path
 
 
@@ -667,12 +710,14 @@ def option_words(path, action, root, careless):
         floor = FLOORS[path][option]
         lo, hi = RANGES.get(option, RANGES.get((path, option), (floor - 2 if careless else floor, floor + 4)))
         words = st.integers(lo, hi).map(str)
-    elif action.type is cli._int_list:
+    elif getattr(action.type, "__name__", None) == "integers":
         if careless:
             words = st.lists(st.integers(-1, 9), max_size=4).map(lambda xs: ",".join(map(str, xs)))
             words = st.one_of(words, st.sampled_from(["a,b", "1,,2", " "]))
-        else:  # the vertices of every graph in GRAPHS
-            words = st.lists(st.integers(0, 2), min_size=1, max_size=4).map(lambda xs: ",".join(map(str, xs)))
+        else:  # from the floor up: --set names vertices of every graph in GRAPHS
+            floor = FLOORS[path][option]
+            words = st.lists(st.integers(floor, floor + 2), min_size=1, max_size=4).map(
+                lambda xs: ",".join(map(str, xs)))
     elif option == "--output":
         words = st.sampled_from(["-", str(root / "out.txt")])
     else:  # --graph, --base, --input
@@ -741,6 +786,7 @@ print(json.dumps([code, sorted(executed), "dataclasses" in sys.modules, pools]))
 @pytest.mark.parametrize("argv,modules", [
     ("bound --n 15 --delta 3 --g 4", "bounds"),
     ("search stream --delta 2 --g 4 --input ring.g6", "bounds graph io search"),
+    ("search stream --delta 2 --g 4 --input ring.g6 --jobs 2", "bounds graph io search"),
     ("search enumerate --n 6 --delta 2 --g 4 --jobs 1", "bounds constructions graph io search"),
     ("search verify-theorem --n-max 4 --deltas 2 --jobs 1", "bounds constructions graph io search"),
     ("search enumerate --n 7 --delta 2 --g 4 --jobs 2", "bounds constructions graph io search"),

@@ -25,6 +25,15 @@ def random_graph(n, p, seed):
     return build_graph(n, edges)
 
 
+def assert_rows_of(n, body, G):
+    """``_graph6_rows`` gives G's rows and whether it has a triangle, two
+    ends of an edge with a common neighbour, and stops at one on request."""
+    rows = rows_of(G)
+    triangle = any(set(G.adj[u]) & set(G.adj[v]) for u, v in G.edges())
+    assert _graph6_rows(n, body) == (rows, triangle)
+    assert _graph6_rows(n, body, True) == ((None, True) if triangle else (rows, False))
+
+
 def corpus():
     graphs = [
         build_graph(0, []),
@@ -98,7 +107,7 @@ def test_graph6_decoder_matches_bit_loop_reference(n, p):
         order, body = _graph6_decode(form)
         # search stream's edge-count floor reads m as the body's popcount
         assert (order, int.from_bytes(body, "big").bit_count()) == (n, G.edge_count)
-        assert _graph6_rows(n, body) == rows_of(G)
+        assert_rows_of(n, body, G)
         assert all(list(row) == sorted(row) for row in H.adj)
 
 
@@ -157,7 +166,7 @@ def test_graph6_rows_property(data):
         return
     n, body = _graph6_decode(data)
     assert (n, int.from_bytes(body, "big").bit_count()) == (G.n, G.edge_count)
-    assert _graph6_rows(n, body) == rows_of(G)
+    assert_rows_of(n, body, G)
 
 
 def test_graph6_accepts_format_header():

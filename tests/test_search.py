@@ -1,3 +1,4 @@
+import io
 import math
 import os
 import random
@@ -441,10 +442,9 @@ class TestForkedSpans:
                 raise error
             time.sleep(60)  # a child still at work when the caller fails is killed, not awaited
 
-        monkeypatch.setattr(search, "_enumerate_span", span_that_stalls_in_the_child)
         start = time.monotonic()
         with pytest.raises(type(error)) as exc:
-            search._spans([("task 0, the caller's",), ("task 1, the child's",)], 2)
+            search._spans(span_that_stalls_in_the_child, [("task 0, the caller's",), ("task 1, the child's",)], 2)
         assert exc.value is error
         assert time.monotonic() - start < 30
         assert_no_child_left()
@@ -610,6 +610,16 @@ def stream_corpus():
     for n, edges in shapes:
         perm = rng.sample(range(n), n)
         lines.append(graph6_bytes(build_graph(n, [(perm[u], perm[v]) for u, v in edges])).decode())
+    # lines whose order a split by order must read: behind the format header,
+    # in the long size field (n >= 63) or both; a body that fails behind a size
+    # that decodes; headers that do not decode; and blank lines
+    chorded = build_graph(70, [(v, (v + 1) % 70) for v in range(70)] + [(0, 35), (10, 12)])
+    extra = [b">>graph6<<" + graph6_bytes(cycle(8)) + b"\n", ">>graph6<<" + graph6_bytes(cycle(7)).decode(),
+             graph6_bytes(cycle(63)).decode(), graph6_bytes(chorded).decode(),
+             ">>graph6<<" + graph6_bytes(cycle(64)).decode(), graph6_bytes(cycle(66))[:-1].decode(),
+             "~", "~?@", "~~??", "0abc", ">>graph6<<", "\x7fA", "", "\t \n"]
+    for line in extra:
+        lines.insert(rng.randrange(len(lines) + 1), line)
     return lines
 
 
@@ -632,6 +642,37 @@ def line_facts(lines):
         text = line if isinstance(line, str) else line.decode("ascii")
         facts.append((text, G.n, radius, min(G.degrees(), default=0), naive_girth(G.n, edges)))
     return facts
+
+
+def header_decodes(line):
+    """Whether the size header of a nonblank line decodes, by the reference decoder."""
+    try:
+        from_graph6_reference(line)
+    except UnicodeError:
+        return False
+    except ValueError as exc:
+        return not str(exc).startswith(("empty", "truncated", "invalid graph6 size"))
+    return True
+
+
+def file_bytes(lines):
+    """``lines``, str or bytes, as the bytes of a file with one line each."""
+    return b"".join((line.encode() if isinstance(line, str) else line).rstrip(b"\n") + b"\n" for line in lines)
+
+
+def streamed(lines, delta, g, jobs, tmp_path):
+    """stream_verify over ``lines``, in process at jobs = 1; otherwise over
+    a file of them, opened in binary, so that they are split by order over
+    ``jobs`` workers."""
+    if jobs == 1:
+        return stream_verify(lines, delta, g)
+    path = tmp_path / "lines.g6"
+    path.write_bytes(file_bytes(lines))
+    with open(path, "rb") as fh:
+        assert search._file_path(fh) == str(path)
+        report = stream_verify(fh, delta, g, jobs=jobs)
+    assert_no_child_left()
+    return report
 
 
 def stream_reference(facts, delta, g):
@@ -675,9 +716,15 @@ def corpus_facts():
 class TestStreamVerifyOracle:
     @pytest.mark.parametrize("delta", [0, 1, 2, 3])
     @pytest.mark.parametrize("g", [3, 4, 5, 6, 8])
-    def test_matches_oracle_report(self, corpus_facts, delta, g):
+    def test_matches_oracle_report(self, corpus_facts, tmp_path, delta, g, jobs=1):
         lines, facts = corpus_facts
-        assert stream_verify(lines, delta, g) == stream_reference(facts, delta, g)
+        assert streamed(lines, delta, g, jobs, tmp_path) == stream_reference(facts, delta, g)
+
+    @pytest.mark.parametrize("jobs", [2, 3])
+    @pytest.mark.parametrize("delta", [0, 1, 2, 3])
+    @pytest.mark.parametrize("g", [3, 4, 5, 6, 8])
+    def test_matches_oracle_report_split_by_order(self, corpus_facts, tmp_path, delta, g, jobs):
+        self.test_matches_oracle_report(corpus_facts, tmp_path, delta, g, jobs)
 
     def test_corpus_covers_every_filter(self, corpus_facts):
         _, facts = corpus_facts
@@ -691,6 +738,11 @@ class TestStreamVerifyOracle:
         # and girth 5, and chorded cycles of 10..60 vertices
         assert any(f[1] == 60 and f[3] == 3 and f[4] == 5 for f in graphs)
         assert {3, 4} <= {f[4] for f in graphs if f[1] >= 10 and f[3] == 2}
+        # the lines a split by order must place
+        assert any(f[0].startswith(">>graph6<<") and f[1] >= 63 for f in graphs)
+        assert any(f[0].startswith(">>graph6<<") and f[1] < 63 for f in graphs)
+        assert len({f[1] for f in graphs if f[1] >= 63}) >= 3
+        assert len([line for line in corpus_facts[0] if line.strip() and not header_decodes(line)]) >= 6
 
     def test_triangle_test_matches_girth(self, corpus_facts, petersen):
         graphs = [from_graph6_reference(f[0]) for f in corpus_facts[1] if isinstance(f, tuple)]
@@ -715,20 +767,29 @@ class TestStreamVerifyOracle:
         assert degrees and min(degrees) >= 3
 
     def test_one_bound_at_minimum_degree_two(self, corpus_facts, monkeypatch):
-        """At minimum degree 2, n * k / 4 + 3k grows with k = g' / 2, so each
-        accepted graph of minimum degree 2 reads the g' = 4 bound alone."""
-        calls = []
+        """The pass computes the least bound once per (n, minimum degree,
+        girth) of an accepted graph.  At minimum degree 2, n * k / 4 + 3k
+        grows with k = g' / 2, so each such key reads the g' = 4 bound alone."""
+        keys, calls = [], []
+
+        def least_spy(*key, least_bound=search._least_bound):
+            keys.append(key)
+            return least_bound(*key)
 
         def spy(n, d, ge):
             calls.append((n, d, ge))
             return upper_bound_radius(n, d, ge)
 
+        monkeypatch.setattr(search, "_least_bound", least_spy)
         monkeypatch.setattr(search, "upper_bound_radius", spy)
         lines, facts = corpus_facts
         assert stream_verify(lines, 2, 6) == stream_reference(facts, 2, 6)
-        twos = [(f[1], 2, 4) for f in facts
-                if isinstance(f, tuple) and f[2] is not None and f[3] == 2 and f[4] >= 6]
-        assert twos and sorted(call for call in calls if call[1] == 2) == sorted(twos)
+        # at g = 6 the pass reads the exact girth of every accepted graph
+        accepted = {(f[1], f[3], f[4]) for f in facts
+                    if isinstance(f, tuple) and f[2] is not None and f[3] >= 2 and f[4] >= 6}
+        assert len(keys) == len(set(keys)) and set(keys) == accepted
+        twos = sorted((n, 2, 4) for n, d, _ in keys if d == 2)
+        assert twos and sorted(call for call in calls if call[1] == 2) == twos
         for n in range(1, 40):
             for girth in range(4, 20):
                 assert search._least_bound(n, 2, girth) == min(
@@ -736,20 +797,28 @@ class TestStreamVerifyOracle:
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("delta,g", [(0, 3), (1, 6), (2, 4), (2, 6), (3, 5)])
-    def test_matches_oracle_report_shuffled(self, corpus_facts, seed, delta, g):
-        """The dismissal by ecc(0) depends on the order of the lines."""
+    def test_matches_oracle_report_shuffled(self, corpus_facts, tmp_path, seed, delta, g, jobs=1):
+        """The dismissal by ecc(0) depends on the order of the lines, and
+        which worker owns an order on the order in which orders first come."""
         order = list(range(len(corpus_facts[0])))
         random.Random(seed).shuffle(order)
         lines = [corpus_facts[0][i] for i in order]
         facts = [corpus_facts[1][i] for i in order]
-        assert stream_verify(lines, delta, g) == stream_reference(facts, delta, g)
+        assert streamed(lines, delta, g, jobs, tmp_path) == stream_reference(facts, delta, g)
+
+    @pytest.mark.parametrize("jobs", [2, 3])
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("delta,g", [(0, 3), (1, 6), (2, 4), (2, 6), (3, 5)])
+    def test_matches_oracle_report_shuffled_split_by_order(self, corpus_facts, tmp_path, seed, delta, g, jobs):
+        self.test_matches_oracle_report_shuffled(corpus_facts, tmp_path, seed, delta, g, jobs)
 
     @pytest.mark.parametrize("shift", [Fraction(25, 4), Fraction(13, 2), 7])
     @pytest.mark.parametrize("delta,g", [(0, 3), (2, 4), (2, 6), (3, 4)])
-    def test_forced_violations_reported(self, corpus_facts, monkeypatch, delta, g, shift):
+    def test_forced_violations_reported(self, corpus_facts, monkeypatch, tmp_path, delta, g, shift, jobs=1):
         """A bound a few units smaller than the true one makes some accepted
         graphs violators (at the fractional shifts, cycles of one parity
-        only); the report must still equal the reference's."""
+        only); the report must still equal the reference's, whose violations
+        come in line order across the orders of every worker."""
         import radgraph.search
 
         lines, facts = corpus_facts
@@ -759,9 +828,18 @@ class TestStreamVerifyOracle:
 
         monkeypatch.setattr(radgraph.search, "upper_bound_radius", smaller)
         monkeypatch.setattr(sys.modules[__name__], "upper_bound_radius", smaller)
-        report = stream_verify(lines, delta, g)
+        report = streamed(lines, delta, g, jobs, tmp_path)
         assert report["bound_violations"]
+        if delta < 3:  # violators of several orders, merged back into line order
+            assert len({from_graph6_reference(line).n for line in report["bound_violations"]}) >= 3
         assert report == stream_reference(facts, delta, g)
+
+    @pytest.mark.parametrize("jobs", [2, 3])
+    @pytest.mark.parametrize("shift", [Fraction(25, 4), Fraction(13, 2), 7])
+    @pytest.mark.parametrize("delta,g", [(0, 3), (2, 4), (2, 6), (3, 4)])
+    def test_forced_violations_reported_split_by_order(self, corpus_facts, monkeypatch, tmp_path, delta, g,
+                                                       shift, jobs):
+        self.test_forced_violations_reported(corpus_facts, monkeypatch, tmp_path, delta, g, shift, jobs)
 
     @pytest.mark.parametrize("delta,g", [(0, 3), (2, 4), (3, 5), (1, 6)])
     def test_metric_summary_only_after_cheap_filters(self, corpus_facts, monkeypatch, delta, g):
@@ -796,7 +874,84 @@ class TestStreamVerifyOracle:
             evens = range(4, girth + 1, 2) if min_degree >= 2 and girth != INF else ()
             least = min((upper_bound_radius(n, min_degree, ge) for ge in evens), default=ecc0)
             if n not in best or ecc0 > best[n] or ecc0 > least:
-                may_change.append(text.encode("ascii"))
+                may_change.append(text.encode("ascii").removeprefix(b">>graph6<<"))
             best[n] = max(best.get(n, radius), radius)
         seen = iter(may_change)
         assert all(graph6_bytes(G) in seen for G in summarised)
+
+
+class TestForkedStream:
+    """A stream from a binary regular file is split by order over ``jobs``
+    workers; anything else runs in process."""
+
+    def test_a_failing_stream_worker_raises_and_is_reaped(self, corpus_facts, monkeypatch, capfd, tmp_path):
+        caller, share = os.getpid(), search._stream_share
+
+        def share_in_caller_only(*args):
+            if os.getpid() != caller:
+                raise ValueError("a stream share failed in a child")
+            return share(*args)
+
+        monkeypatch.setattr(search, "_stream_share", share_in_caller_only)
+        with pytest.raises(RuntimeError, match="exited with status 1"):
+            streamed(corpus_facts[0], 2, 4, 3, tmp_path)
+        assert_no_child_left()
+        assert "ValueError: a stream share failed in a child" in capfd.readouterr().err
+
+    def test_every_worker_reads_from_the_callers_offset(self, corpus_facts, tmp_path):
+        lines, facts = corpus_facts
+        path = tmp_path / "lines.g6"
+        path.write_bytes(file_bytes(lines))
+        with open(path, "rb") as fh:
+            for _ in range(40):
+                fh.readline()
+            report = stream_verify(fh, 2, 4, jobs=2)
+        assert_no_child_left()
+        assert report == stream_reference(facts[40:], 2, 4)
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    @pytest.mark.parametrize("orders", [(7, 6), (6, 7)])
+    def test_a_tie_across_orders_keeps_the_earliest_line(self, tmp_path, orders, jobs):
+        # C_6 and C_7 both have radius 3; the split deals their orders to different workers
+        lines = [graph6_bytes(cycle(n)).decode() for n in orders]
+        report = streamed(lines, 2, 4, jobs, tmp_path)
+        assert report == stream_reference(line_facts(lines), 2, 4)
+        assert (report["max_radius"], report["witness"]) == (3, lines[0])
+
+    def test_only_a_binary_file_found_under_its_name_is_split(self, tmp_path):
+        path = tmp_path / "c8.g6"
+        path.write_bytes(graph6_bytes(cycle(8)) + b"\n")
+        with open(path, "rb") as fh:
+            assert search._file_path(fh) == str(path)
+        with open(path) as fh:  # text: its offsets are no byte offsets
+            assert search._file_path(fh) is None
+        with open(path, "rb") as fh:
+            os.rename(path, tmp_path / "moved.g6")
+            assert search._file_path(fh) is None
+            # another file under the name
+            path.write_bytes(graph6_bytes(cycle(8)) + b"\n")
+            assert search._file_path(fh) is None
+        read_fd, write_fd = os.pipe()
+        with open(read_fd, "rb") as fh, open(write_fd, "wb"):
+            assert search._file_path(fh) is None
+        with open(path, "rb") as fh, open(os.dup(fh.fileno()), "rb") as by_fd:  # named by its descriptor
+            assert search._file_path(by_fd) is None
+        with open(path, "rb") as stdin:  # as the interpreter names fd 0, whatever it is
+            stdin.raw.name = "<stdin>"
+            assert search._file_path(stdin) is None
+        assert search._file_path(io.BytesIO(b"C~\n")) is None
+        assert search._file_path(["C~"]) is None
+
+    def test_without_fork_the_shares_run_in_process(self, corpus_facts, monkeypatch, tmp_path):
+        monkeypatch.delattr(os, "fork")
+        assert streamed(corpus_facts[0], 2, 4, 2, tmp_path) == stream_reference(corpus_facts[1], 2, 4)
+
+    def test_stdin_and_lists_run_in_process(self, corpus_facts, monkeypatch):
+        def no_fork(*args):
+            raise AssertionError("split a stream that cannot be read again")
+
+        monkeypatch.setattr(search, "_spans", no_fork)
+        lines, facts = corpus_facts
+        data = file_bytes(lines)
+        for source in (lines, io.BytesIO(data), io.BufferedReader(io.BytesIO(data))):
+            assert stream_verify(source, 2, 4, jobs=3) == stream_reference(facts, 2, 4)
