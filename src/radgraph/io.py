@@ -147,7 +147,7 @@ def _graph6_decode(data) -> tuple:
     return n, _graph6_body(data, n, pos)
 
 
-def _graph6_rows(n: int, body: bytes, stop_at_triangle: bool = False) -> tuple:
+def _graph6_rows(n: int, body: bytes, stop_at_triangle: bool) -> tuple:
     """(rows, triangle): the adjacency bitmasks of a body from
     :func:`_graph6_body` and whether the graph has a triangle.  Read slice by
     slice through :data:`_BITREV` as a little-endian integer, the body's p-th

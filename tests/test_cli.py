@@ -25,7 +25,7 @@ from radgraph import (
     to_edgelist_text,
     verify_theorem_main_small,
 )
-from radgraph import cli
+from radgraph import cli, search
 from radgraph.cli import main
 from conftest import cycle, fresh_python
 
@@ -467,6 +467,7 @@ class TestSearch:
 
     @pytest.mark.parametrize("delta,g", [(2, 4), (3, 5), (0, 3)])
     def test_stream_prints_the_same_for_every_job_count(self, capsys, monkeypatch, tmp_path, delta, g):
+        monkeypatch.setattr("radgraph.search._SPLIT_BYTES", 0)  # so that the short file is split
         path = tmp_path / "catalogue.g6"
         path.write_bytes(self.CATALOGUE)
         argv = ("search", "stream", "--delta", str(delta), "--g", str(g))
@@ -786,7 +787,7 @@ print(json.dumps([code, sorted(executed), "dataclasses" in sys.modules, pools]))
 @pytest.mark.parametrize("argv,modules", [
     ("bound --n 15 --delta 3 --g 4", "bounds"),
     ("search stream --delta 2 --g 4 --input ring.g6", "bounds graph io search"),
-    ("search stream --delta 2 --g 4 --input ring.g6 --jobs 2", "bounds graph io search"),
+    ("search stream --delta 2 --g 4 --input rings.g6 --jobs 2", "bounds graph io search"),
     ("search enumerate --n 6 --delta 2 --g 4 --jobs 1", "bounds constructions graph io search"),
     ("search verify-theorem --n-max 4 --deltas 2 --jobs 1", "bounds constructions graph io search"),
     ("search enumerate --n 7 --delta 2 --g 4 --jobs 2", "bounds constructions graph io search"),
@@ -808,6 +809,9 @@ def test_command_executes_only_its_modules(tmp_path, argv, modules):
     heawood = projective_plane_incidence_graph(2)
     (tmp_path / "h.g6").write_bytes(graph6_bytes(heawood))
     (tmp_path / "ring.g6").write_bytes(graph6_bytes(glue_cycle(heawood, 4)))
+    # long enough for stream --jobs 2 to split it
+    rings = b"".join(graph6_bytes(glue_cycle(heawood, m)) + b"\n" for m in range(3, 15))
+    (tmp_path / "rings.g6").write_bytes(rings * -(-search._SPLIT_BYTES // len(rings)))
     (tmp_path / "c8.g6").write_bytes(graph6_bytes(cycle(8)))
     code, executed, dataclasses, pools = json.loads(fresh_python(LAUNCH, *argv.split(), cwd=tmp_path))
     assert code == 0

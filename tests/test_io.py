@@ -30,7 +30,7 @@ def assert_rows_of(n, body, G):
     ends of an edge with a common neighbour, and stops at one on request."""
     rows = rows_of(G)
     triangle = any(set(G.adj[u]) & set(G.adj[v]) for u, v in G.edges())
-    assert _graph6_rows(n, body) == (rows, triangle)
+    assert _graph6_rows(n, body, False) == (rows, triangle)
     assert _graph6_rows(n, body, True) == ((None, True) if triangle else (rows, False))
 
 

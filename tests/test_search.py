@@ -520,6 +520,24 @@ class TestStreamVerify:
         report = stream_verify(["", "  ", graph6_bytes(cycle(6)).decode()], 2, 4)
         assert report["total"] == 1 and report["accepted"] == 1
 
+    def test_a_file_shorter_than_the_split_floor_runs_in_process(self, monkeypatch, tmp_path):
+        def no_fork(*args):
+            raise AssertionError("split a file shorter than the floor")
+
+        monkeypatch.setattr(search, "_spans", no_fork)
+        line = graph6_bytes(cycle(8)) + b"\n"
+        copies = (search._SPLIT_BYTES - 1) // len(line)
+        path = tmp_path / "c8.g6"
+        path.write_bytes(line * copies)
+        with open(path, "rb") as fh:
+            assert search._split_path(fh) is None
+            assert stream_verify(fh, 2, 4, jobs=2)["accepted"] == copies
+        path.write_bytes(line * (copies + 1))  # at least the floor
+        with open(path, "rb") as fh:
+            assert search._split_path(fh) == str(path)
+            fh.readline()  # what is left to read is under it
+            assert search._split_path(fh) is None
+
 
 #: Two 4-cycles joined by the edge (2, 4): ecc(0) = 5, radius 3 at 2 and 4.
 DUMBBELL = build_graph(8, [(0, 1), (1, 2), (2, 3), (3, 0), (2, 4), (4, 5), (5, 6), (6, 7), (7, 4)])
@@ -669,7 +687,7 @@ def streamed(lines, delta, g, jobs, tmp_path):
     path = tmp_path / "lines.g6"
     path.write_bytes(file_bytes(lines))
     with open(path, "rb") as fh:
-        assert search._file_path(fh) == str(path)
+        assert search._split_path(fh) == str(path)
         report = stream_verify(fh, delta, g, jobs=jobs)
     assert_no_child_left()
     return report
@@ -713,6 +731,14 @@ def corpus_facts():
     return lines, line_facts(lines)
 
 
+@pytest.fixture
+def split_every_file(monkeypatch):
+    """The corpus files are shorter than the least file that stream_verify
+    splits; with no floor, ``streamed`` splits them all."""
+    monkeypatch.setattr(search, "_SPLIT_BYTES", 0)
+
+
+@pytest.mark.usefixtures("split_every_file")
 class TestStreamVerifyOracle:
     @pytest.mark.parametrize("delta", [0, 1, 2, 3])
     @pytest.mark.parametrize("g", [3, 4, 5, 6, 8])
@@ -880,6 +906,7 @@ class TestStreamVerifyOracle:
         assert all(graph6_bytes(G) in seen for G in summarised)
 
 
+@pytest.mark.usefixtures("split_every_file")
 class TestForkedStream:
     """A stream from a binary regular file is split by order over ``jobs``
     workers; anything else runs in process."""
@@ -922,29 +949,52 @@ class TestForkedStream:
         path = tmp_path / "c8.g6"
         path.write_bytes(graph6_bytes(cycle(8)) + b"\n")
         with open(path, "rb") as fh:
-            assert search._file_path(fh) == str(path)
+            assert search._split_path(fh) == str(path)
         with open(path) as fh:  # text: its offsets are no byte offsets
-            assert search._file_path(fh) is None
+            assert search._split_path(fh) is None
         with open(path, "rb") as fh:
             os.rename(path, tmp_path / "moved.g6")
-            assert search._file_path(fh) is None
+            assert search._split_path(fh) is None
             # another file under the name
             path.write_bytes(graph6_bytes(cycle(8)) + b"\n")
-            assert search._file_path(fh) is None
+            assert search._split_path(fh) is None
         read_fd, write_fd = os.pipe()
         with open(read_fd, "rb") as fh, open(write_fd, "wb"):
-            assert search._file_path(fh) is None
+            assert search._split_path(fh) is None
         with open(path, "rb") as fh, open(os.dup(fh.fileno()), "rb") as by_fd:  # named by its descriptor
-            assert search._file_path(by_fd) is None
+            assert search._split_path(by_fd) is None
         with open(path, "rb") as stdin:  # as the interpreter names fd 0, whatever it is
             stdin.raw.name = "<stdin>"
-            assert search._file_path(stdin) is None
-        assert search._file_path(io.BytesIO(b"C~\n")) is None
-        assert search._file_path(["C~"]) is None
+            assert search._split_path(stdin) is None
+        assert search._split_path(io.BytesIO(b"C~\n")) is None
+        assert search._split_path(["C~"]) is None
 
-    def test_without_fork_the_shares_run_in_process(self, corpus_facts, monkeypatch, tmp_path):
+    def test_no_more_workers_than_orders_in_the_head(self, monkeypatch, tmp_path):
+        spans, worker_counts = search._spans, []
+
+        def counted(task, tasks, jobs):
+            worker_counts.append(jobs)
+            return spans(task, tasks, jobs)
+
+        monkeypatch.setattr(search, "_spans", counted)
+        monkeypatch.setattr(search, "_SPLIT_BYTES", 64)
+        c6, c8 = (graph6_bytes(cycle(n)).decode() for n in (6, 8))
+        # C_6 fills the first 64 bytes and C_8 comes after them; then the two alternate
+        for lines, workers in (([c6] * 20 + [c8], 1), ([c6, c8] * 10, 2)):
+            assert streamed(lines, 2, 4, 3, tmp_path) == stream_reference(line_facts(lines), 2, 4)
+            assert worker_counts.pop() == workers
+
+    def test_without_fork_one_share_runs_in_process(self, corpus_facts, monkeypatch, tmp_path):
         monkeypatch.delattr(os, "fork")
+        share, shares = search._stream_share, []
+
+        def counted(lines, delta, g, w, jobs):
+            shares.append((w, jobs))
+            return share(lines, delta, g, w, jobs)
+
+        monkeypatch.setattr(search, "_stream_share", counted)
         assert streamed(corpus_facts[0], 2, 4, 2, tmp_path) == stream_reference(corpus_facts[1], 2, 4)
+        assert shares == [(0, 1)]  # one pass over the file, as at jobs = 1
 
     def test_stdin_and_lists_run_in_process(self, corpus_facts, monkeypatch):
         def no_fork(*args):
