@@ -114,11 +114,18 @@ class _Parser(argparse.ArgumentParser):
 
     Sub-parsers are built with the class of their parent, so every command
     inherits this; ``analyze --input g.edges`` is then an unknown option, not
-    a prefix of ``--input-format``.
+    a prefix of ``--input-format``.  A leaf command reports the arguments it
+    does not take itself, so the usage line shows the options it does take.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, allow_abbrev=False, **kwargs)
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras and self._subparsers is None:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
 
 
 #: Each ``construct`` kind: a builder over the parsed arguments and the kind's

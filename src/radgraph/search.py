@@ -16,34 +16,49 @@ distance >= g - 2 from every earlier pick, v is entered only through a pick,
 so a sweep of g - 3 levels never meets v and sees the graph on 0..v-1 in
 every branch.
 
-Every enumeration takes one path: the walker stops after s = min(n, max(5,
-n - 3)) vertices (6 at n = 9, 5 below), the partial assignments found there
-(the prefixes) are grouped into orbits under the permutations of vertices
-0..s-1 as the walk finds them, and the completions of one prefix per orbit
-are enumerated, in process or in forks, so ``jobs`` cannot change the
-result.  This is exact for any s.  The leaves under a prefix P are exactly
-the valid graphs whose induced subgraph on 0..s-1 is P, because every prune
-is sound.  A permutation of 0..s-1, extended by the identity on the other
-vertices, maps the completions of P one-to-one onto those of its image and
-keeps connectivity, degrees, girth and radius.  So every member of an orbit
-has the same count and the same maximum radius, and the count of the orbit's
-span is multiplied by the number of members found.  The witness is kept too:
-every completion's graph6 body starts with the C(s, 2) prefix bits in column
-order, so the member with the smallest encoding on s vertices holds the
-orbit's smallest encoding of maximum radius, and that member is the one
-enumerated.  Isomorph rejection beyond the prefix stays absent.
+Every enumeration takes one path: the walker stops after s = min(n, 6)
+vertices from n = 8 and s = min(n, 5) below, the partial assignments found
+there (the prefixes) are grouped into orbits under the permutations of
+vertices 0..s-1 as the walk finds them, and the completions of one prefix
+per orbit are enumerated, in process or in forks, so ``jobs`` cannot change
+the result.  This is exact for any s.  The leaves under a prefix P are
+exactly the valid graphs whose induced subgraph on 0..s-1 is P, because
+every prune is sound.  A permutation of 0..s-1, extended by the identity on
+the other vertices, maps the completions of P one-to-one onto those of its
+image and keeps connectivity, degrees, girth and radius.  So every member
+of an orbit has the same count and the same maximum radius, and the count
+of the orbit's span is multiplied by the number of members found.  The
+witness is kept too: every completion's graph6 body starts with the
+C(s, 2) prefix bits in column order, so the member with the smallest
+encoding on s vertices holds the orbit's smallest encoding of maximum
+radius, and that member is the one enumerated.  Isomorph rejection beyond
+the prefix stays absent.
 
 Each orbit is generated when the walk meets its first member, by a search
-over the s - 1 transpositions (i, i+1): a member costs s - 1 swaps, each a
-``bytes.translate`` of its rows and an exchange of two bytes, so an orbit
-with automorphisms costs fewer than s!, and a later member one lookup (the
-orbit idea of McKay's isomorph-free generation, J. Algorithms 26, 1998,
-applied to the prefix only).  Best of 3 in process on a 2-core box under
-CPython 3.11, split after 4 / 5 / 6 / 7 vertices: (8, 2, 4) 0.62 / 0.14 /
-0.060 / 1.03 s, (8, 3, 4) 0.041 / 0.015 / 0.047 / 0.21 s, (9, 2, 6) 1.63 /
-0.41 / 0.095 / 0.55 s, (9, 3, 4) 3.15 / 0.67 / 0.15 / 1.10 s and (9, 2, 4),
-best of 1, 61 / 12.9 / 2.03 / 1.59 s; ``verify_theorem_main_small(8, [2,
-3])`` 0.16 s after 5 and 0.20 s after 6.  So s = 6 at n = 9 and 5 below.
+from two generators of the permutations of 0..s-1: the transposition (0 1)
+and the rotation v -> v + 1 mod s, whose products give every permutation.
+A member costs two images, each a ``bytes.translate`` of its rows and a
+reorder of the rows (a swap of the first two, a rotation by one), so an
+orbit costs two images per member whatever s is, and a later member one
+lookup (the orbit idea of McKay's isomorph-free generation, J. Algorithms
+26, 1998, applied to the prefix only).  Best of 3 in process on a 2-core
+box under CPython 3.11, the whole enumeration at jobs = 1 with the split
+after s vertices ((9, 2, 4) best of 1):
+
+    =========  ======  ======  ======  ======
+    row        s = 4   s = 5   s = 6   s = 7
+    =========  ======  ======  ======  ======
+    (8, 2, 4)  0.43    0.085   0.032   0.38
+    (8, 3, 4)  0.029   0.0072  0.015   0.074
+    (9, 2, 6)  0.86    0.18    0.040   0.17
+    (9, 3, 4)  1.69    0.34    0.084   0.36
+    (9, 2, 4)  31.4    6.34    1.08    0.59
+    =========  ======  ======  ======  ======
+
+Grouping the 5789 prefixes of (8, 2, 4) after 6 vertices takes 0.017 s,
+and ``verify_theorem_main_small(8, [2, 3])`` 0.055 s (0.099 s with n = 8
+split after 5).  A split after 7 pays at (9, 2, 4) only, and loses 4x at
+(9, 3, 4), so the rule stays a function of n alone.
 
 All reachability -- the far-neighbour masks, connectivity and eccentricities
 of each leaf -- runs through the bitset frontier sweep of
@@ -58,9 +73,8 @@ import stat
 from contextlib import suppress
 from itertools import starmap
 
-from . import constructions
+from . import bounds, constructions
 from . import io as gio
-from .bounds import exact_radius_formula_g4, upper_bound_radius
 from .graph import INFINITE, _Record, _girth_of, _reach, build_graph, metric_summary
 
 DEFAULT_CAP = 8
@@ -216,18 +230,21 @@ def _prefix_orbits(n, delta, g, s):
     orbits under the permutations of vertices 0..s-1 as they are found.
 
     A prefix whose first s rows, as bytes, are not yet in ``orbit_of`` opens
-    an orbit, and a search over the transpositions (i, i+1) enters all its
-    relabellings under it: a swap exchanges bits i and i+1 of each row
-    through a byte table, then rows i and i+1.  Returns (rows, deg, weight)
-    per orbit: the member with the smallest graph6 encoding on s vertices,
-    compared as the bytes of its columns (``cols[j - 1]`` reads row j's bits
-    0..j-1 big-endian, as graph6 writes them), and the number of members
-    found.  The orbits with the fewest prefix edges come first: an emptier
-    prefix leaves more to choose, so its span tends to be the longest, and
-    dealing the tasks out in turn gives every worker a share of the long ones.
+    an orbit, and a search over two generators of the permutations of
+    0..s-1 enters all its relabellings under it: the transposition (0 1)
+    exchanges bits 0 and 1 of each row through a byte table, then rows 0 and
+    1, and the rotation v -> v + 1 mod s turns the bits of each row through
+    another, then moves the last row to the front.  Returns (rows, deg,
+    weight) per orbit: the member with the smallest graph6 encoding on s
+    vertices, compared as the bytes of its columns (``cols[j - 1]`` reads
+    row j's bits 0..j-1 big-endian, as graph6 writes them), and the number of
+    members found.  The orbits with the fewest prefix edges come first: an
+    emptier prefix leaves more to choose, so its span tends to be the
+    longest, and dealing the tasks out in turn gives every worker a share of
+    the long ones.
     """
-    swaps = [(i, bytes(b ^ (b >> i ^ b >> i + 1) % 2 * (3 << i) for b in range(256)))
-             for i in range(s - 1)]
+    swap = bytes(b ^ (b ^ b >> 1) % 2 * 3 for b in range(256))
+    turn = bytes((b << 1 | b >> s - 1) & (1 << s) - 1 for b in range(256))
     cols = [bytes(int(f"{r & (1 << j) - 1:0{j}b}"[::-1], 2) for r in range(1 << s))
             for j in range(1, s)]
     rows = [0] * n
@@ -245,9 +262,9 @@ def _prefix_orbits(n, delta, g, s):
             todo = [key]
             while todo:
                 member = todo.pop()
-                for i, table in swaps:
-                    image = member.translate(table)
-                    image = image[:i] + image[i + 1:i + 2] + image[i:i + 1] + image[i + 2:]
+                swapped = member.translate(swap)
+                turned = member.translate(turn)
+                for image in (swapped[1::-1] + swapped[2:], turned[-1:] + turned[:-1]):
                     if image not in orbit_of:
                         orbit_of[image] = orbit
                         todo.append(image)
@@ -325,7 +342,7 @@ def _extremal(n, delta, g, allow_long, jobs):
         raise ValueError(f"degree floor must be >= 0, got {delta}")
 
     best_r_init = max(_seed_radii(n, delta, g), default=-1)
-    split_v = min(n, max(5, n - 3))
+    split_v = min(n, 6 if n >= 8 else 5)
     orbits = _prefix_orbits(n, delta, g, split_v)
     tasks = [(n, delta, g, rows, deg, split_v, best_r_init) for rows, deg, _ in orbits]
     results = _spans(_enumerate_span, tasks, jobs)
@@ -343,10 +360,10 @@ def enumerate_extremal(n: int, delta: int, g: int, *, allow_long: bool = False,
     with minimum degree >= delta and girth >= g, with one witness graph.
 
     n is capped at 8 by default; n = 9 requires ``allow_long``, and
-    (9, 2, 4) takes 1.79 s with jobs = 1 and 0.97 s with jobs = 2 in process,
-    1.70 s and 1.26 s as a ``radgraph`` launch (medians of 5 alternating
+    (9, 2, 4) takes 1.14 s with jobs = 1 and 0.59 s with jobs = 2 in process,
+    1.18 s and 0.73 s as a ``radgraph`` launch (medians of 5 alternating
     runs on a shared 2-core box under CPython 3.11).  The backtracking forest
-    is always split after the first min(n, max(5, n - 3)) vertices, one
+    is always split after the first min(n, 6 if n >= 8 else 5) vertices, one
     prefix per orbit of the split is enumerated, and the tasks run on
     ``jobs`` workers, the caller and forked children (``_spans``); ties
     between equal-radius witnesses resolve to the smallest graph6 encoding.
@@ -373,7 +390,7 @@ def verify_theorem_main_small(n_max: int, delta_set, *, jobs: int = 1) -> dict:
     for delta in deltas:
         for n in range(1, n_max + 1):
             enumerated = _extremal(n, delta, 4, False, jobs).max_radius
-            formula = exact_radius_formula_g4(n, delta)
+            formula = bounds.exact_radius_formula_g4(n, delta)
             verdict = "EQUAL" if enumerated == formula else "MISMATCH"
             rows.append({"n": n, "delta": delta, "enumerated": enumerated,
                          "formula": formula, "verdict": verdict})
@@ -388,7 +405,7 @@ def _least_bound(n, min_degree, girth):
         return None
     # at min_degree 2, n * k / 4 + 3k grows with k = g' / 2: g' = 4 gives the least
     top = min(girth, 4) if min_degree == 2 else girth
-    return min((upper_bound_radius(n, min_degree, ge) for ge in range(4, top + 1, 2)), default=None)
+    return min((bounds.upper_bound_radius(n, min_degree, ge) for ge in range(4, top + 1, 2)), default=None)
 
 
 def _stream_share(lines, delta, g, w, jobs):
@@ -406,7 +423,7 @@ def _stream_share(lines, delta, g, w, jobs):
     by_n: dict = {}
     violations = []
     mine = {}  # order -> whether this worker decides its lines
-    bounds = {}  # (n, min_degree, girth) -> _least_bound
+    least_of = {}  # (n, min_degree, girth) -> _least_bound
     for index, raw in enumerate(lines):
         line = raw.strip()
         if not line:
@@ -445,9 +462,9 @@ def _stream_share(lines, delta, g, w, jobs):
             filtered_out += 1
             continue
         accepted += 1
-        if (key := (n, min_degree, girth)) not in bounds:
-            bounds[key] = _least_bound(*key)
-        least = bounds[key]
+        if (key := (n, min_degree, girth)) not in least_of:
+            least_of[key] = _least_bound(*key)
+        least = least_of[key]
         slot = by_n.get(n)
         if slot is not None:
             cap = slot[1] if least is None else min(slot[1], least)

@@ -254,7 +254,7 @@ def prefix_orbits_reference(prefixes, s):
     """The split prefixes grouped into orbits by brute force: each prefix is
     keyed by its canonical form, the smallest encoding over all s!
     permutations of vertices 0..s-1, where ``search._prefix_orbits`` reaches
-    the orbit's members by neighbouring transpositions.  Returns what
+    the orbit's members from two generators.  Returns what
     ``search._prefix_orbits`` returns for the walk that found ``prefixes``:
     (rows, deg, weight) per orbit, the member with the smallest encoding on
     s vertices and the number of members, fewest prefix edges first, ties in

@@ -688,6 +688,19 @@ RANGES = {"--jobs": (1, 2), "--budget": (-1, 1000), ("search enumerate", "--n"):
 LEAVES = list(leaf_parsers(cli._build_parser()))
 
 
+@pytest.mark.parametrize("path,parser", LEAVES, ids=[path for path, _ in LEAVES])
+def test_unknown_option_is_reported_by_its_leaf(capsys, monkeypatch, tmp_path, path, parser):
+    # every file the command names is missing, so a read before the parse error would show
+    monkeypatch.chdir(tmp_path)
+    argv = at_floors(path) if path in FLOORS else [*path.split(), "--graph", "c8.g6"]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--zzz"])
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert out.err.startswith(f"usage: {parser.prog} [-h]")
+    assert out.err.endswith(f"\n{parser.prog}: error: unrecognized arguments: --zzz\n")
+
+
 @pytest.fixture(scope="module")
 def small_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("files")
@@ -771,7 +784,8 @@ def test_pretty_indents_the_plain_payload(capsys, monkeypatch, tmp_path, argv):
 
 #: Runs main(argv) in a fresh interpreter; prints the exit code, the radgraph
 #: submodules whose code has run (a lazy stub is not yet a plain module),
-#: whether dataclasses was imported and whether a process pool module was.
+#: whether dataclasses was imported, whether a process pool module was and
+#: whether fractions was.
 LAUNCH = """
 import contextlib, io, json, sys, types
 from radgraph.cli import main
@@ -780,7 +794,7 @@ with contextlib.redirect_stdout(io.StringIO()):
 executed = [name for name, module in sys.modules.items()
             if name.startswith("radgraph.") and type(module) is types.ModuleType]
 pools = [name for name in ("concurrent.futures", "multiprocessing") if name in sys.modules]
-print(json.dumps([code, sorted(executed), "dataclasses" in sys.modules, pools]))
+print(json.dumps([code, sorted(executed), "dataclasses" in sys.modules, pools, "fractions" in sys.modules]))
 """
 
 
@@ -788,9 +802,9 @@ print(json.dumps([code, sorted(executed), "dataclasses" in sys.modules, pools]))
     ("bound --n 15 --delta 3 --g 4", "bounds"),
     ("search stream --delta 2 --g 4 --input ring.g6", "bounds graph io search"),
     ("search stream --delta 2 --g 4 --input rings.g6 --jobs 2", "bounds graph io search"),
-    ("search enumerate --n 6 --delta 2 --g 4 --jobs 1", "bounds constructions graph io search"),
+    ("search enumerate --n 6 --delta 2 --g 4 --jobs 1", "constructions graph io search"),
     ("search verify-theorem --n-max 4 --deltas 2 --jobs 1", "bounds constructions graph io search"),
-    ("search enumerate --n 7 --delta 2 --g 4 --jobs 2", "bounds constructions graph io search"),
+    ("search enumerate --n 7 --delta 2 --g 4 --jobs 2", "constructions graph io search"),
     ("search verify-theorem --n-max 6 --deltas 2 --jobs 2", "bounds constructions graph io search"),
     ("construct glue --base h.g6 --m 3", "constructions graph io"),
     ("construct gq --q 3", "fields geometry graph io"),
@@ -813,8 +827,10 @@ def test_command_executes_only_its_modules(tmp_path, argv, modules):
     rings = b"".join(graph6_bytes(glue_cycle(heawood, m)) + b"\n" for m in range(3, 15))
     (tmp_path / "rings.g6").write_bytes(rings * -(-search._SPLIT_BYTES // len(rings)))
     (tmp_path / "c8.g6").write_bytes(graph6_bytes(cycle(8)))
-    code, executed, dataclasses, pools = json.loads(fresh_python(LAUNCH, *argv.split(), cwd=tmp_path))
+    launched = fresh_python(LAUNCH, *argv.split(), cwd=tmp_path)
+    code, executed, dataclasses, pools, fractions = json.loads(launched)
     assert code == 0
     assert executed == sorted(f"radgraph.{name}" for name in ["cli", *modules.split()])
     assert not dataclasses  # the result records are plain slot classes
     assert not pools  # --jobs 2 forks its span workers
+    assert fractions == ("bounds" in modules.split())  # only the exact bounds need it

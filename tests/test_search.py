@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import radgraph.bounds
 from radgraph import (
     bfs,
     build_graph,
@@ -251,6 +252,19 @@ def walked_prefixes(n, delta, g, s):
     return prefixes
 
 
+#: The rows whose prefixes after 7 vertices are few enough to check by brute
+#: force over the 7! permutations; with the other rows' splits, they check
+#: the generators at every s from 1 to 7.
+SPLIT_AT_SEVEN = {(7, 1, 6), (7, 2, 6), (8, 3, 5)}
+
+
+def split_points(n, delta, g):
+    points = {min(n, 4), min(n, 5), min(n, 6)}
+    if (n, delta, g) in SPLIT_AT_SEVEN:
+        points.add(7)
+    return sorted(points)
+
+
 class TestPrefixOrbits:
     """The split prefixes run as one span per orbit under the permutations
     of vertices 0..s-1, weighted by the number of members the walk finds."""
@@ -259,7 +273,7 @@ class TestPrefixOrbits:
     @pytest.mark.parametrize("delta", range(4))
     @pytest.mark.parametrize("g", range(3, 7))
     def test_orbits_partition_the_prefixes(self, n, delta, g):
-        for s in sorted({min(n, 4), min(n, 5), min(n, 6)}):
+        for s in split_points(n, delta, g):
             self.check_partition(n, delta, g, s)
 
     @staticmethod
@@ -284,15 +298,16 @@ class TestPrefixOrbits:
     @pytest.mark.parametrize("delta", range(4))
     @pytest.mark.parametrize("g", range(3, 7))
     def test_same_orbits_as_reference(self, n, delta, g):
-        for s in sorted({min(n, 4), min(n, 5), min(n, 6)}):
+        for s in split_points(n, delta, g):
             expected = prefix_orbits_reference(walked_prefixes(n, delta, g, s), s)
             assert search._prefix_orbits(n, delta, g, s) == expected
 
     @pytest.mark.parametrize("n,delta,g,s,prefixes,orbits", [(8, 3, 4, 5, 388, 14), (9, 2, 6, 6, 2992, 21)])
-    def test_s_minus_one_transposition_images_per_prefix(self, n, delta, g, s, prefixes, orbits):
-        """Each orbit is generated once, by the swaps (i, i+1) of each member:
-        s - 1 translated images per prefix the walk finds, and fewer than s!
-        per orbit wherever an orbit has automorphisms."""
+    def test_two_generator_images_per_prefix(self, n, delta, g, s, prefixes, orbits):
+        """Each orbit is generated once, from two generators of the
+        permutations of 0..s-1, the transposition (0 1) and the rotation
+        v -> v + 1 mod s: 2 translated images per prefix the walk finds,
+        whatever s is."""
         calls = []
 
         def profile(frame, event, arg):
@@ -306,9 +321,9 @@ class TestPrefixOrbits:
         finally:
             sys.setprofile(None)
         assert (len(walked_prefixes(n, delta, g, s)), len(found)) == (prefixes, orbits)
-        assert calls.count("translate") == (s - 1) * prefixes
+        assert calls.count("translate") == 2 * prefixes
 
-    @pytest.mark.parametrize("n,delta,g,spans", [(8, 2, 4, 14), (9, 2, 6, 21)])
+    @pytest.mark.parametrize("n,delta,g,spans", [(8, 2, 4, 38), (9, 2, 6, 21)])
     def test_one_span_per_orbit(self, monkeypatch, n, delta, g, spans):
         calls = []
 
@@ -807,7 +822,7 @@ class TestStreamVerifyOracle:
             return upper_bound_radius(n, d, ge)
 
         monkeypatch.setattr(search, "_least_bound", least_spy)
-        monkeypatch.setattr(search, "upper_bound_radius", spy)
+        monkeypatch.setattr(radgraph.bounds, "upper_bound_radius", spy)
         lines, facts = corpus_facts
         assert stream_verify(lines, 2, 6) == stream_reference(facts, 2, 6)
         # at g = 6 the pass reads the exact girth of every accepted graph
@@ -845,14 +860,12 @@ class TestStreamVerifyOracle:
         graphs violators (at the fractional shifts, cycles of one parity
         only); the report must still equal the reference's, whose violations
         come in line order across the orders of every worker."""
-        import radgraph.search
-
         lines, facts = corpus_facts
 
         def smaller(n, d, ge, bound=upper_bound_radius):
             return bound(n, d, ge) - shift
 
-        monkeypatch.setattr(radgraph.search, "upper_bound_radius", smaller)
+        monkeypatch.setattr(radgraph.bounds, "upper_bound_radius", smaller)
         monkeypatch.setattr(sys.modules[__name__], "upper_bound_radius", smaller)
         report = streamed(lines, delta, g, jobs, tmp_path)
         assert report["bound_violations"]
