@@ -19,15 +19,15 @@ every branch.
 Every enumeration takes one path: the walker stops after s = min(n, 6)
 vertices from n = 8 and s = min(n, 5) below, the partial assignments found
 there (the prefixes) are grouped into orbits under the permutations of
-vertices 0..s-1 as the walk finds them, and the completions of one prefix
-per orbit are enumerated, in process or in forks, so ``jobs`` cannot change
-the result.  This is exact for any s.  The leaves under a prefix P are
+vertices 0..s-1, and the completions of one prefix per orbit are
+enumerated, in process or in forks, so ``jobs`` cannot change the result.  This is exact for any s.  The leaves under a prefix P are
 exactly the valid graphs whose induced subgraph on 0..s-1 is P, because
 every prune is sound.  A permutation of 0..s-1, extended by the identity on
 the other vertices, maps the completions of P one-to-one onto those of its
 image and keeps connectivity, degrees, girth and radius.  So every member
 of an orbit has the same count and the same maximum radius, and the count
-of the orbit's span is multiplied by the number of members found.  The
+of the orbit's span is multiplied by the number of members, every one of
+which the walk finds (``_prefix_orbits`` says why).  The
 witness is kept too: every completion's graph6 body starts with the
 C(s, 2) prefix bits in column order, so the member with the smallest
 encoding on s vertices holds the orbit's smallest encoding of maximum
@@ -39,9 +39,10 @@ from two generators of the permutations of 0..s-1: the transposition (0 1)
 and the rotation v -> v + 1 mod s, whose products give every permutation.
 A member costs two images, each a ``bytes.translate`` of its rows and a
 reorder of the rows (a swap of the first two, a rotation by one), so an
-orbit costs two images per member whatever s is, and a later member one
-lookup (the orbit idea of McKay's isomorph-free generation, J. Algorithms
-26, 1998, applied to the prefix only).  Best of 3 in process on a 2-core
+orbit costs two images per member whatever s is, its smallest encoding one
+translate per column over all its members, and a later member one lookup
+(the orbit idea of McKay's isomorph-free generation, J. Algorithms 26,
+1998, applied to the prefix only).  Best of 3 in process on a 2-core
 box under CPython 3.11, the whole enumeration at jobs = 1 with the split
 after s vertices ((9, 2, 4) best of 1):
 
@@ -81,6 +82,8 @@ DEFAULT_CAP = 8
 HARD_CAP = 9
 # the least number of bytes left to read in a file that stream_verify splits
 _SPLIT_BYTES = 1 << 16
+# each byte with its bits 0..7 in reverse order
+_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 class SearchResult(_Record):
@@ -227,53 +230,55 @@ def _enumerate_span(n, delta, g, rows, deg, start_v, best_r_init):
 
 def _prefix_orbits(n, delta, g, s):
     """Group the prefixes, the assignments the walk finds up to s, into
-    orbits under the permutations of vertices 0..s-1 as they are found.
+    orbits under the permutations of vertices 0..s-1.
 
-    A prefix whose first s rows, as bytes, are not yet in ``orbit_of`` opens
-    an orbit, and a search over two generators of the permutations of
-    0..s-1 enters all its relabellings under it: the transposition (0 1)
-    exchanges bits 0 and 1 of each row through a byte table, then rows 0 and
-    1, and the rotation v -> v + 1 mod s turns the bits of each row through
-    another, then moves the last row to the front.  Returns (rows, deg,
-    weight) per orbit: the member with the smallest graph6 encoding on s
-    vertices, compared as the bytes of its columns (``cols[j - 1]`` reads
-    row j's bits 0..j-1 big-endian, as graph6 writes them), and the number of
-    members found.  The orbits with the fewest prefix edges come first: an
-    emptier prefix leaves more to choose, so its span tends to be the
-    longest, and dealing the tasks out in turn gives every worker a share of
-    the long ones.
+    The walk finds every member of an orbit: at s its prunes ask only that
+    the prefix has girth >= g and minimum degree >= delta - (n - s), and no
+    relabelling changes either.  So the first member the walk meets, its
+    first s rows as bytes, opens the orbit, and a search from two generators
+    of the permutations of 0..s-1 lists every relabelling: the transposition
+    (0 1) exchanges bits 0 and 1 of each row through a byte table, then rows
+    0 and 1, and the rotation v -> v + 1 mod s turns the bits of each row
+    through another, then moves the last row to the front.  A later member
+    costs one set lookup.  Returns (rows, deg, weight) per orbit: the member
+    with the smallest graph6 encoding on s vertices and the number of
+    members.  The encodings are compared column by column, as graph6 writes
+    them: ``cols[j - 1]`` turns row j into its bits 0..j-1 reversed into the
+    top of a byte, so one translate per column serves the whole orbit.  The
+    orbits with the fewest prefix edges come first: an emptier prefix leaves
+    more to choose, so its span tends to be the longest, and dealing the
+    tasks out in turn gives every worker a share of the long ones.
     """
     swap = bytes(b ^ (b ^ b >> 1) % 2 * 3 for b in range(256))
     turn = bytes((b << 1 | b >> s - 1) & (1 << s) - 1 for b in range(256))
-    cols = [bytes(int(f"{r & (1 << j) - 1:0{j}b}"[::-1], 2) for r in range(1 << s))
-            for j in range(1, s)]
+    cols = [_REVERSED[:1 << j] * (256 >> j) for j in range(1, s)]
     rows = [0] * n
     deg = [0] * n
-    orbit_of = {}
+    pad = (0,) * (n - s)
+    seen = set()
     orbits = []
 
     def visit():
         key = bytes(rows[:s])
-        code = bytes(map(bytes.__getitem__, cols, rows[1:s]))
-        orbit = orbit_of.get(key)
-        if orbit is None:
-            orbit = orbit_of[key] = [code, tuple(rows), tuple(deg), 0]
-            orbits.append(orbit)
-            todo = [key]
-            while todo:
-                member = todo.pop()
-                swapped = member.translate(swap)
-                turned = member.translate(turn)
-                for image in (swapped[1::-1] + swapped[2:], turned[-1:] + turned[:-1]):
-                    if image not in orbit_of:
-                        orbit_of[image] = orbit
-                        todo.append(image)
-        elif code < orbit[0]:
-            orbit[:3] = code, tuple(rows), tuple(deg)
-        orbit[3] += 1
+        if key in seen:
+            return
+        seen.add(key)
+        members = [key]
+        for member in members:  # a breadth-first search: members grows as it is read
+            swapped = member.translate(swap)
+            turned = member.translate(turn)
+            for image in (swapped[1::-1] + swapped[2:], turned[-1:] + turned[:-1]):
+                if image not in seen:
+                    seen.add(image)
+                    members.append(image)
+        blob = b"".join(members)
+        columns = map(bytes.translate, [blob[j::s] for j in range(1, s)], cols)
+        *_, first = min(zip(*columns, range(len(members))))
+        head = members[first]
+        orbits.append((tuple(head) + pad, tuple(map(int.bit_count, head)) + pad, len(members)))
 
     _walk(n, delta, g, rows, deg, 0, s, visit)
-    return sorted((tuple(orbit[1:]) for orbit in orbits), key=lambda orbit: sum(orbit[1]))
+    return sorted(orbits, key=lambda orbit: sum(orbit[1]))
 
 
 def _spans(task, tasks, jobs):

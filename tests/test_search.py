@@ -307,7 +307,8 @@ class TestPrefixOrbits:
         """Each orbit is generated once, from two generators of the
         permutations of 0..s-1, the transposition (0 1) and the rotation
         v -> v + 1 mod s: 2 translated images per prefix the walk finds,
-        whatever s is."""
+        whatever s is.  (The column translates that pick an orbit's smallest
+        member run under ``map``, so the profile does not see them.)"""
         calls = []
 
         def profile(frame, event, arg):
