@@ -19,47 +19,48 @@ every branch.
 Every enumeration takes one path: the walker stops after s = min(n, 6)
 vertices from n = 8 and s = min(n, 5) below, the partial assignments found
 there (the prefixes) are grouped into orbits under the permutations of
-vertices 0..s-1, and the completions of one prefix per orbit are
-enumerated, in process or in forks, so ``jobs`` cannot change the result.  This is exact for any s.  The leaves under a prefix P are
-exactly the valid graphs whose induced subgraph on 0..s-1 is P, because
-every prune is sound.  A permutation of 0..s-1, extended by the identity on
-the other vertices, maps the completions of P one-to-one onto those of its
-image and keeps connectivity, degrees, girth and radius.  So every member
-of an orbit has the same count and the same maximum radius, and the count
-of the orbit's span is multiplied by the number of members, every one of
-which the walk finds (``_prefix_orbits`` says why).  The
-witness is kept too: every completion's graph6 body starts with the
-C(s, 2) prefix bits in column order, so the member with the smallest
-encoding on s vertices holds the orbit's smallest encoding of maximum
-radius, and that member is the one enumerated.  Isomorph rejection beyond
-the prefix stays absent.
+vertices 0..s-1, and the completions of one prefix per orbit are enumerated,
+in process or in forks, so ``jobs`` cannot change the result.  This is exact
+for any s.  The leaves under a prefix P are exactly the valid graphs whose
+induced subgraph on 0..s-1 is P, because every prune is sound.  A
+permutation of 0..s-1, extended by the identity on the other vertices, maps
+the completions of P one-to-one onto those of its image and keeps
+connectivity, degrees, girth and radius.  So every member of an orbit has
+the same count and the same maximum radius, and the count of the orbit's
+span is multiplied by the number of members, every one of which the walk
+finds (``_prefix_orbits`` says why).  The witness is kept too: every
+completion's graph6 body starts with the C(s, 2) prefix bits in column
+order, so the member with the smallest encoding on s vertices holds the
+orbit's smallest encoding of maximum radius, and that member is the one
+enumerated.  Isomorph rejection beyond the prefix stays absent.
 
 Each orbit is generated when the walk meets its first member, by a search
 from two generators of the permutations of 0..s-1: the transposition (0 1)
-and the rotation v -> v + 1 mod s, whose products give every permutation.
-A member costs two images, each a ``bytes.translate`` of its rows and a
+and the rotation v -> v + 1 mod s, whose products give every permutation.  A
+member costs two images, each a ``bytes.translate`` of its rows and a
 reorder of the rows (a swap of the first two, a rotation by one), so an
 orbit costs two images per member whatever s is, its smallest encoding one
 translate per column over all its members, and a later member one lookup
 (the orbit idea of McKay's isomorph-free generation, J. Algorithms 26,
-1998, applied to the prefix only).  Best of 3 in process on a 2-core
-box under CPython 3.11, the whole enumeration at jobs = 1 with the split
-after s vertices ((9, 2, 4) best of 1):
+1998, applied to the prefix only).  The whole enumeration at jobs = 1 with
+the split after s vertices, in seconds, in process on a shared 2-core box
+under CPython 3.11, best of 6 over two sessions ((9, 2, 4) best of 2, and of
+1 at s = 4):
 
     =========  ======  ======  ======  ======
     row        s = 4   s = 5   s = 6   s = 7
     =========  ======  ======  ======  ======
-    (8, 2, 4)  0.43    0.085   0.032   0.38
-    (8, 3, 4)  0.029   0.0072  0.015   0.074
-    (9, 2, 6)  0.86    0.18    0.040   0.17
-    (9, 3, 4)  1.69    0.34    0.084   0.36
-    (9, 2, 4)  31.4    6.34    1.08    0.59
+    (8, 2, 4)  0.50    0.098   0.031   0.30
+    (8, 3, 4)  0.029   0.0070  0.012   0.068
+    (9, 2, 6)  0.99    0.30    0.042   0.15
+    (9, 3, 4)  1.96    0.41    0.089   0.29
+    (9, 2, 4)  41.5    8.56    1.30    0.50
     =========  ======  ======  ======  ======
 
-Grouping the 5789 prefixes of (8, 2, 4) after 6 vertices takes 0.017 s,
-and ``verify_theorem_main_small(8, [2, 3])`` 0.055 s (0.099 s with n = 8
-split after 5).  A split after 7 pays at (9, 2, 4) only, and loses 4x at
-(9, 3, 4), so the rule stays a function of n alone.
+Grouping the 5789 prefixes of (8, 2, 4) after 6 vertices takes 0.013 s of
+its 0.031 s, and ``verify_theorem_main_small(8, [2, 3])`` 0.054 s.  A split
+after 7 pays at (9, 2, 4) only, and costs 3x at (9, 3, 4), so the rule
+stays a function of n alone.
 
 All reachability -- the far-neighbour masks, connectivity and eccentricities
 of each leaf -- runs through the bitset frontier sweep of
