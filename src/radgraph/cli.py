@@ -114,7 +114,7 @@ class _Parser(argparse.ArgumentParser):
 
     Sub-parsers are built with the class of their parent, so every command
     inherits this; ``analyze --input g.edges`` is then an unknown option, not
-    a prefix of ``--input-format``.  A leaf command reports the arguments it
+    a prefix of ``--input-format``.  Every command reports the arguments it
     does not take itself, so the usage line shows the options it does take.
     """
 
@@ -123,7 +123,7 @@ class _Parser(argparse.ArgumentParser):
 
     def parse_known_args(self, args=None, namespace=None):
         namespace, extras = super().parse_known_args(args, namespace)
-        if extras and self._subparsers is None:
+        if extras:
             self.error(f"unrecognized arguments: {' '.join(extras)}")
         return namespace, extras
 

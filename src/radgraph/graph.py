@@ -1,8 +1,9 @@
 """Immutable simple graphs and their metric invariants.
 
 Vertices are the integers 0..n-1.  ``Graph`` instances are frozen after
-construction and every function in this module is a pure read, so graphs can
-be shared freely between threads or worker processes.
+construction and every function in this module is a pure read, so one graph
+can be shared by any number of callers; a copy or a pickle round trip goes
+through the constructor (``__reduce__``).
 
 Which metric path runs when.  ``metric_summary`` first runs one BFS from
 vertex 0 (and one from each further component), which gives connectivity,
@@ -167,8 +168,9 @@ class _Record:
     """Immutable record over its subclass's ``__slots__``, with what a frozen
     dataclass generates, but no ``dataclasses`` import: positional or keyword
     construction, ``==``, ``hash`` and ``repr`` over the fields, and
-    AttributeError on assignment.  Unpickling goes through the constructor
-    (``__reduce__``), since restoring slot state would assign fields."""
+    AttributeError on assignment.  ``copy.copy``, ``copy.deepcopy`` and
+    unpickling go through the constructor (``__reduce__``), since restoring
+    slot state would assign fields."""
 
     __slots__ = ()
 
@@ -238,6 +240,22 @@ def build_graph(n: int, edges) -> Graph:
         rows[v].append(u)
     adj = tuple(tuple(sorted(row)) for row in rows)
     return Graph(n, adj, len(seen))
+
+
+def _from_rows(rows) -> Graph:
+    """The graph of the symmetric adjacency bitmasks ``rows``: the set bits
+    of each row, read highest first and reversed, are its sorted neighbour
+    tuple, so no ``build_graph`` is needed.  Taking the top bit shrinks the
+    row as it goes, where ``row & -row`` would span the whole row per bit."""
+    adj = []
+    for row in rows:
+        nbrs = []
+        while row:
+            top = row.bit_length() - 1
+            nbrs.append(top)
+            row ^= 1 << top
+        adj.append(tuple(nbrs[::-1]))
+    return Graph(len(adj), tuple(adj), sum(map(len, adj)) // 2)
 
 
 def _reach(rows, seen, limit):

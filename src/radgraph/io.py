@@ -7,25 +7,25 @@ j = 1..n-1 the bits (0,j), (1,j), ..., (j-1,j) -- packed big-endian into
 6-bit groups, each group offset by 63.  Padding bits must be zero.
 
 Both directions of the codec go through base64, whose 6-bit groups map one
-to one onto graph6 bytes by ``bytes.translate``.  The encoder sets the body
-bit of each edge of ``Graph.adj`` (the search's leaf keys pack their bitmask
-rows instead) and calls ``b64encode`` once.  The decoder's one path,
-``_graph6_decode``, checks the header, the body length, every body byte and
-the zero padding (in that order, each with its own ``ValueError``) and
-decodes the body in one ``b64decode`` call, whose set bits are the edges, so
-``search stream`` applies its edge-count floor before it builds anything.
-Its two steps are apart, ``_graph6_size`` and ``_graph6_body``, so that
-``search stream`` can read a line's order before it decodes the rest.
-``from_graph6`` reads its sorted neighbour tuples, and ``_graph6_rows`` the
-bitmask rows and whether there is a triangle, off a small accumulator fed a
-slice at a time.
+to one onto graph6 bytes by ``bytes.translate``.  The one encoder,
+``graph6_bytes``, sets the body bit of each edge of ``Graph.adj`` and calls
+``b64encode`` once.  There is one decode path too: ``_graph6_size`` checks
+the header, ``_graph6_body`` the body length, every body byte and the zero
+padding (in that order, each with its own ``ValueError``) and decodes the
+body in one ``b64decode`` call, whose set bits are the edges, and
+``_graph6_rows`` reads the bitmask rows and whether there is a triangle off
+a small accumulator fed a slice at a time.  ``from_graph6`` takes those
+three steps and turns the rows into a ``Graph`` with ``graph._from_rows``.
+``search stream`` takes them one by one, so it reads a line's order before
+it decodes the rest and applies its edge-count floor before it builds
+anything.
 """
 
 from __future__ import annotations
 
 from base64 import b64decode, b64encode
 
-from .graph import Graph, build_graph
+from .graph import Graph, _from_rows, build_graph
 
 _HEADER = b">>graph6<<"
 
@@ -80,29 +80,17 @@ _BITREV = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 def graph6_bytes(G: Graph) -> bytes:
     """Bit-exact graph6 encoding of G (no header, no trailing newline): each
     edge (i, j), i < j, of the sorted ``G.adj`` sets bit p = j(j-1)/2 + i of
-    a zeroed body, so absent edges cost nothing and no bitmask rows are built."""
-    body = bytearray((G.n * (G.n - 1) // 2 + 7) // 8)
+    a zeroed body, so absent edges cost nothing and no bitmask rows are
+    built; then the size header and the body bits as 6-bit groups, the last
+    zero-padded."""
+    n = G.n
+    body = bytearray((n * (n - 1) // 2 + 7) // 8)
     for j, row in enumerate(G.adj):
         base = j * (j - 1) // 2
         for i in row:
             if i >= j:
                 break
             body[(base + i) >> 3] |= 128 >> ((base + i) & 7)
-    return _graph6_encode(G.n, body)
-
-
-def graph6_bytes_from_rows(n: int, rows) -> bytes:
-    """graph6 encoding from bitmask rows, the inverse of :func:`_graph6_rows`:
-    column j, the low j bits of ``rows[j]``, is bit j(j-1)/2 onwards of one
-    little-endian integer, whose bytes :data:`_BITREV` turns big-endian."""
-    body = 0
-    for j, row in enumerate(rows):
-        body |= (row & ((1 << j) - 1)) << (j * (j - 1) // 2)
-    return _graph6_encode(n, body.to_bytes((n * (n - 1) // 2 + 7) // 8, "little").translate(_BITREV))
-
-
-def _graph6_encode(n: int, body) -> bytes:
-    """Size header, then the body bits as 6-bit groups, the last zero-padded."""
     return _encode_size(n) + b64encode(body).translate(_SIXBIT)[: (n * (n - 1) // 2 + 5) // 6]
 
 
@@ -140,13 +128,6 @@ def _graph6_body(data: bytes, n: int, pos: int) -> bytes:
     return b64decode(body + b"A" * (-len(body) % 4))
 
 
-def _graph6_decode(data) -> tuple:
-    """(n, body) of one graph6 value: :func:`_graph6_size`, then
-    :func:`_graph6_body`."""
-    data, n, pos = _graph6_size(data)
-    return n, _graph6_body(data, n, pos)
-
-
 def _graph6_rows(n: int, body: bytes, stop_at_triangle: bool) -> tuple:
     """(rows, triangle): the adjacency bitmasks of a body from
     :func:`_graph6_body` and whether the graph has a triangle.  Read slice by
@@ -182,33 +163,9 @@ def _graph6_rows(n: int, body: bytes, stop_at_triangle: bool) -> tuple:
 
 
 def from_graph6(data) -> Graph:
-    """Decode one graph6 value (accepts str or bytes, optional format header).
-
-    Columns come in increasing j and a column's bits in increasing row, so
-    the neighbour lists are built already sorted, with no ``build_graph``.
-    """
-    n, body = _graph6_decode(data)
-    adj = [[] for _ in range(n)]
-    edge_count = acc = fill = pos = 0
-    for j in range(1, n):
-        while fill < j:
-            raw = body[pos:pos + _DECODE_SLICE]
-            pos += _DECODE_SLICE
-            acc = (acc << 8 * len(raw)) | int.from_bytes(raw, "big")
-            fill += 8 * len(raw)
-        fill -= j
-        col = acc >> fill
-        if col:
-            acc ^= col << fill
-            row = adj[j]
-            while col:
-                top = col.bit_length()
-                i = j - top
-                row.append(i)
-                adj[i].append(j)
-                edge_count += 1
-                col ^= 1 << (top - 1)
-    return Graph(n, tuple(map(tuple, adj)), edge_count)
+    """Decode one graph6 value (accepts str or bytes, optional format header)."""
+    data, n, pos = _graph6_size(data)
+    return _from_rows(_graph6_rows(n, _graph6_body(data, n, pos), False)[0])
 
 
 def to_edgelist_text(G: Graph) -> str:

@@ -77,14 +77,12 @@ from itertools import starmap
 
 from . import bounds, constructions
 from . import io as gio
-from .graph import INFINITE, _Record, _girth_of, _reach, build_graph, metric_summary
+from .graph import INFINITE, _Record, _from_rows, _girth_of, _reach, build_graph, metric_summary
 
 DEFAULT_CAP = 8
 HARD_CAP = 9
 # the least number of bytes left to read in a file that stream_verify splits
 _SPLIT_BYTES = 1 << 16
-# each byte with its bits 0..7 in reverse order
-_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 class SearchResult(_Record):
@@ -221,7 +219,7 @@ def _enumerate_span(n, delta, g, rows, deg, start_v, best_r_init):
             radius = _reach(rows, 1 << v, radius)[1]
         if radius < best_r:
             return
-        key = gio.graph6_bytes_from_rows(n, rows)
+        key = gio.graph6_bytes(_from_rows(rows))
         if radius > best_r or best_key is None or key < best_key:
             best_r, best_key = radius, key
 
@@ -252,7 +250,7 @@ def _prefix_orbits(n, delta, g, s):
     """
     swap = bytes(b ^ (b ^ b >> 1) % 2 * 3 for b in range(256))
     turn = bytes((b << 1 | b >> s - 1) & (1 << s) - 1 for b in range(256))
-    cols = [_REVERSED[:1 << j] * (256 >> j) for j in range(1, s)]
+    cols = [gio._BITREV[:1 << j] * (256 >> j) for j in range(1, s)]
     rows = [0] * n
     deg = [0] * n
     pad = (0,) * (n - s)
@@ -463,7 +461,7 @@ def _stream_share(lines, delta, g, w, jobs):
         ecc = sweep[1]
         # girth 4 stands for "at least 4" until the exact girth is read
         girth = 3 if triangle else 4
-        G = gio.from_graph6(line) if girth == 4 and (g >= 5 or min_degree >= 3) else None
+        G = _from_rows(rows) if girth == 4 and (g >= 5 or min_degree >= 3) else None
         if G is not None and (girth := _girth_of(G)) < g:
             filtered_out += 1
             continue
@@ -483,7 +481,7 @@ def _stream_share(lines, delta, g, w, jobs):
             if ecc <= cap:
                 slot[0] += 1
                 continue
-        radius = metric_summary(G or gio.from_graph6(line)).radius
+        radius = metric_summary(G or _from_rows(rows)).radius
         text = line if isinstance(line, str) else line.decode("ascii")
         if least is not None and radius > least:
             violations.append((index, text))
@@ -566,10 +564,11 @@ def stream_verify(lines, delta: int, g: int, *, jobs: int = 1) -> dict:
     row is built (2m < delta * n leaves a degree below delta); a triangle,
     found while the rows are built and at g >= 4 ending the decode; the
     minimum degree; connectivity and ecc(0) from one ``_reach`` sweep; and
-    the exact girth, on a ``Graph``, only where the report reads it: a floor
-    g >= 5, or the bound at minimum degree >= 3 (at degree 2, n * k / 4 + 3k
-    grows with k = g' / 2, so g' = 4 gives the least bound for every girth
-    >= 4).  The least bound is computed once per (n, minimum degree,
+    the exact girth, on a ``Graph`` that ``graph._from_rows`` builds from
+    the same rows, only where the report reads it: a floor g >= 5, or the
+    bound at minimum degree >= 3 (at degree 2, n * k / 4 + 3k grows with
+    k = g' / 2, so g' = 4 gives the least bound for every girth >= 4).
+    ``metric_summary`` reads that ``Graph`` too.  The least bound is computed once per (n, minimum degree,
     girth).  The radius is at most every eccentricity, so a graph with one
     at most both its order's maximum radius so far and its least applicable
     bound can neither raise that maximum (ties keep the earlier witness)

@@ -701,6 +701,25 @@ def test_unknown_option_is_reported_by_its_leaf(capsys, monkeypatch, tmp_path, p
     assert out.err.endswith(f"\n{parser.prog}: error: unrecognized arguments: --zzz\n")
 
 
+#: Each command that has sub-commands, and a leaf below it.
+COMMANDS = {"": "bound", "construct": "construct box", "witness": "witness find",
+            "witness check": "witness check tf", "search": "search enumerate"}
+
+
+@pytest.mark.parametrize("path,leaf", COMMANDS.items())
+def test_unknown_option_before_a_command_word_is_reported_there(capsys, monkeypatch, tmp_path, path, leaf):
+    # ``witness check --zzz tf ...``: the parser that meets --zzz reports it with its own usage
+    monkeypatch.chdir(tmp_path)
+    words = path.split()
+    prog = " ".join(["radgraph", *words])
+    with pytest.raises(SystemExit) as exc:
+        main([*words, "--zzz", *at_floors(leaf)[len(words):]])
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert out.err.startswith(f"usage: {prog} [-h]")
+    assert out.err.endswith(f"\n{prog}: error: unrecognized arguments: --zzz\n")
+
+
 @pytest.fixture(scope="module")
 def small_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("files")

@@ -14,7 +14,8 @@ from radgraph import (
     to_dot,
     to_edgelist_text,
 )
-from radgraph.io import _graph6_decode, _graph6_rows, graph6_bytes_from_rows
+from radgraph.graph import _from_rows
+from radgraph.io import _graph6_body, _graph6_rows, _graph6_size
 from conftest import cycle
 from oracles import from_graph6_reference, graph6_reference, rows_of
 
@@ -69,13 +70,15 @@ def test_graph6_matches_bit_loop_reference(n, p):
     G = random_graph(n, p, seed=n * 31 + int(p * 10))
     expected = graph6_reference(n, list(G.edges()))
     assert graph6_bytes(G) == expected
-    assert graph6_bytes_from_rows(n, rows_of(G)) == expected
 
 
 @pytest.mark.parametrize("G", corpus(), ids=lambda g: f"n{g.n}m{g.edge_count}")
 def test_graph6_from_rows_matches_graph6_bytes(G):
-    data = graph6_bytes(G)
-    assert graph6_bytes_from_rows(G.n, rows_of(G)) == data
+    # the search keys a leaf by graph6_bytes(_from_rows(rows))
+    H = _from_rows(rows_of(G))
+    assert H == G and H.edge_count == G.edge_count
+    assert all(list(row) == sorted(row) for row in H.adj)
+    assert graph6_bytes(H) == graph6_bytes(G)
 
 
 @st.composite
@@ -104,7 +107,8 @@ def test_graph6_decoder_matches_bit_loop_reference(n, p):
         H = from_graph6(form)
         assert H == from_graph6_reference(form) == G
         assert H.edge_count == G.edge_count
-        order, body = _graph6_decode(form)
+        stripped, order, pos = _graph6_size(form)
+        body = _graph6_body(stripped, order, pos)
         # search stream's edge-count floor reads m as the body's popcount
         assert (order, int.from_bytes(body, "big").bit_count()) == (n, G.edge_count)
         assert_rows_of(n, body, G)
@@ -154,17 +158,18 @@ def test_graph6_decoder_property(data):
 @example(bytes([66, 0b100001 + 63]))              # n=3, one edge
 @example(b"F" + bytes([63] * 3 + [0b000001 + 63]))  # n=7, no edge
 def test_graph6_rows_property(data):
-    """The one-call decode raises exactly when the decoder does, with the
-    same message, and otherwise gives the decoded graph's n, rows and, as
-    its popcount, m."""
+    """The size and body steps that ``search stream`` takes one by one raise
+    exactly when the decoder does, with the same message, and otherwise give
+    the decoded graph's n, rows and, as the body's popcount, m."""
     try:
         G = from_graph6(data)
     except ValueError as exc:
         with pytest.raises(ValueError) as caught:
-            _graph6_decode(data)
+            _graph6_body(*_graph6_size(data))
         assert str(caught.value) == str(exc)
         return
-    n, body = _graph6_decode(data)
+    data, n, pos = _graph6_size(data)
+    body = _graph6_body(data, n, pos)
     assert (n, int.from_bytes(body, "big").bit_count()) == (G.n, G.edge_count)
     assert_rows_of(n, body, G)
 

@@ -886,15 +886,22 @@ class TestStreamVerifyOracle:
         import radgraph.search
 
         lines, facts = corpus_facts
-        summarised = []
+        summarised, decoded = [], []
 
         def spy(G):
             summarised.append(G)
             return metric_summary(G)
 
+        def decode_spy(data, decode=radgraph.search.gio.from_graph6):
+            decoded.append(data)
+            return decode(data)
+
         monkeypatch.setattr(radgraph.search, "metric_summary", spy)
+        monkeypatch.setattr(radgraph.search.gio, "from_graph6", decode_spy)
         report = stream_verify(lines, delta, g)
         assert report == stream_reference(facts, delta, g)
+        # the girth and the summary read graphs built from the rows already decoded
+        assert summarised and decoded == []
         for G in summarised:
             assert min(G.degrees(), default=0) >= delta
             assert naive_girth(G.n, list(G.edges())) >= g
