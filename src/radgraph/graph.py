@@ -7,10 +7,11 @@ through the constructor (``__reduce__``).
 
 Which metric path runs when.  ``metric_summary`` first runs one BFS from
 vertex 0 (and one from each further component), which gives connectivity,
-ecc(0) and bipartiteness.  Where the eccentricities come from ball growth
-(below), the girth comes with them: the same levels also catch the
-shortest cycle through each source.  Elsewhere, and for callers that need
-only the girth (``_girth_of``, memoised for the witness checkers and the
+ecc(0) and bipartiteness; every fact derived from a graph is memoised on
+it through one accessor, ``_memo``.  Where the eccentricities come from
+ball growth (below), the girth comes with them: the same levels also catch
+the shortest cycle through each source.  Elsewhere, and for callers that
+need only the girth (``_girth_of``, for the witness checkers and the
 search), it comes from per-root BFS over the shift-orbit representatives
 0..d-1 (below), with a depth cutoff one level tighter on bipartite graphs
 and with finished roots deleted; ``is_triangle_free`` needs none: it
@@ -25,12 +26,13 @@ verifies has the finest orbits a shift can give: the residue classes mod d.
 Eccentricity is constant on an orbit, so only the sources 0..d-1 are
 computed, and d = n (no shift) computes every source as before.
 ``glue_cycle`` labels copy i as i * |H| + v, so every ring it writes has
-such a shift: Heawood x200 (n = 2800) needs 14 BFSs, Tutte-Coxeter x30
-(n = 900) 30 and the cycle C_2000 one, each after one ``_levels`` sweep,
-and PG(2,27) (n = 1514) has the point/line swap d = 757, so ball growth
-runs half the sources.  The successful check on Heawood x200 takes about
-4 ms; a graph with no shift, such as W(9) or a randomly relabelled ring,
-pays one failed check per divisor, most of them at the first row.
+such a shift: after the ``_levels`` sweep, which gave ecc(0), Heawood x200
+(n = 2800) needs 13 more BFSs, Tutte-Coxeter x30 (n = 900) 29 and the
+cycle C_2000 none, and PG(2,27) (n = 1514) has the point/line swap
+d = 757, so ball growth runs half the sources.  The successful check on
+Heawood x200 takes about 4 ms; a graph with no shift, such as W(9) or a
+randomly relabelled ring, pays one failed check per divisor, most of them
+at the first row.
 
 The eccentricities of those d sources come from bit-parallel ball growth
 when 2 * ecc(0) <= d, and from one queue BFS per source otherwise.  Ball
@@ -305,16 +307,10 @@ def _distances(adj, v, dist):
     return dist
 
 
-def _eccentricities(adj, n, k):
-    """Eccentricities of the sources 0..k-1 by one queue BFS each, or None
-    if the graph is disconnected."""
-    eccs = []
-    for v in range(k):
-        dist = _distances(adj, v, [UNREACHABLE] * n)
-        if UNREACHABLE in dist:
-            return None
-        eccs.append(max(dist))
-    return eccs
+def _eccentricities(adj, n, sources):
+    """Eccentricities of ``sources`` in a connected graph, by one queue BFS
+    each."""
+    return [max(_distances(adj, v, [UNREACHABLE] * n)) for v in sources]
 
 
 def _ball_eccentricities(adj, n, k, best=INFINITE, odd=True):
@@ -457,24 +453,31 @@ def _girth(adj, n, bipartite, k):
     return best
 
 
+def _memo(G: Graph, key, make):
+    """``make(G)``, computed once and kept in ``G._cache[key]``: the one memo
+    of every fact derived from G, safe because graphs are immutable."""
+    cache = G._cache
+    if key not in cache:
+        cache[key] = make(G)
+    return cache[key]
+
+
 def _levels_of(G: Graph):
     """``_levels`` of G, memoised because the girth, the metric summary and
     ``is_connected`` all start from it."""
-    depth = G._cache.get("levels")
-    if depth is None:
-        depth = G._cache["levels"] = _levels(G.adj, G.n)
-    return depth
+    return _memo(G, "levels", lambda G: _levels(G.adj, G.n))
+
+
+def _bipartite_of(G: Graph):
+    """``_bipartite`` of G, memoised for the girth and ball growth."""
+    return _memo(G, "bipartite", lambda G: _bipartite(G.adj, _levels_of(G)))
 
 
 def _girth_of(G: Graph):
     """Girth of G, memoised apart from the metric summary so that callers
     needing only the girth skip the eccentricities; the per-root BFS runs
     from the shift-orbit representatives only."""
-    girth = G._cache.get("girth")
-    if girth is None:
-        bipartite = _bipartite(G.adj, _levels_of(G))
-        girth = G._cache["girth"] = _girth(G.adj, G.n, bipartite, _shift_period_of(G))
-    return girth
+    return _memo(G, "girth", lambda G: _girth(G.adj, G.n, _bipartite_of(G), _shift_period_of(G)))
 
 
 def _shift_period(adj, n):
@@ -494,47 +497,42 @@ def _shift_period(adj, n):
 def _shift_period_of(G: Graph):
     """``_shift_period`` of G, memoised because ``_girth_of``,
     ``metric_summary`` and ``witness._compatible_masks`` all read it."""
-    d = G._cache.get("shift")
-    if d is None:
-        d = G._cache["shift"] = _shift_period(G.adj, G.n)
-    return d
+    return _memo(G, "shift", lambda G: _shift_period(G.adj, G.n))
 
 
 def metric_summary(G: Graph) -> MetricSummary:
     """Radius/diameter (all-source BFS), girth, min degree and centres.
 
-    One BFS sweep per component (``_levels``) decides connectivity, ecc(0)
-    and bipartiteness.  On a connected graph, ``_shift_period`` finds the
-    least label shift d that is an automorphism, and the eccentricities of
-    the orbit representatives 0..d-1 come from ball growth when
-    2 * ecc(0) <= d and from one queue BFS per source otherwise (see the
-    module docstring); vertex v inherits the eccentricity of v mod d.  Ball
-    growth also finds the girth, looking only for a cycle shorter than one
-    ``_girth_of`` already found; otherwise ``_girth_of`` computes it.  The
-    result is memoised on the graph, which is safe because graphs are
-    immutable.
+    One BFS sweep per component (``_levels``) decides connectivity and
+    bipartiteness, and its depths from vertex 0 give ecc(0).  On a connected
+    graph, ``_shift_period`` finds the least label shift d that is an
+    automorphism, and the eccentricities of the orbit representatives
+    0..d-1 come from ball growth when 2 * ecc(0) <= d and from one queue BFS
+    per source 1..d-1 otherwise (see the module docstring); vertex v
+    inherits the eccentricity of v mod d.  Ball growth also finds the girth,
+    looking only for a cycle shorter than one ``_girth_of`` already found;
+    otherwise ``_girth_of`` computes it.  The result is memoised.
     """
-    cached = G._cache.get("metrics")
-    if cached is not None:
-        return cached
+    return _memo(G, "metrics", _summary)
+
+
+def _summary(G: Graph) -> MetricSummary:
+    """:func:`metric_summary` before the memo."""
     n = G.n
     min_degree = min((len(row) for row in G.adj), default=0)
     depth = _levels_of(G)
     if depth.count(0) != 1:  # one root per component, none when n = 0
-        summary = MetricSummary(None, None, _girth_of(G), min_degree, ())
-    else:
-        d = _shift_period_of(G)
-        if 2 * max(depth) > d:
-            reps = _eccentricities(G.adj, n, d)
-        else:  # ball growth finds the girth on the way, or keeps the one known
-            reps, G._cache["girth"] = _ball_eccentricities(
-                G.adj, n, d, G._cache.get("girth", INFINITE), not _bipartite(G.adj, depth))
-        radius = min(reps)
-        diameter = max(reps)
-        centers = tuple(v for v in range(n) if reps[v % d] == radius)
-        summary = MetricSummary(radius, diameter, _girth_of(G), min_degree, centers)
-    G._cache["metrics"] = summary
-    return summary
+        return MetricSummary(None, None, _girth_of(G), min_degree, ())
+    d = _shift_period_of(G)
+    ecc0 = max(depth)  # the sweep from vertex 0
+    if 2 * ecc0 > d:
+        reps = [ecc0] + _eccentricities(G.adj, n, range(1, d))
+    else:  # ball growth finds the girth on the way, or keeps the one known
+        reps, G._cache["girth"] = _ball_eccentricities(
+            G.adj, n, d, G._cache.get("girth", INFINITE), not _bipartite_of(G))
+    radius = min(reps)
+    centers = tuple(v for v in range(n) if reps[v % d] == radius)
+    return MetricSummary(radius, max(reps), _girth_of(G), min_degree, centers)
 
 
 def is_connected(G: Graph) -> bool:

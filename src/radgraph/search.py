@@ -16,11 +16,11 @@ distance >= g - 2 from every earlier pick, v is entered only through a pick,
 so a sweep of g - 3 levels never meets v and sees the graph on 0..v-1 in
 every branch.
 
-Every enumeration takes one path: the walker stops after s = min(n, 6)
-vertices from n = 8 and s = min(n, 5) below, the partial assignments found
-there (the prefixes) are grouped into orbits under the permutations of
-vertices 0..s-1, and the completions of one prefix per orbit are enumerated,
-in process or in forks, so ``jobs`` cannot change the result.  This is exact
+Every enumeration takes one path: the walker stops after s vertices (the
+rule follows the table below), the partial assignments found there (the
+prefixes) are grouped into orbits under the permutations of vertices
+0..s-1, and the completions of one prefix per orbit are enumerated, in
+process or in forks, so ``jobs`` cannot change the result.  This is exact
 for any s.  The leaves under a prefix P are exactly the valid graphs whose
 induced subgraph on 0..s-1 is P, because every prune is sound.  A
 permutation of 0..s-1, extended by the identity on the other vertices, maps
@@ -44,23 +44,24 @@ translate per column over all its members, and a later member one lookup
 (the orbit idea of McKay's isomorph-free generation, J. Algorithms 26,
 1998, applied to the prefix only).  The whole enumeration at jobs = 1 with
 the split after s vertices, in seconds, in process on a shared 2-core box
-under CPython 3.11, best of 6 over two sessions ((9, 2, 4) best of 2, and of
-1 at s = 4):
+under CPython 3.11, best of 3 ((9, 2, 4) at s = 4 and 5: one run):
 
     =========  ======  ======  ======  ======
     row        s = 4   s = 5   s = 6   s = 7
     =========  ======  ======  ======  ======
-    (8, 2, 4)  0.50    0.098   0.031   0.30
-    (8, 3, 4)  0.029   0.0070  0.012   0.068
-    (9, 2, 6)  0.99    0.30    0.042   0.15
-    (9, 3, 4)  1.96    0.41    0.089   0.29
-    (9, 2, 4)  41.5    8.56    1.30    0.50
+    (8, 2, 4)  0.45    0.099   0.027   0.24
+    (8, 3, 3)  21.1    4.17    0.68    2.72
+    (8, 3, 4)  0.026   0.0060  0.010   0.057
+    (8, 3, 5)  0.0027  0.0013  0.0056  0.015
+    (9, 2, 6)  0.88    0.18    0.037   0.11
+    (9, 3, 4)  1.77    0.34    0.084   0.25
+    (9, 4, 4)  0.030   0.0069  0.011   0.059
+    (9, 2, 4)  33.3    6.74    1.10    0.44
     =========  ======  ======  ======  ======
 
-Grouping the 5789 prefixes of (8, 2, 4) after 6 vertices takes 0.013 s of
-its 0.031 s, and ``verify_theorem_main_small(8, [2, 3])`` 0.054 s.  A split
-after 7 pays at (9, 2, 4) only, and costs 3x at (9, 3, 4), so the rule
-stays a function of n alone.
+So s = min(n, 5) below n = 8, and from n = 8, s = n - 3 at degree floor
+>= 3 and girth floor >= 4, else 6.  s = 5 would save 4 ms at (9, 4, 4);
+s = 7 pays at (9, 2, 4) only, and costs 2-3x at (9, 2, 5) and (9, 2, 6).
 
 All reachability -- the far-neighbour masks, connectivity and eccentricities
 of each leaf -- runs through the bitset frontier sweep of
@@ -346,7 +347,7 @@ def _extremal(n, delta, g, allow_long, jobs):
         raise ValueError(f"degree floor must be >= 0, got {delta}")
 
     best_r_init = max(_seed_radii(n, delta, g), default=-1)
-    split_v = min(n, 6 if n >= 8 else 5)
+    split_v = min(n, 5) if n < 8 else n - 3 if delta >= 3 and g >= 4 else 6
     orbits = _prefix_orbits(n, delta, g, split_v)
     tasks = [(n, delta, g, rows, deg, split_v, best_r_init) for rows, deg, _ in orbits]
     results = _spans(_enumerate_span, tasks, jobs)
@@ -367,8 +368,8 @@ def enumerate_extremal(n: int, delta: int, g: int, *, allow_long: bool = False,
     (9, 2, 4) takes 1.14 s with jobs = 1 and 0.59 s with jobs = 2 in process,
     1.18 s and 0.73 s as a ``radgraph`` launch (medians of 5 alternating
     runs on a shared 2-core box under CPython 3.11).  The backtracking forest
-    is always split after the first min(n, 6 if n >= 8 else 5) vertices, one
-    prefix per orbit of the split is enumerated, and the tasks run on
+    is always split after the first few vertices (see the module docstring),
+    one prefix per orbit of the split is enumerated, and the tasks run on
     ``jobs`` workers, the caller and forked children (``_spans``); ties
     between equal-radius witnesses resolve to the smallest graph6 encoding.
     """

@@ -125,10 +125,6 @@ def test_criterion_1_formula_reproduction():
     _announce(1, "exact formula reproduced by enumeration, n <= 8")
 
 
-@pytest.mark.skipif(
-    not os.environ.get("RADGRAPH_LONG"),
-    reason="n = 9 long run; set RADGRAPH_LONG=1 to enable",
-)
 def test_criterion_1_long_run_n9():
     res = enumerate_extremal(9, 2, 4, allow_long=True, jobs=os.cpu_count() or 1)
     assert res.max_radius == exact_radius_formula_g4(9, 2) == 4

@@ -293,11 +293,12 @@ def force_kernel(span):
     eccentricities with the girth, here from the per-root BFS."""
     if span == 0:
         ball = graph_module._ball_eccentricities
-        return patch.object(graph_module, "_eccentricities", lambda adj, n, k: ball(adj, n, k)[0])
+        return patch.object(graph_module, "_eccentricities",
+                            lambda adj, n, sources: ball(adj, n, sources.stop)[0][sources.start:])
     queue, girth = graph_module._eccentricities, graph_module._girth
 
     def queue_with_girth(adj, n, k, best=INFINITE, odd=True):
-        return queue(adj, n, k), min(best, girth(adj, n, not odd, k))
+        return queue(adj, n, range(k)), min(best, girth(adj, n, not odd, k))
 
     return patch.object(graph_module, "_ball_eccentricities", queue_with_girth)
 
@@ -360,8 +361,12 @@ class TestMetricKernel:
 
     @pytest.mark.parametrize("G", GRAPHS)
     def test_queue_bfs_matches_floyd(self, G):
-        for k in source_counts(G.n):
-            assert _eccentricities(G.adj, G.n, k) == floyd_eccentricities(G, k)
+        # the queue BFS takes a connected graph: each component of G in turn
+        parts = [G] if is_connected(G) else [
+            induced_subgraph(G, part)[0] for part in nx.connected_components(to_nx(G))]
+        for H in parts:
+            for k in source_counts(H.n):
+                assert _eccentricities(H.adj, H.n, range(k)) == floyd_eccentricities(H, k)
 
     @pytest.mark.parametrize("G", GRAPHS)
     def test_bipartite_matches_networkx(self, G):
@@ -380,7 +385,7 @@ class TestMetricKernel:
     def test_cycles_closed_forms(self, n):
         C = cycle(n)
         assert _ball_eccentricities(C.adj, n, n) == ([n // 2] * n, n)
-        assert _eccentricities(C.adj, n, n) == [n // 2] * n
+        assert _eccentricities(C.adj, n, range(n)) == [n // 2] * n
         assert _girth(C.adj, n, n % 2 == 0, n) == n
         assert _girth(C.adj, n, n % 2 == 0, 1) == n  # C_n has shift period 1
         assert bipartite(C) == (n % 2 == 0)
@@ -445,7 +450,7 @@ def summary_tuple(G, span):
 
 def kernel_calls(monkeypatch):
     """Spy on both eccentricity kernels; returns the list that collects
-    (kernel name, source count k) for each call."""
+    (kernel name, source count k or the queue BFS's sources) for each call."""
     calls = []
     for name in ("_ball_eccentricities", "_eccentricities"):
         def spy(adj, n, k, *rest, name=name, real=getattr(graph_module, name)):
@@ -453,6 +458,20 @@ def kernel_calls(monkeypatch):
             return real(adj, n, k, *rest)
 
         monkeypatch.setattr(graph_module, name, spy)
+    return calls
+
+
+def distance_calls(monkeypatch):
+    """Spy on the queue BFS ``_distances``; returns the list that collects
+    the source of each call."""
+    calls = []
+    real = graph_module._distances
+
+    def spy(adj, v, dist):
+        calls.append(v)
+        return real(adj, v, dist)
+
+    monkeypatch.setattr(graph_module, "_distances", spy)
     return calls
 
 
@@ -526,20 +545,13 @@ class TestShiftPeriod:
         perm = list(range(ring.n))
         rng.shuffle(perm)
         relabelled = build_graph(ring.n, [(perm[u], perm[v]) for u, v in ring.edges()])
-        calls = []
-        real = graph_module._distances
-
-        def spy(adj, v, dist):
-            calls.append(v)
-            return real(adj, v, dist)
-
-        monkeypatch.setattr(graph_module, "_distances", spy)
+        calls = distance_calls(monkeypatch)
         kernels = kernel_calls(monkeypatch)
         ms = metric_summary(ring)
-        # one _levels sweep, then one queue BFS per residue class mod 14,
-        # since 2 * ecc(0) = 240 > 14
-        assert len(calls) == 1 + 14
-        assert kernels == [("_eccentricities", 14)]
+        # one _levels sweep, which gives ecc(0), then one queue BFS per
+        # further residue class mod 14, since 2 * ecc(0) = 240 > 14
+        assert len(calls) == 1 + 13
+        assert kernels == [("_eccentricities", range(1, 14))]
         calls.clear()
         kernels.clear()
         ms2 = metric_summary(relabelled)
@@ -566,9 +578,12 @@ class TestShiftPeriod:
                              ids=["C_2000", "heawood_x200"])
     def test_long_rings_take_the_queue_bfs(self, monkeypatch, G, period, radius):
         # 2 * ecc(0) exceeds the d shift-orbit representatives
+        calls = distance_calls(monkeypatch)
         kernels = kernel_calls(monkeypatch)
         ms = metric_summary(G)
-        assert kernels == [("_eccentricities", period)]
+        assert kernels == [("_eccentricities", range(1, period))]
+        # the _levels sweep from 0 gives ecc(0): C_2000 runs no other BFS
+        assert calls == list(range(period))
         assert ms.radius == ms.diameter == radius
         assert ms.centers == tuple(range(G.n))
 
@@ -684,6 +699,23 @@ class TestGirthPaths:
         monkeypatch.setattr(graph_module, "_ball_eccentricities", spy)
         assert metric_summary(G).girth == 6
         assert bests == [6]
+
+    def test_bipartiteness_is_decided_once(self, monkeypatch):
+        # the girth, then ball growth, both read it
+        G = relabelled(glue_cycle(_HEAWOOD, 4), random.Random(31))
+        calls = []
+        real = graph_module._bipartite
+
+        def spy(adj, depth):
+            calls.append(depth)
+            return real(adj, depth)
+
+        monkeypatch.setattr(graph_module, "_bipartite", spy)
+        assert _girth_of(G) == 6
+        kernels = kernel_calls(monkeypatch)
+        assert metric_summary(G).girth == 6
+        assert [name for name, _ in kernels] == ["_ball_eccentricities"]
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("build", [
         lambda: projective_plane_incidence_graph(3),

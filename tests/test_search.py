@@ -336,6 +336,22 @@ class TestPrefixOrbits:
         enumerate_extremal(n, delta, g, allow_long=True)
         assert len(calls) == spans
 
+    @pytest.mark.parametrize("n,delta,g,split", [
+        (7, 3, 4, 5), (8, 2, 4, 6), (8, 3, 3, 6), (8, 3, 4, 5), (8, 4, 4, 5), (9, 2, 6, 6), (9, 3, 4, 6),
+    ])
+    def test_split_rule(self, monkeypatch, n, delta, g, split):
+        # the module docstring's table: from n = 8, after n - 3 vertices at
+        # delta >= 3 and g >= 4, else after 6
+        starts = set()
+
+        def spy(*args):
+            starts.add(args[5])
+            return -1, None, 0
+
+        monkeypatch.setattr(search, "_enumerate_span", spy)
+        enumerate_extremal(n, delta, g, allow_long=True)
+        assert starts == {split}
+
 
 @lru_cache(maxsize=None)
 def labelled_scan(n):
