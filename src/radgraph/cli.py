@@ -236,7 +236,9 @@ def _cmd_analyze(args):
 
 
 def _cmd_bound(args):
-    if args.g > args.n:  # at delta >= 2 every graph has a cycle, so its girth is at most n
+    # at delta >= 2 every graph has a cycle, so its girth is at most n; at delta >= 3 the
+    # Moore tree around an edge has at least 2^(g//2) > n vertices once g//2 - 2 >= n.bit_length()
+    if args.g > args.n or (args.delta >= 3 and args.g // 2 - 2 >= args.n.bit_length()):
         return {"exists": False}, EXIT_OK
     out = {}
     if args.g == 4:

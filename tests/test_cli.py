@@ -203,6 +203,21 @@ class TestBound:
         assert run(capsys, "bound", "--n", "15", "--delta", "3", "--g", g) == (
             0, '{"exists": false}\n', "")
 
+    @pytest.mark.parametrize("n,g", [("1000000000000", "1000000000000"), ("15", "12"), ("15", "15")])
+    def test_girth_beyond_the_moore_tree_is_empty(self, capsys, monkeypatch, n, g):
+        # at delta >= 3 the Moore tree around an edge has 2^(g//2) > n vertices: no bound is computed
+        for name in ("exact_radius_formula_g4", "upper_bound_radius", "cage_lower_bound"):
+            monkeypatch.setattr(radgraph.bounds, name, None)
+        assert run(capsys, "bound", "--n", n, "--delta", "3", "--g", g) == (0, '{"exists": false}\n', "")
+
+    @pytest.mark.parametrize("delta,g,want", [
+        ("3", "10", {"upper": 16.5625}),  # g // 2 - 2 = 3 < 4, the bit length of 15
+        ("2", "12", {"cage_lower": 1.5, "upper": 40.5}),  # the rule needs delta >= 3
+    ])
+    def test_girth_below_the_moore_tree_rule_is_not_empty(self, capsys, delta, g, want):
+        code, out, _ = run(capsys, "bound", "--n", "15", "--delta", delta, "--g", g)
+        assert code == 0 and json.loads(out) == want
+
     def test_girth_equal_to_the_order_is_not_empty(self, capsys):
         code, out, _ = run(capsys, "bound", "--n", "16", "--delta", "2", "--g", "16")
         assert code == 0 and json.loads(out) == {"upper": 56}

@@ -23,7 +23,8 @@ def to_nx(G):
 
 #: SHA-256 of graph6_bytes, recorded from the builds that predate the integer-table
 #: geometry (q = 11, 13, 16 of PG and 7, 8 of W from the edge-list builds that predate
-#: the direct neighbour-tuple ones); every later build must produce these exact graphs.
+#: the direct neighbour-tuple ones, q = 11, 13, 16 of W from the polar-plane build that
+#: predates the echelon one); every later build must produce these exact graphs.
 PG_SHA256 = [
     (2, "ea3bf0c075800b03384b28c035ae00206b6f3632949ca81ec0efa50861b93b2b"),
     (3, "322c31b450c66d5766f07c00d8d169ad3076ec80b20f1e9254594b9fb88bc1ab"),
@@ -45,6 +46,9 @@ W_SHA256 = [
     (7, "2e2f5e6984b8f01f497d64693bed9004c56683db08091f81a517d71079076c00"),
     (8, "7e6f9b6107e4988a1bbe47451519629271dc9b6aa9be7ea69bb0657fa90f9c55"),
     (9, "ab79af8d2d79ce93408879b10c815372162369bb722ede7fcfc5b10ab643665d"),
+    (11, "4cb38ca371ccb708a8efd2b424925aff46c1b0fc435740766fb3041300bf4fe6"),
+    (13, "4b6e168088086591fd1946b178152eba5213d407553d2e27370b6aff30e8326c"),
+    (16, "945fb37cc7dbd4b0ced9e6a47a2b4863db7ae06113ddfdf462cc43c1415537fa"),
 ]
 
 
@@ -148,6 +152,27 @@ class TestSymplecticQuadrangle:
                 first = add[mul[x[0]][y[1]]][neg[mul[x[1]][y[0]]]]
                 second = add[mul[x[2]][y[3]]][neg[mul[x[3]][y[2]]]]
                 assert field_dot(F, w, y) == add[first][second]
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5])
+    def test_incidence_axioms(self, q):
+        F = field_make(q)
+        points = _projective_points(F, 3)
+        G = symplectic_quadrangle_incidence_graph(q)
+        npts = len(points)
+        lines = [set(G.adj[v]) for v in range(npts, G.n)]
+        # q+1 pairwise orthogonal points span a totally isotropic subspace,
+        # which has dimension 2 at most: they are all the points of one line
+        for line in lines:
+            for a, b in combinations(sorted(line), 2):
+                assert field_dot(F, _symplectic_dual(points[a], F), points[b]) == 0
+        # two lines share at most one point
+        for L, M in combinations(lines, 2):
+            assert len(L & M) <= 1
+        # a point P off a line L is on exactly one line that meets L
+        for L in lines:
+            for p in range(npts):
+                if p not in L:
+                    assert sum(1 for v in G.adj[p] if lines[v - npts] & L) == 1
 
     @pytest.mark.parametrize("q,digest", W_SHA256)
     def test_pinned_encoding(self, q, digest):

@@ -1,4 +1,4 @@
-"""Traced memory of the graph questions on a long ring.
+"""Traced memory of the graph questions on a long ring, and of the W(16) build.
 
 Each question below reads the neighbour tuples of C_20000 only: none may
 build an n-bit mask per vertex, which takes up to n^2/8 bytes (26 MiB on
@@ -6,6 +6,9 @@ this ring) to answer balls of a few vertices.  ``find_witness`` is left out on
 purpose: its branch and bound works on one n-bit compatibility mask per
 vertex, so it needs those n^2/8 bytes.  ``extract_dense_subgraph`` keeps only
 the smallest ball along its geodesic, so its limit is tighter.
+
+The W(q) build is held to O(n*q) memory: it keeps no polar plane and no
+pair mask per point.
 """
 
 import tracemalloc
@@ -23,6 +26,7 @@ from radgraph import (
     is_connected,
     is_triangle_free,
     sphere,
+    symplectic_quadrangle_incidence_graph,
 )
 
 N = 20000
@@ -47,13 +51,22 @@ QUESTIONS = {
 }
 
 
+def traced_peak(call, *args):
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("name", sorted(QUESTIONS))
 def test_traced_peak_on_c20000(name):
     G = build_graph(N, [(v, (v + 1) % N) for v in range(N)])
-    tracemalloc.start()
-    try:
-        QUESTIONS[name](G)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(QUESTIONS[name], G)
     assert peak < LIMITS.get(name, LIMIT), f"{name}: traced peak {peak / 2**20:.1f} MiB"
+
+
+def test_traced_peak_of_w16():
+    peak = traced_peak(symplectic_quadrangle_incidence_graph, 16)
+    assert peak < 8 * 2**20, f"W(16): traced peak {peak / 2**20:.1f} MiB"
