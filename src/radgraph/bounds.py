@@ -1,6 +1,7 @@
 """Closed-form radius bounds for connected graphs with degree and girth floors.
 
-This module holds the closed forms only.  Its bounds are exact rationals
+This module holds the closed forms and :func:`answer`, their one fold for
+``bound`` and ``search stream``.  The bounds are exact rationals
 (``fractions.Fraction``), so comparisons against measured integer radii
 never suffer float rounding; the witness checks that stand behind them, and
 their :class:`~radgraph.witness.BoundReport`, live in :mod:`radgraph.witness`.
@@ -67,3 +68,27 @@ def cage_lower_bound(n: int, delta: int, g: int) -> Fraction:
     if g == 12:
         return Fraction(3 * n, ((d - 1) ** 3 + 1) * (d * d - d + 1)) - 6
     raise ValueError(f"cage-based lower bounds exist for g in (6, 8, 12), got {g}")
+
+
+def answer(n: int, delta: int, g: int) -> dict:
+    """The bounds above folded for n vertices, minimum degree delta and girth
+    >= g: ``{"exists": False}`` alone below the Moore bound (2T vertices
+    around an edge at g = 2k, 1 + delta*T around a vertex at g = 2k + 1, with
+    T the sum of (delta-1)^i over i < k); else ``exact`` at g = 4, ``upper``
+    the least ``upper_bound_radius`` over the even 4 <= g' <= g, and
+    ``cage_lower`` at g in (6, 8, 12).  Below delta = 2 no key applies."""
+    if delta < 2:
+        return {}
+    k = g // 2
+    if delta > 2 and k > n.bit_length():  # T >= 2^(k-1) >= 2^bit_length(n) > n
+        return {"exists": False}
+    t = k if delta == 2 else ((delta - 1) ** k - 1) // (delta - 2)
+    if n < (1 + delta * t if g % 2 else 2 * t):
+        return {"exists": False}
+    out = {"exact": exact_radius_formula_g4(n, delta)} if g == 4 else {}
+    top = 4 if delta == 2 else g  # at delta = 2, n*k/4 + 3k grows with k: g' = 4 gives the least
+    if g >= 4:
+        out["upper"] = min(upper_bound_radius(n, delta, ge) for ge in range(4, top + 1, 2))
+    if g in (6, 8, 12):
+        out["cage_lower"] = cage_lower_bound(n, delta, g)
+    return out

@@ -236,19 +236,8 @@ def _cmd_analyze(args):
 
 
 def _cmd_bound(args):
-    # at delta >= 2 every graph has a cycle, so its girth is at most n; at delta >= 3 the
-    # Moore tree around an edge has at least 2^(g//2) > n vertices once g//2 - 2 >= n.bit_length()
-    if args.g > args.n or (args.delta >= 3 and args.g // 2 - 2 >= args.n.bit_length()):
-        return {"exists": False}, EXIT_OK
-    out = {}
-    if args.g == 4:
-        exact = bounds.exact_radius_formula_g4(args.n, args.delta)
-        out["exact"] = "nonexistent" if exact is None else exact
-    if args.g % 2 == 0 and args.g >= 4:
-        out["upper"] = _json_number(bounds.upper_bound_radius(args.n, args.delta, args.g))
-    if args.g in (6, 8, 12):
-        out["cage_lower"] = _json_number(bounds.cage_lower_bound(args.n, args.delta, args.g))
-    return out, EXIT_OK
+    out = bounds.answer(args.n, args.delta, args.g)  # _json_number(False) would print 0
+    return {key: value if key == "exists" else _json_number(value) for key, value in out.items()}, EXIT_OK
 
 
 def _cmd_check(args):

@@ -78,7 +78,7 @@ from itertools import starmap
 
 from . import bounds, constructions
 from . import io as gio
-from .graph import INFINITE, _Record, _from_rows, _girth_of, _reach, build_graph, metric_summary
+from .graph import _Record, _from_rows, _girth_of, _reach, build_graph, metric_summary
 
 DEFAULT_CAP = 8
 HARD_CAP = 9
@@ -402,17 +402,6 @@ def verify_theorem_main_small(n_max: int, delta_set, *, jobs: int = 1) -> dict:
     return {"rows": rows, "all_equal": all(row["verdict"] == "EQUAL" for row in rows)}
 
 
-def _least_bound(n, min_degree, girth):
-    """The least ``upper_bound_radius(n, min_degree, g')`` over the even g'
-    with 4 <= g' <= girth, or None when no bound applies: min_degree < 2, or
-    no such g' (girth 3, or an acyclic graph)."""
-    if min_degree < 2 or girth == INFINITE:
-        return None
-    # at min_degree 2, n * k / 4 + 3k grows with k = g' / 2: g' = 4 gives the least
-    top = min(girth, 4) if min_degree == 2 else girth
-    return min((bounds.upper_bound_radius(n, min_degree, ge) for ge in range(4, top + 1, 2)), default=None)
-
-
 def _stream_share(lines, delta, g, w, jobs):
     """Worker w's share of :func:`stream_verify` over ``lines``: the lines of
     the orders it owns (the k-th distinct order that a header gives is
@@ -428,7 +417,7 @@ def _stream_share(lines, delta, g, w, jobs):
     by_n: dict = {}
     violations = []
     mine = {}  # order -> whether this worker decides its lines
-    least_of = {}  # (n, min_degree, girth) -> _least_bound
+    least_of = {}  # (n, min_degree, girth) -> the least upper bound that applies
     for index, raw in enumerate(lines):
         line = raw.strip()
         if not line:
@@ -468,7 +457,7 @@ def _stream_share(lines, delta, g, w, jobs):
             continue
         accepted += 1
         if (key := (n, min_degree, girth)) not in least_of:
-            least_of[key] = _least_bound(*key)
+            least_of[key] = bounds.answer(*key).get("upper")
         least = least_of[key]
         slot = by_n.get(n)
         if slot is not None:
@@ -538,11 +527,12 @@ def stream_verify(lines, delta: int, g: int, *, jobs: int = 1) -> dict:
     """Filter a graph6 line stream and report per-order maximum radii.
 
     Members must be connected with min degree >= delta and girth >= g; every
-    accepted graph is additionally checked against the universal radius upper
-    bound for each even girth floor g' <= its girth, and any violator is
-    reported verbatim (there should never be one).  Blank lines are skipped;
-    lines that do not decode are counted as malformed.  Lines may be str or
-    bytes; only lines that reach the report are decoded to text.
+    accepted graph is also checked against ``bounds.answer``'s ``upper`` at
+    its order, minimum degree and girth (the least universal radius bound
+    over the even g' <= its girth), and any violator is reported verbatim
+    (there should never be one).  Blank lines are skipped; lines that do not
+    decode are counted as malformed.  Lines may be str or bytes; only lines
+    that reach the report are decoded to text.
 
     With jobs > 1, ``os.fork`` present and ``lines`` a binary file open on
     a regular file with at least 64 KiB left to read (``_split_path``), the
@@ -567,16 +557,16 @@ def stream_verify(lines, delta: int, g: int, *, jobs: int = 1) -> dict:
     minimum degree; connectivity and ecc(0) from one ``_reach`` sweep; and
     the exact girth, on a ``Graph`` that ``graph._from_rows`` builds from
     the same rows, only where the report reads it: a floor g >= 5, or the
-    bound at minimum degree >= 3 (at degree 2, n * k / 4 + 3k grows with
-    k = g' / 2, so g' = 4 gives the least bound for every girth >= 4).
-    ``metric_summary`` reads that ``Graph`` too.  The least bound is computed once per (n, minimum degree,
-    girth).  The radius is at most every eccentricity, so a graph with one
-    at most both its order's maximum radius so far and its least applicable
-    bound can neither raise that maximum (ties keep the earlier witness)
-    nor violate a bound: it only adds to its order's count.  ecc(0) is
-    tried first, then the eccentricity of a midpoint of a shortest path
-    from 0 to its farthest vertex, nearer the centre; every other accepted
-    graph pays for its eccentricities in ``metric_summary``.
+    bound at minimum degree >= 3 (at degree 2 the fold reads g' = 4 alone).
+    ``metric_summary`` reads that ``Graph`` too.  ``bounds.answer`` runs once
+    per (n, minimum degree, girth).  The radius is at most every
+    eccentricity, so a graph with one at most both its order's maximum
+    radius so far and its least applicable bound can neither raise that
+    maximum (ties keep the earlier witness) nor violate a bound: it only
+    adds to its order's count.  ecc(0) is tried first, then the
+    eccentricity of a midpoint of a shortest path from 0 to its farthest
+    vertex, nearer the centre; every other accepted graph pays for its
+    eccentricities in ``metric_summary``.
     """
     path = _split_path(lines) if jobs > 1 and hasattr(os, "fork") else None
     if path is None:

@@ -1,12 +1,17 @@
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from radgraph import (
     cage_lower_bound,
+    enumerate_extremal,
     exact_radius_formula_g4,
     upper_bound_radius,
 )
+from radgraph.bounds import answer
 
 
 class TestExactFormula:
@@ -115,3 +120,56 @@ class TestCageLowerBound:
         assert isinstance(val, Fraction)
         assert val == Fraction(45, 14) - 3
 
+
+def moore_bound(delta, g):
+    """The least order of a graph of minimum degree delta and girth >= g, by
+    the tree around an edge (even g) or a vertex (odd g), summed level by level."""
+    k, level, tree = g // 2, 1, 0
+    for _ in range(k):
+        tree += level
+        level *= delta - 1
+    return 1 + delta * tree if g % 2 else 2 * tree
+
+
+class TestAnswer:
+    """``bounds.answer``, the one fold that ``bound`` and ``search stream`` read."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_against_the_enumerated_maximum(self, n):
+        for delta in range(2, 5):
+            for g in range(3, 10):
+                found, got = enumerate_extremal(n, delta, g).max_radius, answer(n, delta, g)
+                if got == {"exists": False}:
+                    assert found is None, (n, delta, g)
+                if "exact" in got:
+                    assert got["exact"] == found, (n, delta, g)
+                if "upper" in got and found is not None:
+                    assert got["upper"] >= found, (n, delta, g)
+
+    def test_empty_exactly_below_the_moore_bound(self):
+        for delta in range(2, 7):
+            for g in range(3, 17):
+                for n in range(1, 200):
+                    got = answer(n, delta, g)
+                    assert (got == {"exists": False}) == (n < moore_bound(delta, g)), (n, delta, g)
+                    assert ("upper" in got) == (g >= 4 and n >= moore_bound(delta, g))
+
+    @pytest.mark.parametrize("delta", [0, 1])
+    def test_no_key_below_degree_two(self, delta):
+        assert answer(5, delta, 3) == answer(5, delta, 10**12) == {}
+
+    @given(st.integers(1, 10**15), st.integers(2, 12), st.integers(2, 60))
+    def test_upper_never_exceeds_the_bound_at_g(self, n, delta, k):
+        got = answer(n, delta, 2 * k)
+        assert got == {"exists": False} or got["upper"] <= upper_bound_radius(n, delta, 2 * k)
+
+    @given(st.integers(1, 10**15), st.integers(2, 12), st.integers(3, 121))
+    def test_upper_is_the_least_over_the_even_girths(self, n, delta, g):
+        got = answer(n, delta, g)
+        if "upper" in got:
+            assert got["upper"] == min(upper_bound_radius(n, delta, ge) for ge in range(4, g + 1, 2))
+
+    def test_huge_girth_at_degree_two_is_answered_at_once(self):
+        start = time.perf_counter()
+        assert answer(10**12, 2, 10**11) == {"upper": upper_bound_radius(10**12, 2, 4)}
+        assert time.perf_counter() - start < 0.5

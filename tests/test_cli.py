@@ -178,18 +178,18 @@ class TestBound:
         data = json.loads(out)
         assert code == 0 and data["exact"] == 4 and "upper" in data
 
-    def test_g6(self, capsys):
+    def test_g6_upper_is_the_least_over_the_even_girths(self, capsys):
+        # girth >= 6 implies girth >= 4, and the g' = 4 bound 32/3 is below the g = 6 one, 12.5
         code, out, _ = run(capsys, "bound", "--n", "14", "--delta", "3", "--g", "6")
-        data = json.loads(out)
-        assert data["upper"] == 12.5 and data["cage_lower"] == 0
+        assert code == 0 and out == '{"cage_lower": 0, "upper": 10.666666666666666}\n'
 
     def test_integral_bound_prints_as_int(self, capsys):
         code, out, _ = run(capsys, "bound", "--n", "15", "--delta", "3", "--g", "4")
         assert code == 0 and out == '{"exact": 4, "upper": 11}\n'
 
-    def test_nonexistent(self, capsys):
-        code, out, _ = run(capsys, "bound", "--n", "5", "--delta", "3", "--g", "4")
-        assert json.loads(out)["exact"] == "nonexistent"
+    def test_order_below_the_moore_bound_at_g4_is_empty(self, capsys):
+        # a triangle-free graph of minimum degree 3 holds 2 * 3 vertices around an edge
+        assert run(capsys, "bound", "--n", "5", "--delta", "3", "--g", "4") == (0, '{"exists": false}\n', "")
 
     def test_girth_3_has_no_bound(self, capsys):
         code, out, _ = run(capsys, "bound", "--n", "15", "--delta", "3", "--g", "3")
@@ -211,16 +211,35 @@ class TestBound:
         assert run(capsys, "bound", "--n", n, "--delta", "3", "--g", g) == (0, '{"exists": false}\n', "")
 
     @pytest.mark.parametrize("delta,g,want", [
-        ("3", "10", {"upper": 16.5625}),  # g // 2 - 2 = 3 < 4, the bit length of 15
-        ("2", "12", {"cage_lower": 1.5, "upper": 40.5}),  # the rule needs delta >= 3
+        ("3", "10", {"exists": False}),  # 2 * (1 + 2 + 4 + 8 + 16) = 62 vertices around an edge
+        ("2", "12", {"cage_lower": 1.5, "upper": 13.5}),  # at delta = 2 the Moore bound is g
     ])
-    def test_girth_below_the_moore_tree_rule_is_not_empty(self, capsys, delta, g, want):
+    def test_the_moore_bound_decides_emptiness(self, capsys, delta, g, want):
         code, out, _ = run(capsys, "bound", "--n", "15", "--delta", delta, "--g", g)
         assert code == 0 and json.loads(out) == want
 
     def test_girth_equal_to_the_order_is_not_empty(self, capsys):
         code, out, _ = run(capsys, "bound", "--n", "16", "--delta", "2", "--g", "16")
-        assert code == 0 and json.loads(out) == {"upper": 56}
+        # at delta = 2 the g' = 4 bound is the least: 16 * 2 / 4 + 6
+        assert code == 0 and json.loads(out) == {"upper": 14}
+
+    @pytest.mark.parametrize("name,facts", [
+        ("petersen", (10, 3, 5)), ("heawood", (14, 3, 6)), ("w2", (30, 3, 8)),
+        *((f"c{g}", (g, 2, g)) for g in (3, 4, 5, 6, 11)),
+    ])
+    def test_a_graph_on_the_moore_bound_is_the_least_order(self, capsys, request, name, facts):
+        """Each graph meets the Moore bound of its minimum degree and girth, so
+        its order is answered and one vertex fewer is an empty class."""
+        builders = {"heawood": lambda: projective_plane_incidence_graph(2),
+                    "w2": lambda: symplectic_quadrangle_incidence_graph(2),
+                    "petersen": lambda: request.getfixturevalue("petersen")}
+        G = builders.get(name, lambda: cycle(facts[0]))()
+        ms = metric_summary(G)
+        assert (G.n, ms.min_degree, ms.girth) == facts
+        floors = ("--delta", str(facts[1]), "--g", str(facts[2]))
+        code, out, _ = run(capsys, "bound", "--n", str(G.n), *floors)
+        assert code == 0 and "exists" not in json.loads(out)
+        assert run(capsys, "bound", "--n", str(G.n - 1), *floors) == (0, '{"exists": false}\n', "")
 
 
 class TestWitness:

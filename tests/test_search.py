@@ -447,8 +447,13 @@ class TestForkedSpans:
             return pid
 
         monkeypatch.setattr(os, "fork", fork_then_interrupt)
-        with pytest.raises(KeyboardInterrupt):
-            enumerate_extremal(8, 3, 4, jobs=3)
+        # a parent that ignores SIGINT leaves it ignored here, so no KeyboardInterrupt would come
+        previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                enumerate_extremal(8, 3, 4, jobs=3)
+        finally:
+            signal.signal(signal.SIGINT, previous)
         assert_no_child_left()
 
     def test_a_failing_child_raises_and_is_reaped(self, monkeypatch, capfd):
@@ -825,20 +830,20 @@ class TestStreamVerifyOracle:
         assert degrees and min(degrees) >= 3
 
     def test_one_bound_at_minimum_degree_two(self, corpus_facts, monkeypatch):
-        """The pass computes the least bound once per (n, minimum degree,
-        girth) of an accepted graph.  At minimum degree 2, n * k / 4 + 3k
-        grows with k = g' / 2, so each such key reads the g' = 4 bound alone."""
+        """The pass folds the bounds (``bounds.answer``) once per (n, minimum
+        degree, girth) of an accepted graph.  At minimum degree 2, n * k / 4 +
+        3k grows with k = g' / 2, so each such key reads the g' = 4 bound alone."""
         keys, calls = [], []
 
-        def least_spy(*key, least_bound=search._least_bound):
+        def answer_spy(*key, answer=radgraph.bounds.answer):
             keys.append(key)
-            return least_bound(*key)
+            return answer(*key)
 
         def spy(n, d, ge):
             calls.append((n, d, ge))
             return upper_bound_radius(n, d, ge)
 
-        monkeypatch.setattr(search, "_least_bound", least_spy)
+        monkeypatch.setattr(radgraph.bounds, "answer", answer_spy)
         monkeypatch.setattr(radgraph.bounds, "upper_bound_radius", spy)
         lines, facts = corpus_facts
         assert stream_verify(lines, 2, 6) == stream_reference(facts, 2, 6)
@@ -848,9 +853,9 @@ class TestStreamVerifyOracle:
         assert len(keys) == len(set(keys)) and set(keys) == accepted
         twos = sorted((n, 2, 4) for n, d, _ in keys if d == 2)
         assert twos and sorted(call for call in calls if call[1] == 2) == twos
-        for n in range(1, 40):
-            for girth in range(4, 20):
-                assert search._least_bound(n, 2, girth) == min(
+        for n in range(4, 40):
+            for girth in range(4, n + 1):
+                assert radgraph.bounds.answer(n, 2, girth)["upper"] == min(
                     upper_bound_radius(n, 2, ge) for ge in range(4, girth + 1, 2))
 
     @pytest.mark.parametrize("seed", range(4))
