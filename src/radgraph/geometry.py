@@ -6,23 +6,17 @@ symplectic generalized quadrangle W(q) inside PG(3,q) (girth 8).  Girth-12
 incidence graphs are not constructed here: girth-12 bases enter as graph6
 files (``construct glue --base``, checked by ``analyze``).
 
-Both builds hand their sorted neighbour tuples straight to a ``Graph``
-(``_incidence_graph``), with no edge list to normalise.  PG(2,q) takes the
-points on a line from ``_perp``, which sums the linear form over every point
-of the space one dimension down at once, a coordinate column at a time on
-precomputed rows of the field's multiplication table, and reads each
-solution's index off its position in the sorted order; no coordinate tuple
-is built or hashed per point.  The first build in a fresh interpreter on a
-2-core Xeon (five runs each) took 9-17 ms for PG(2,27), against 32-57 ms
-with one dot product per prefix, a tuple lookup per solution and an edge
-list through ``build_graph``.
-
-W(q) takes each totally isotropic line once, in reduced echelon form (see
-``symplectic_quadrangle_incidence_graph``), and keeps nothing per point
-beyond one point-to-index dict, so it holds O(n*q) memory.  In process on
-the same Xeon, best of 5, W(9), W(16) and W(27) took 4.6 ms, 0.035 s and
-0.31 s (traced peaks 0.4, 3.8 and 26 MiB), against 28 ms, 0.45 s and 8.3 s
-(2.6, 51 and 664 MiB) with a polar plane and a covered-pair bitmask per point.
+Both builds take their lines from one enumerator, ``_echelon``: each line of
+PG(d,q) is taken once, in reduced echelon form, as its lowest point r2 and
+the one point r1 of the line that leads before r2 and is 0 at r2's leading
+coordinate; its points are r2 and r1 + t*r2 for t in GF(q), all already
+normalised, so no coordinate tuple is scaled per point.  PG(2,q) keeps every
+pair and files the line under its dual coordinates r1 x r2; W(q) keeps the
+pairs with B(r1, r2) = 0.  Both hand their sorted neighbour tuples straight
+to a ``Graph`` (``_incidence_graph``), with no edge list to normalise, and
+keep nothing per point beyond one point-to-index dict, so they hold O(n*q)
+memory: in process on a 2-core Xeon, W(16) took 0.035 s and 3.8 MiB traced,
+against 0.45 s and 51 MiB with a polar plane and a pair bitmask per point.
 """
 
 from __future__ import annotations
@@ -47,37 +41,15 @@ def _projective_points(field: FiniteField, dim: int) -> list:
     )
 
 
-def _prefix_products(field: FiniteField, dim: int) -> list:
-    """``products[i][a]``: a times coordinate i of every point of PG(dim, q),
-    the points in sorted order, on the field's multiplication table."""
-    mul = field._mul
-    return [
-        [[mul[a][x] for x in column] for a in range(field.q)]
-        for column in zip(*_projective_points(field, dim))
-    ]
+def _echelon(points) -> list:
+    """``echelon[j]``: the points that lead before coordinate j and are 0 at j.
 
-
-def _perp(w, field: FiniteField, products) -> list:
-    """Sorted indices of the points x of PG(d, q) with sum_i w_i x_i = 0,
-    d = len(w) - 1.
-
-    ``products`` is ``_prefix_products(field, d - 1)``: the points of
-    PG(d-1, q) are the prefixes.  In the sorted points of PG(d, q), point 0
-    is (0, ..., 0, 1) and prefix j followed by a last coordinate z is point
-    1 + j*q + z.  The form is summed over all prefixes at once, one column
-    at a time; the equation then fixes z when w_d != 0, and leaves it free
-    (or rules the prefix out) when w_d = 0.
+    A line of PG(d, q), ``points`` being ``_projective_points(field, d)``, is
+    its lowest point r2, leading at coordinate j = ``r2.index(1)``, and the
+    one r1 in ``echelon[j]`` on it; its points are r2 and r1 + t*r2 for t in
+    GF(q).  Every pair (r2, r1 in ``echelon[j]``) spans a distinct line.
     """
-    add, mul, q = field._add, field._mul, field.q
-    *head, last = w
-    sums = products[0][head[0]]
-    for a, column in zip(head[1:], products[1:]):
-        if a:
-            sums = [add[s][y] for s, y in zip(sums, column[a])]
-    if last:
-        solve = mul[field._neg[field._inv[last]]]  # z = -s / w_d
-        return [j * q + 1 + solve[s] for j, s in enumerate(sums)]
-    return [0] + [j * q + 1 + z for j, s in enumerate(sums) if not s for z in range(q)]
+    return [[pt for pt in points if pt[j] == 0 and any(pt[:j])] for j in range(len(points[0]))]
 
 
 def _incidence_graph(npts: int, blocks) -> Graph:
@@ -97,13 +69,28 @@ def projective_plane_incidence_graph(q: int) -> Graph:
 
     Vertices 0..q^2+q are the points sorted by normalised coordinates, the
     rest are the lines (same coordinate space, dual role); point P is joined
-    to line L exactly when sum_i P_i L_i = 0 in GF(q).  For q = 2 this yields
-    the 14-vertex Heawood graph.
+    to line L exactly when sum_i P_i L_i = 0 in GF(q).  Each line comes from
+    ``_echelon`` once, and its dual coordinates are r1 x r2, normalised.  For
+    q = 2 this yields the 14-vertex Heawood graph.
     """
     field = field_make(q)
-    products = _prefix_products(field, 1)
+    add, mul, neg, inv = field._add, field._mul, field._neg, field._inv
     points = _projective_points(field, 2)
-    return _incidence_graph(len(points), [_perp(pt, field, products) for pt in points])
+    index = {pt: i for i, pt in enumerate(points)}
+    echelon = _echelon(points)
+    lines, found = [None] * len(points), 0
+    for r2 in points:
+        y0, y1, y2 = r2
+        m0, m1, m2 = mul[y0], mul[y1], mul[y2]
+        for x0, x1, x2 in echelon[r2.index(1)]:  # r1
+            w0, w1, w2 = add[m2[x1]][neg[m1[x2]]], add[m0[x2]][neg[m2[x0]]], add[m1[x0]][neg[m0[x1]]]
+            s = mul[inv[w0 or w1 or w2]]  # scales r1 x r2 to a point's coordinates
+            lines[index[s[w0], s[w1], s[w2]]] = sorted([index[r2]] + [  # r1 + t*r2, m = mul[t]
+                index[add[x0][m[y0]], add[x1][m[y1]], add[x2][m[y2]]] for m in mul])
+            found += 1
+    if found != len(points) or None in lines:
+        raise RuntimeError(f"PG(2,{q}) construction did not find each line exactly once")
+    return _incidence_graph(len(points), lines)
 
 
 def _symplectic_dual(u, field: FiniteField) -> tuple:
@@ -118,19 +105,15 @@ def symplectic_quadrangle_incidence_graph(q: int) -> Graph:
 
     Vertices are the q^3+q^2+q+1 points of PG(3,q) (all of them are isotropic
     for the alternating form) followed by the (q+1)(q^2+1) totally isotropic
-    lines in sorted order; adjacency is containment.  Each line is taken once,
-    in reduced echelon form: r2, its lowest point, leads at coordinate j, and
-    r1 is the one point of the line that leads before j and has 0 at j.  Every
-    such pair with B(r1, r2) = 0 spans a totally isotropic line, whose points
-    are r2 and r1 + t*r2 for t in GF(q), all already normalised.
+    lines in sorted order; adjacency is containment.  The lines of PG(3,q)
+    from ``_echelon`` with B(r1, r2) = 0 are the totally isotropic ones.
     For q = 2 this is the 30-vertex Tutte-Coxeter graph.
     """
     field = field_make(q)
     add, mul = field._add, field._mul
     points = _projective_points(field, 3)
     index = {pt: i for i, pt in enumerate(points)}
-    # echelon[j]: the points that lead before coordinate j and have 0 there
-    echelon = [[pt for pt in points if pt[j] == 0 and any(pt[:j])] for j in range(4)]
+    echelon = _echelon(points)
     line_list = []
     for r2 in points:
         y0, y1, y2, y3 = r2

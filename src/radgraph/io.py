@@ -8,8 +8,9 @@ j = 1..n-1 the bits (0,j), (1,j), ..., (j-1,j) -- packed big-endian into
 
 Both directions of the codec go through base64, whose 6-bit groups map one
 to one onto graph6 bytes by ``bytes.translate``.  The one encoder,
-``graph6_bytes``, sets the body bit of each edge of ``Graph.adj`` and calls
-``b64encode`` once.  There is one decode path too: ``_graph6_size`` checks
+``graph6_bytes``, sets the body bit of each edge of ``Graph.adj`` and encodes
+the body a slice at a time into one buffer, so a line costs its body and one
+copy of itself.  There is one decode path too: ``_graph6_size`` checks
 the header, ``_graph6_body`` the body length, every body byte and the zero
 padding (in that order, each with its own ``ValueError``) and decodes the
 body in one ``b64decode`` call, whose set bits are the edges, and
@@ -24,6 +25,7 @@ anything.
 from __future__ import annotations
 
 from base64 import b64decode, b64encode
+from io import BytesIO
 
 from .graph import Graph, _from_rows, build_graph
 
@@ -72,6 +74,8 @@ _BASE64 = bytes.maketrans(_GRAPH6_BYTES, _BASE64_ALPHABET)
 
 #: Decoded body bytes per accumulator refill, few: each column shifts it.
 _DECODE_SLICE = 512
+#: Body bytes per ``b64encode`` call: whole 3-byte quanta, so the encodings join up.
+_ENCODE_SLICE = 3 << 16
 
 #: Each byte with its bit order reversed.
 _BITREV = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
@@ -82,7 +86,7 @@ def graph6_bytes(G: Graph) -> bytes:
     edge (i, j), i < j, of the sorted ``G.adj`` sets bit p = j(j-1)/2 + i of
     a zeroed body, so absent edges cost nothing and no bitmask rows are
     built; then the size header and the body bits as 6-bit groups, the last
-    zero-padded."""
+    zero-padded, a body of several slices a slice at a time into one buffer."""
     n = G.n
     body = bytearray((n * (n - 1) // 2 + 7) // 8)
     for j, row in enumerate(G.adj):
@@ -91,7 +95,16 @@ def graph6_bytes(G: Graph) -> bytes:
             if i >= j:
                 break
             body[(base + i) >> 3] |= 128 >> ((base + i) & 7)
-    return _encode_size(n) + b64encode(body).translate(_SIXBIT)[: (n * (n - 1) // 2 + 5) // 6]
+    head, length = _encode_size(n), (n * (n - 1) // 2 + 5) // 6
+    if len(body) <= _ENCODE_SLICE:
+        return head + b64encode(body).translate(_SIXBIT)[:length]
+    line = BytesIO()
+    line.write(head)
+    for start in range(0, len(body), _ENCODE_SLICE):
+        line.write(b64encode(body[start:start + _ENCODE_SLICE]).translate(_SIXBIT))
+    del body
+    line.truncate(len(head) + length)
+    return line.getvalue()
 
 
 def _graph6_size(data) -> tuple:
@@ -176,6 +189,7 @@ def to_edgelist_text(G: Graph) -> str:
 
 
 def from_edgelist_text(text: str) -> Graph:
+    """Read the plain text form, whose n is at most m + 1: fewer edges cannot connect n."""
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines:
         raise ValueError("empty edge-list input")
@@ -185,6 +199,8 @@ def from_edgelist_text(text: str) -> Graph:
     n, m = int(head[0]), int(head[1])
     if len(lines) - 1 != m:
         raise ValueError(f"edge-list declares {m} edges but has {len(lines) - 1}")
+    if n > m + 1:
+        raise ValueError(f"edge-list declares {n} vertices but only {m} edges, too few to connect them")
     edges = set()
     for ln in lines[1:]:
         parts = ln.split()

@@ -171,6 +171,13 @@ class TestAnalyze:
         code, out, err = run(capsys, "analyze", "--graph", str(path), "--input-format", "edgelist")
         assert code == 2 and out == "" and "repeats edge (0, 1)" in err
 
+    def test_analyze_order_above_the_edges_plus_one_exit_2(self, capsys, tmp_path):
+        # the 10-byte file declares 3000000 vertices and no edge
+        path = tmp_path / "isolated.edges"
+        path.write_text("3000000 0\n")
+        code, out, err = run(capsys, "analyze", "--graph", str(path), "--input-format", "edgelist")
+        assert code == 2 and out == "" and "too few to connect them" in err
+
 
 class TestBound:
     def test_g4(self, capsys):

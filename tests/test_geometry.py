@@ -11,7 +11,7 @@ from radgraph import (
     projective_plane_incidence_graph,
     symplectic_quadrangle_incidence_graph,
 )
-from radgraph.geometry import _perp, _prefix_products, _projective_points, _symplectic_dual
+from radgraph.geometry import _echelon, _projective_points, _symplectic_dual
 
 
 def to_nx(G):
@@ -24,7 +24,8 @@ def to_nx(G):
 #: SHA-256 of graph6_bytes, recorded from the builds that predate the integer-table
 #: geometry (q = 11, 13, 16 of PG and 7, 8 of W from the edge-list builds that predate
 #: the direct neighbour-tuple ones, q = 11, 13, 16 of W from the polar-plane build that
-#: predates the echelon one); every later build must produce these exact graphs.
+#: predates the echelon one, q = 25 of both from the builds before PG(2,q) took its lines
+#: from the same echelon enumerator as W(q)); every later build must produce these exact graphs.
 PG_SHA256 = [
     (2, "ea3bf0c075800b03384b28c035ae00206b6f3632949ca81ec0efa50861b93b2b"),
     (3, "322c31b450c66d5766f07c00d8d169ad3076ec80b20f1e9254594b9fb88bc1ab"),
@@ -36,6 +37,7 @@ PG_SHA256 = [
     (11, "2702e5e8613e3aebf2fa26a72a87c8be08a209b633e35c70bcae46b2148f13e9"),
     (13, "d3d79640b09774e6403a6375fae568e9fa2dfdefd71da53252d43f8108f0d71c"),
     (16, "622c9622ca7aed040af2a361c4fce9f0c79b21a6c5c973413d5439fb20a38c75"),
+    (25, "f8ee997bbeb47f890446431e897527cac7b0e6e3145e7cfe5a43c521ed99eebf"),
     (27, "9a39e0e4caca167b711d397f8ce5b03143a35195a59db06dd32d64f08b469e0a"),
 ]
 W_SHA256 = [
@@ -49,6 +51,7 @@ W_SHA256 = [
     (11, "4cb38ca371ccb708a8efd2b424925aff46c1b0fc435740766fb3041300bf4fe6"),
     (13, "4b6e168088086591fd1946b178152eba5213d407553d2e27370b6aff30e8326c"),
     (16, "945fb37cc7dbd4b0ced9e6a47a2b4863db7ae06113ddfdf462cc43c1415537fa"),
+    (25, "d1d6c0cd54094fa503993ac0d06c574df6879d5e23df6c82795915097da9a825"),
 ]
 
 
@@ -71,12 +74,21 @@ def is_bipartite_split(G, left_count):
 
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
-def test_perp_matches_dot_products(q, dim):
+def test_echelon_pairs_give_each_line_once(q, dim):
     F = field_make(q)
     points = _projective_points(F, dim)
-    products = _prefix_products(F, dim - 1)
-    for w in points:
-        assert _perp(w, F, products) == [i for i, x in enumerate(points) if field_dot(F, w, x) == 0]
+    index = {pt: i for i, pt in enumerate(points)}
+    echelon = _echelon(points)
+    lines = []
+    for r2 in points:
+        for r1 in echelon[r2.index(1)]:
+            # r1 + t*r2 must come out normalised, or the index lookup fails
+            others = [tuple(F._add[x][F._mul[t][y]] for x, y in zip(r1, r2)) for t in range(q)]
+            lines.append(frozenset([index[r2]] + [index[pt] for pt in others]))
+    # the Gaussian binomial [dim+1 choose 2]_q counts the lines of PG(dim, q)
+    count = (q ** (dim + 1) - 1) * (q ** dim - 1) // ((q * q - 1) * (q - 1))
+    assert len(lines) == len(set(lines)) == count
+    assert all(len(line) == q + 1 for line in lines)
 
 
 class TestProjectivePlane:
@@ -108,6 +120,13 @@ class TestProjectivePlane:
             common = [ln for ln in points
                       if field_dot(F, p1, ln) == 0 and field_dot(F, p2, ln) == 0]
             assert len(common) == 1
+        # the build joins point i to line j exactly when they are orthogonal
+        G = projective_plane_incidence_graph(q)
+        npts = len(points)
+        for i, pt in enumerate(points):
+            on = [j for j, ln in enumerate(points) if field_dot(F, pt, ln) == 0]
+            assert G.adj[i] == tuple(npts + j for j in on)
+            assert G.adj[npts + i] == tuple(on)  # dot products are symmetric
 
     def test_deterministic_output(self):
         a = projective_plane_incidence_graph(3)

@@ -3,6 +3,8 @@ from itertools import combinations
 
 import networkx as nx
 import pytest
+
+import radgraph.io
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -48,6 +50,16 @@ def corpus():
                for n in (3, 7, 10, 13, 62, 63, 70)
                for p in (0.2, 0.5)]
     return graphs
+
+
+@pytest.mark.parametrize("n", [3, 7, 8, 9, 10, 13, 16])
+def test_graph6_slices_encode_the_same_line(monkeypatch, n):
+    # slices of 3 or 6 body bytes: bodies of 1 to 15 bytes, ending in every base64 quantum
+    G = random_graph(n, 0.5, seed=n)
+    expected = graph6_reference(n, list(G.edges()))
+    for slice_bytes in (3, 6):
+        monkeypatch.setattr(radgraph.io, "_ENCODE_SLICE", slice_bytes)
+        assert graph6_bytes(G) == expected
 
 
 @pytest.mark.parametrize("G", corpus(), ids=lambda g: f"n{g.n}m{g.edge_count}")
@@ -242,6 +254,19 @@ def test_edgelist_header_mismatch_rejected():
         from_edgelist_text("3 3\n0 1\n1 2\n0 1\n")
     with pytest.raises(ValueError, match=r"repeats edge \(0, 1\)"):
         from_edgelist_text("3 2\n0 1\n1 0\n")
+
+
+@pytest.mark.parametrize("text", ["2 0\n", "5 0\n", "3000000 0", "4 2\n0 1\n2 3\n"])
+def test_edgelist_order_above_the_edges_plus_one_rejected(text):
+    # fewer than n - 1 edges cannot connect n vertices
+    with pytest.raises(ValueError, match="too few to connect them"):
+        from_edgelist_text(text)
+
+
+@pytest.mark.parametrize("n,edges", [(0, []), (1, []), (2, [(0, 1)]), (4, [(0, 1), (2, 3), (1, 3)])])
+def test_edgelist_order_up_to_the_edges_plus_one_read(n, edges):
+    G = build_graph(n, edges)
+    assert from_edgelist_text(to_edgelist_text(G)) == G
 
 
 def test_dot_output():

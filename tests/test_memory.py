@@ -8,7 +8,9 @@ vertex, so it needs those n^2/8 bytes.  ``extract_dense_subgraph`` keeps only
 the smallest ball along its geodesic, so its limit is tighter.
 
 The W(q) build is held to O(n*q) memory: it keeps no polar plane and no
-pair mask per point.
+pair mask per point.  The W(16) encode holds its 4.55 MiB body and its
+6.07 MiB line, not several copies of the line.  An edge list's declared
+order is refused before its vertices are allocated.
 """
 
 import tracemalloc
@@ -23,6 +25,8 @@ from radgraph import (
     check_witness_triangle_free,
     check_witness_two_cycles,
     extract_dense_subgraph,
+    from_edgelist_text,
+    graph6_bytes,
     is_connected,
     is_triangle_free,
     sphere,
@@ -70,3 +74,17 @@ def test_traced_peak_on_c20000(name):
 def test_traced_peak_of_w16():
     peak = traced_peak(symplectic_quadrangle_incidence_graph, 16)
     assert peak < 8 * 2**20, f"W(16): traced peak {peak / 2**20:.1f} MiB"
+
+
+def test_traced_peak_of_the_w16_encode():
+    G = symplectic_quadrangle_incidence_graph(16)
+    peak = traced_peak(graph6_bytes, G)
+    assert peak <= 12.5 * 2**20, f"W(16) encode: traced peak {peak / 2**20:.1f} MiB"
+
+
+def test_an_edge_list_of_3000000_isolated_vertices_is_refused_unallocated():
+    def read():
+        with pytest.raises(ValueError, match="too few to connect them"):
+            from_edgelist_text("3000000 0\n")
+    peak = traced_peak(read)
+    assert peak < 2**20, f"traced peak {peak / 2**20:.1f} MiB"
