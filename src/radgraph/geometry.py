@@ -6,17 +6,13 @@ symplectic generalized quadrangle W(q) inside PG(3,q) (girth 8).  Girth-12
 incidence graphs are not constructed here: girth-12 bases enter as graph6
 files (``construct glue --base``, checked by ``analyze``).
 
-Both builds take their lines from one enumerator, ``_echelon``: each line of
-PG(d,q) is taken once, in reduced echelon form, as its lowest point r2 and
-the one point r1 of the line that leads before r2 and is 0 at r2's leading
-coordinate; its points are r2 and r1 + t*r2 for t in GF(q), all already
-normalised, so no coordinate tuple is scaled per point.  PG(2,q) keeps every
-pair and files the line under its dual coordinates r1 x r2; W(q) keeps the
-pairs with B(r1, r2) = 0.  Both hand their sorted neighbour tuples straight
-to a ``Graph`` (``_incidence_graph``), with no edge list to normalise, and
-keep nothing per point beyond one point-to-index dict, so they hold O(n*q)
-memory: in process on a 2-core Xeon, W(16) took 0.035 s and 3.8 MiB traced,
-against 0.45 s and 51 MiB with a polar plane and a pair bitmask per point.
+Both builds take each line once from one enumerator, ``_echelon``: PG(2,q)
+keeps every line and files it under its dual coordinates r1 x r2, W(q) keeps
+the lines with B(r1, r2) = 0.  Both hand their sorted neighbour tuples to a
+``Graph`` (``_incidence_graph``) and keep nothing per point beyond one
+point-to-index dict, so they hold O(n*q) memory: in process on a 2-core Xeon,
+W(16) took 0.035 s and 3.8 MiB traced, against 0.45 s and 51 MiB with a polar
+plane and a pair bitmask per point.
 """
 
 from __future__ import annotations
@@ -34,11 +30,8 @@ def _projective_points(field: FiniteField, dim: int) -> list:
     first non-zero coordinate is 1, as a tuple of the coordinates' integer
     codes (see :mod:`radgraph.fields`).
     """
-    return sorted(
-        (0,) * lead + (1,) + rest
-        for lead in range(dim + 1)
-        for rest in product(range(field.q), repeat=dim - lead)
-    )
+    return sorted((0,) * lead + (1,) + rest
+                  for lead in range(dim + 1) for rest in product(range(field.q), repeat=dim - lead))
 
 
 def _echelon(points) -> list:
@@ -123,10 +116,7 @@ def symplectic_quadrangle_incidence_graph(q: int) -> Graph:
                 line_list.append(sorted([index[r2]] + [  # r1 + t*r2, with m = mul[t]
                     index[add[x0][m[y0]], add[x1][m[y1]], add[x2][m[y2]], add[x3][m[y3]]] for m in mul]))
     line_list.sort()
-    expected = (q + 1) * (q * q + 1)
-    if len(line_list) != expected:
-        raise RuntimeError(
-            f"W({q}) construction found {len(line_list)} totally isotropic lines, "
-            f"expected {expected}"
-        )
+    if len(line_list) != (q + 1) * (q * q + 1):
+        raise RuntimeError(f"W({q}) construction found {len(line_list)} totally isotropic lines, "
+                           f"expected {(q + 1) * (q * q + 1)}")
     return _incidence_graph(len(points), line_list)

@@ -9,8 +9,7 @@ j = 1..n-1 the bits (0,j), (1,j), ..., (j-1,j) -- packed big-endian into
 Both directions of the codec go through base64, whose 6-bit groups map one
 to one onto graph6 bytes by ``bytes.translate``.  The one encoder,
 ``graph6_bytes``, sets the body bit of each edge of ``Graph.adj`` and encodes
-the body a slice at a time into one buffer, so a line costs its body and one
-copy of itself.  There is one decode path too: ``_graph6_size`` checks
+the body in slices into one buffer.  There is one decode path too: ``_graph6_size`` checks
 the header, ``_graph6_body`` the body length, every body byte and the zero
 padding (in that order, each with its own ``ValueError``) and decodes the
 body in one ``b64decode`` call, whose set bits are the edges, and
@@ -102,7 +101,6 @@ def graph6_bytes(G: Graph) -> bytes:
     line.write(head)
     for start in range(0, len(body), _ENCODE_SLICE):
         line.write(b64encode(body[start:start + _ENCODE_SLICE]).translate(_SIXBIT))
-    del body
     line.truncate(len(head) + length)
     return line.getvalue()
 
