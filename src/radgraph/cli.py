@@ -152,8 +152,8 @@ class _Unused:
 
 
 def _build_parser(argv=None):
-    """The parser of every command or, given argv, of those it names: argparse enters no other,
-    so they stay empty under their names and help, all their parents' usage and errors read."""
+    """The parser of every command or, given argv, of those it names: argparse enters no
+    other, which stays empty, since its parent's usage, help and errors read only its name."""
     def command(sub, name, parents=(), **keywords):
         if argv is None or name in argv:
             return sub.add_parser(name, parents=list(parents), **keywords)
