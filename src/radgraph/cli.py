@@ -145,20 +145,7 @@ _FAMILIES = {
 }
 
 
-class _Unused:
-    """Fills in a command that argv does not name: each call is a no-op that returns it."""
-    def __getattr__(self, name):
-        return lambda *args, **kwargs: self
-
-
-def _build_parser(argv=None):
-    """The parser of every command or, given argv, of those it names: argparse enters no
-    other, which stays empty, since its parent's usage, help and errors read only its name."""
-    def command(sub, name, parents=(), **keywords):
-        if argv is None or name in argv:
-            return sub.add_parser(name, parents=list(parents), **keywords)
-        return sub.add_parser(name, **keywords) and _Unused()  # named in its parent, left empty
-
+def _build_parser():
     parser = _Parser(
         prog="radgraph",
         description="Constructions, bounds and exhaustive checks for the maximum "
@@ -173,10 +160,10 @@ def _build_parser(argv=None):
     graph_in.add_argument("--graph", required=True, help="graph file or - for stdin")
     graph_in.add_argument("--input-format", choices=_LOADERS, default="graph6")
 
-    p = command(sub, "construct", help="build a named graph family member")
+    p = sub.add_parser("construct", help="build a named graph family member")
     kinds = p.add_subparsers(dest="kind", required=True)
     for name, (_, options) in _FAMILIES.items():
-        k = command(kinds, name, parents=[pretty])
+        k = kinds.add_parser(name, parents=[pretty])
         for option, keywords in options.items():
             k.add_argument(option, **keywords)
         k.add_argument("--format", choices=_RENDERERS, default="graph6")
@@ -184,53 +171,54 @@ def _build_parser(argv=None):
         k.add_argument("--verify", action="store_true", help="also print a JSON metric summary")
         k.set_defaults(run=_cmd_construct)
 
-    p = command(sub, "analyze", help="metric summary of a graph as JSON", parents=[graph_in, pretty])
+    p = sub.add_parser("analyze", help="metric summary of a graph as JSON",
+                       parents=[graph_in, pretty])
     p.set_defaults(run=_cmd_analyze)
 
-    p = command(sub, "bound", help="all applicable radius bounds as JSON", parents=[pretty])
+    p = sub.add_parser("bound", help="all applicable radius bounds as JSON", parents=[pretty])
     p.add_argument("--n", **_at_least(1))
     p.add_argument("--delta", **_at_least(2))
     p.add_argument("--g", **_at_least(3))
     p.set_defaults(run=_cmd_bound)
 
-    p = command(sub, "witness", help="check or search witness sets")
+    p = sub.add_parser("witness", help="check or search witness sets")
     wsub = p.add_subparsers(dest="action", required=True)
-    checks = command(wsub, "check").add_subparsers(dest="what", required=True)
+    checks = wsub.add_parser("check").add_subparsers(dest="what", required=True)
     witness_set = argparse.ArgumentParser(add_help=False, parents=[graph_in, pretty])
     witness_set.add_argument("--set", dest="vertex_set", type=_int_list(0), required=True)
-    c = command(checks, "general", parents=[witness_set])
+    c = checks.add_parser("general", parents=[witness_set])
     c.add_argument("--k", **_at_least(2), help="half-girth")
     c.set_defaults(run=_cmd_check, check=lambda G, a: witness.check_witness_general(G, a.vertex_set, a.k))
-    c = command(checks, "tf", parents=[witness_set])
+    c = checks.add_parser("tf", parents=[witness_set])
     c.set_defaults(run=_cmd_check, check=lambda G, a: witness.check_witness_triangle_free(G, a.vertex_set))
-    c = command(checks, "cycles", parents=[witness_set])
+    c = checks.add_parser("cycles", parents=[witness_set])
     c.add_argument("--r", **_at_least(4), help="cycle length")
     c.set_defaults(run=_cmd_check, check=lambda G, a: witness.check_witness_two_cycles(G, a.vertex_set, a.r))
-    f = command(wsub, "find", parents=[graph_in, pretty])
+    f = wsub.add_parser("find", parents=[graph_in, pretty])
     f.add_argument("--k", **_at_least(2))
     f.add_argument("--budget", **_at_least(0, default=10**6))
     f.set_defaults(run=_cmd_find)
 
-    p = command(sub, "search", help="exhaustive enumeration and stream checks")
+    p = sub.add_parser("search", help="exhaustive enumeration and stream checks")
     ssub = p.add_subparsers(dest="action", required=True)
-    e = command(ssub, "enumerate", parents=[jobs, pretty])
+    e = ssub.add_parser("enumerate", parents=[jobs, pretty])
     e.add_argument("--n", **_at_least(1))
     e.add_argument("--delta", **_at_least(0))
     e.add_argument("--g", **_at_least(3, default=4))
     e.add_argument("--long-run", action="store_true")
     e.set_defaults(run=_cmd_enumerate)
-    v = command(ssub, "verify-theorem", parents=[jobs, pretty])
+    v = ssub.add_parser("verify-theorem", parents=[jobs, pretty])
     v.add_argument("--n-max", **_at_least(1))
     v.add_argument("--deltas", type=_int_list(2), default="2,3", help="comma-separated degree floors")
     v.set_defaults(run=_cmd_verify_theorem)
-    s = command(ssub, "stream", parents=[jobs, pretty])
+    s = ssub.add_parser("stream", parents=[jobs, pretty])
     s.add_argument("--delta", **_at_least(0))
     s.add_argument("--g", **_at_least(3))
     s.add_argument("--input", default="-", help="graph6 lines, file or - for stdin")
     s.set_defaults(run=_cmd_stream)
 
-    p = command(sub, "extract", help="smallest dense ball along a central geodesic",
-                parents=[graph_in, pretty])
+    p = sub.add_parser("extract", help="smallest dense ball along a central geodesic",
+                       parents=[graph_in, pretty])
     p.add_argument("--k", **_at_least(2))
     p.set_defaults(run=_cmd_extract)
 
@@ -317,8 +305,7 @@ def _cmd_extract(args):
 
 def main(argv=None) -> int:
     """Run the command's handler, which returns (JSON payload or None, exit code)."""
-    argv = sys.argv[1:] if argv is None else argv
-    args = _build_parser(argv).parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         payload, code = args.run(args)
         if payload is not None:

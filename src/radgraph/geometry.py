@@ -30,8 +30,11 @@ def _projective_points(field: FiniteField, dim: int) -> list:
     first non-zero coordinate is 1, as a tuple of the coordinates' integer
     codes (see :mod:`radgraph.fields`).
     """
-    return sorted((0,) * lead + (1,) + rest
-                  for lead in range(dim + 1) for rest in product(range(field.q), repeat=dim - lead))
+    return sorted(
+        (0,) * lead + (1,) + rest
+        for lead in range(dim + 1)
+        for rest in product(range(field.q), repeat=dim - lead)
+    )
 
 
 def _echelon(points) -> list:
@@ -116,7 +119,10 @@ def symplectic_quadrangle_incidence_graph(q: int) -> Graph:
                 line_list.append(sorted([index[r2]] + [  # r1 + t*r2, with m = mul[t]
                     index[add[x0][m[y0]], add[x1][m[y1]], add[x2][m[y2]], add[x3][m[y3]]] for m in mul]))
     line_list.sort()
-    if len(line_list) != (q + 1) * (q * q + 1):
-        raise RuntimeError(f"W({q}) construction found {len(line_list)} totally isotropic lines, "
-                           f"expected {(q + 1) * (q * q + 1)}")
+    expected = (q + 1) * (q * q + 1)
+    if len(line_list) != expected:
+        raise RuntimeError(
+            f"W({q}) construction found {len(line_list)} totally isotropic lines, "
+            f"expected {expected}"
+        )
     return _incidence_graph(len(points), line_list)

@@ -8,17 +8,17 @@ j = 1..n-1 the bits (0,j), (1,j), ..., (j-1,j) -- packed big-endian into
 
 Both directions of the codec go through base64, whose 6-bit groups map one
 to one onto graph6 bytes by ``bytes.translate``.  The one encoder,
-``graph6_bytes``, sets the body bit of each edge of ``Graph.adj`` and encodes
-the body in slices into one buffer.  There is one decode path too: ``_graph6_size`` checks
-the header, ``_graph6_body`` the body length, every body byte and the zero
-padding (in that order, each with its own ``ValueError``) and decodes the
-body in one ``b64decode`` call, whose set bits are the edges, and
-``_graph6_rows`` reads the bitmask rows and whether there is a triangle off
-a small accumulator fed a slice at a time.  ``from_graph6`` takes those
-three steps and turns the rows into a ``Graph`` with ``graph._from_rows``.
-``search stream`` takes them one by one, so it reads a line's order before
-it decodes the rest and applies its edge-count floor before it builds
-anything.
+``graph6_bytes``, sets the body bit of each edge of ``Graph.adj`` and
+encodes the body in slices into one buffer.  There is one decode path too:
+``_graph6_size`` checks the header, ``_graph6_body`` the body length, every
+body byte and the zero padding (in that order, each with its own
+``ValueError``) and decodes the body in one ``b64decode`` call, whose set
+bits are the edges, and ``_graph6_rows`` reads the bitmask rows and whether
+there is a triangle off a small accumulator fed a slice at a time.
+``from_graph6`` takes those three steps and turns the rows into a ``Graph``
+with ``graph._from_rows``.  ``search stream`` takes them one by one, so it
+reads a line's order before it decodes the rest and applies its edge-count
+floor before it builds anything.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ def graph6_bytes(G: Graph) -> bytes:
     edge (i, j), i < j, of the sorted ``G.adj`` sets bit p = j(j-1)/2 + i of
     a zeroed body, so absent edges cost nothing and no bitmask rows are
     built; then the size header and the body bits as 6-bit groups, the last
-    zero-padded, a body of several slices a slice at a time into one buffer."""
+    zero-padded, encoded a slice at a time into one buffer."""
     n = G.n
     body = bytearray((n * (n - 1) // 2 + 7) // 8)
     for j, row in enumerate(G.adj):
@@ -94,14 +94,12 @@ def graph6_bytes(G: Graph) -> bytes:
             if i >= j:
                 break
             body[(base + i) >> 3] |= 128 >> ((base + i) & 7)
-    head, length = _encode_size(n), (n * (n - 1) // 2 + 5) // 6
-    if len(body) <= _ENCODE_SLICE:
-        return head + b64encode(body).translate(_SIXBIT)[:length]
+    head = _encode_size(n)
     line = BytesIO()
     line.write(head)
     for start in range(0, len(body), _ENCODE_SLICE):
         line.write(b64encode(body[start:start + _ENCODE_SLICE]).translate(_SIXBIT))
-    line.truncate(len(head) + length)
+    line.truncate(len(head) + (n * (n - 1) // 2 + 5) // 6)
     return line.getvalue()
 
 
@@ -180,14 +178,21 @@ def from_graph6(data) -> Graph:
 
 
 def to_edgelist_text(G: Graph) -> str:
-    """Plain text form: first line "n m", then one "u v" line per edge."""
+    """Plain text form: first line "n m", then one "u v" line per edge.  It
+    holds only graphs with n at most m + 1, as ``from_edgelist_text`` reads
+    them; a graph with more vertices (say an isolated one) raises ValueError."""
+    if G.n > G.edge_count + 1:
+        raise ValueError(f"an edge list holds at most m + 1 vertices, not {G.n} with {G.edge_count} edges")
     lines = [f"{G.n} {G.edge_count}"]
     lines.extend(f"{u} {v}" for u, v in G.edges())
     return "\n".join(lines) + "\n"
 
 
 def from_edgelist_text(text: str) -> Graph:
-    """Read the plain text form, whose n is at most m + 1: fewer edges cannot connect n."""
+    """Read the plain text form of ``to_edgelist_text``.  Its n is at most
+    m + 1, since fewer edges cannot connect n vertices; a larger n raises
+    ValueError before any vertex is allocated.  Graphs with more vertices,
+    which are all disconnected, are read from graph6."""
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines:
         raise ValueError("empty edge-list input")

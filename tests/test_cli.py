@@ -895,31 +895,3 @@ def test_command_executes_only_its_modules(tmp_path, argv, modules):
     assert not pools  # --jobs 2 forks its span workers
     assert fractions == ("bounds" in modules.split())  # only the exact bounds need it
 
-
-def parsers_on(parser, words):
-    """The parsers that argparse enters for the command words, root first."""
-    found = [parser]
-    for word in words:
-        action = next(a for a in found[-1]._actions if isinstance(a, argparse._SubParsersAction))
-        found.append(action.choices[word])
-    return found
-
-
-@pytest.mark.parametrize("path", [path for path, _ in LEAVES])
-def test_the_build_for_a_leafs_words_reads_as_the_whole_parser(capsys, path):
-    # main builds only the commands named in its argv; every parser on the path
-    # prints the same usage, help and errors as in the whole build
-    words = path.split()
-    whole, named = cli._build_parser(), cli._build_parser(words)
-    for a, b in zip(parsers_on(whole, words), parsers_on(named, words), strict=True):
-        assert (a.prog, a.format_usage(), a.format_help()) == (b.prog, b.format_usage(), b.format_help())
-    for argv in ([*words, "--zzz"], [*words[:-1], "zzz"], words[:-1], [*words[:-1], "--zzz", words[-1]]):
-        printed = []
-        for parser in (whole, named):
-            with pytest.raises(SystemExit) as exc:
-                parser.parse_args(argv)
-            printed.append((exc.value.code, capsys.readouterr()))
-        assert printed[0] == printed[1], argv
-    # a command that argv does not name is left empty
-    assert [p for p, _ in leaf_parsers(named) if p.split()[0] != words[0]] == [
-        w for w in ["construct", "analyze", "bound", "witness", "search", "extract"] if w != words[0]]

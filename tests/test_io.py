@@ -269,6 +269,13 @@ def test_edgelist_order_up_to_the_edges_plus_one_read(n, edges):
     assert from_edgelist_text(to_edgelist_text(G)) == G
 
 
+@pytest.mark.parametrize("n,edges", [(3, []), (2, []), (4, [(0, 1), (1, 2)]), (5, [(0, 1), (1, 2), (0, 2)])])
+def test_edgelist_writer_refuses_what_the_reader_refuses(n, edges):
+    # a graph with an isolated vertex and fewer than n - 1 edges has no edge list
+    with pytest.raises(ValueError, match="at most m \\+ 1 vertices"):
+        to_edgelist_text(build_graph(n, edges))
+
+
 def test_dot_output():
     G = build_graph(4, [(0, 1), (1, 2)])
     text = to_dot(G)
