@@ -77,9 +77,18 @@ def _metrics_dict(G):
     }
 
 
-def _json_number(value):
-    """A Fraction as an int when it is integral and as a float otherwise."""
-    return int(value) if value.denominator == 1 else float(value)
+def _json_number(key, value):
+    """A Fraction as an int when it is integral and as a float otherwise;
+    ValueError (a usage error) when the float would overflow."""
+    try:
+        return int(value) if value.denominator == 1 else float(value)
+    except OverflowError:
+        raise ValueError(f'the "{key}" value is too large to print as a JSON number') from None
+
+
+def _cpus():
+    """The CPUs this process may run on, fewer than the host's under ``taskset``."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _int_list(lo):
@@ -155,7 +164,7 @@ def _build_parser():
     pretty = argparse.ArgumentParser(add_help=False)
     pretty.add_argument("--pretty", action="store_true")
     jobs = argparse.ArgumentParser(add_help=False)
-    jobs.add_argument("--jobs", **_at_least(1, default=os.cpu_count() or 1))
+    jobs.add_argument("--jobs", **_at_least(1, default=_cpus()))
     graph_in = argparse.ArgumentParser(add_help=False)
     graph_in.add_argument("--graph", required=True, help="graph file or - for stdin")
     graph_in.add_argument("--input-format", choices=_LOADERS, default="graph6")
@@ -237,7 +246,7 @@ def _cmd_analyze(args):
 
 def _cmd_bound(args):
     out = bounds.answer(args.n, args.delta, args.g)  # _json_number(False) would print 0
-    return {key: value if key == "exists" else _json_number(value) for key, value in out.items()}, EXIT_OK
+    return {key: value if key == "exists" else _json_number(key, value) for key, value in out.items()}, EXIT_OK
 
 
 def _cmd_check(args):

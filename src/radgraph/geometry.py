@@ -56,8 +56,7 @@ def _incidence_graph(npts: int, blocks) -> Graph:
     for j, block in enumerate(blocks, npts):
         for p in block:
             rows[p].append(j)
-    adj = tuple(map(tuple, rows)) + tuple(map(tuple, blocks))
-    return Graph(npts + len(blocks), adj, sum(map(len, blocks)))
+    return Graph(tuple(map(tuple, rows)) + tuple(map(tuple, blocks)))
 
 
 def projective_plane_incidence_graph(q: int) -> Graph:

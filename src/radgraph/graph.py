@@ -91,7 +91,7 @@ not yet in its ball, the two paths close a cycle (see
 ``_ball_eccentricities``).  Every cycle has an image under the shift
 through one of the sources 0..d-1, so they suffice on both paths.  Seconds,
 best of three in process on the same machine (two such runs differed by up
-to 30 %); "all n" is the per-root BFS before it took only d roots:
+to 30 %); "all n" is the per-root BFS from every vertex, for comparison:
 
                                           per-root BFS     ball growth
     graph                   n       d   all n   0..d-1   eccs  + girth
@@ -104,7 +104,7 @@ to 30 %); "all n" is the per-root BFS before it took only d roots:
       x200
 
 So the girth costs the dense cages 4-6 ms on the ball path, against about
-40 ms for the per-root BFS that runs there no more.
+40 ms for the per-root BFS from their roots 0..d-1.
 """
 
 from __future__ import annotations
@@ -125,19 +125,19 @@ _BALL_WIDTH = 2048
 
 
 class Graph:
-    """Simple undirected graph with sorted per-vertex neighbour tuples.
+    """Simple undirected graph fixed by its sorted per-vertex neighbour tuples.
 
-    Use :func:`build_graph` to construct one; the constructor trusts its
-    arguments.  ``adj[v]`` is a sorted tuple of v's neighbours and
-    ``edge_count`` equals ``sum(len(row) for row in adj) // 2``.
+    ``adj[v]`` is the sorted tuple of v's neighbours, and the order ``n`` and
+    ``edge_count`` are read from it.  :func:`build_graph` builds ``adj`` from
+    an edge list and checks it; ``Graph(adj)`` takes the tuples as given.
     """
 
     __slots__ = ("n", "adj", "edge_count", "_cache")
 
-    def __init__(self, n: int, adj: tuple, edge_count: int):
-        self.n = n
+    def __init__(self, adj: tuple):
+        self.n = len(adj)
         self.adj = adj
-        self.edge_count = edge_count
+        self.edge_count = sum(map(len, adj)) // 2
         self._cache: dict = {}
 
     def degrees(self) -> list[int]:
@@ -152,18 +152,18 @@ class Graph:
 
     def __eq__(self, other):
         if isinstance(other, Graph):
-            return self.n == other.n and self.adj == other.adj
+            return self.adj == other.adj
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.n, self.adj))
+        return hash(self.adj)
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.edge_count})"
 
     def __reduce__(self):
         # every pickle protocol, and no memo in the pickle
-        return (Graph, (self.n, self.adj, self.edge_count))
+        return (Graph, (self.adj,))
 
 
 class _Record:
@@ -240,8 +240,7 @@ def build_graph(n: int, edges) -> Graph:
     for u, v in seen:
         rows[u].append(v)
         rows[v].append(u)
-    adj = tuple(tuple(sorted(row)) for row in rows)
-    return Graph(n, adj, len(seen))
+    return Graph(tuple(tuple(sorted(row)) for row in rows))
 
 
 def _from_rows(rows) -> Graph:
@@ -257,7 +256,7 @@ def _from_rows(rows) -> Graph:
             nbrs.append(top)
             row ^= 1 << top
         adj.append(tuple(nbrs[::-1]))
-    return Graph(len(adj), tuple(adj), sum(map(len, adj)) // 2)
+    return Graph(tuple(adj))
 
 
 def _reach(rows, seen, limit):

@@ -5,7 +5,6 @@ Each test prints a single PASS line when its criterion holds; run with
 exact (integer or rational comparisons) with zero tolerance throughout.
 """
 
-import os
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -32,6 +31,7 @@ from radgraph import (
     symplectic_quadrangle_incidence_graph,
     upper_bound_radius,
 )
+from radgraph.cli import _cpus
 from radgraph.search import enumerate_extremal, verify_theorem_main_small
 from radgraph.witness import WitnessValidationError
 from conftest import barbell, cycle
@@ -126,7 +126,7 @@ def test_criterion_1_formula_reproduction():
 
 
 def test_criterion_1_long_run_n9():
-    res = enumerate_extremal(9, 2, 4, allow_long=True, jobs=os.cpu_count() or 1)
+    res = enumerate_extremal(9, 2, 4, allow_long=True, jobs=_cpus())
     assert res.max_radius == exact_radius_formula_g4(9, 2) == 4
     _announce(1, "n = 9 long run EQUAL")
 

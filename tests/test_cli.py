@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import os
 
 import pytest
 from hypothesis import event, given, settings
@@ -197,6 +198,17 @@ class TestBound:
     def test_order_below_the_moore_bound_at_g4_is_empty(self, capsys):
         # a triangle-free graph of minimum degree 3 holds 2 * 3 vertices around an edge
         assert run(capsys, "bound", "--n", "5", "--delta", "3", "--g", "4") == (0, '{"exists": false}\n', "")
+
+    @pytest.mark.parametrize("g", ["4", "6"])
+    def test_a_fraction_beyond_float_range_is_a_usage_error(self, capsys, g):
+        # the upper bound is a fraction near 10^400, beyond the range of a float
+        assert run(capsys, "bound", "--n", str(10**400 + 1), "--delta", "3", "--g", g) == (
+            2, "", 'error: the "upper" value is too large to print as a JSON number\n')
+
+    def test_an_integer_beyond_float_range_prints_exactly(self, capsys):
+        code, out, _ = run(capsys, "bound", "--n", str(10**400), "--delta", "2", "--g", "4")
+        want = radgraph.bounds.answer(10**400, 2, 4)
+        assert code == 0 and json.loads(out) == want and all(v.denominator == 1 for v in want.values())
 
     def test_girth_3_has_no_bound(self, capsys):
         code, out, _ = run(capsys, "bound", "--n", "15", "--delta", "3", "--g", "3")
@@ -582,6 +594,18 @@ def test_seed_flag_accepted(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["witness", "find", "--graph", str(path), "--k", "2", "--jobs", "2"])
     assert exc.value.code == 2
+
+
+def test_jobs_default_is_the_cpus_this_process_may_run_on(monkeypatch):
+    argv = ["search", "enumerate", "--n", "5", "--delta", "2"]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert cli._build_parser().parse_args(argv).jobs == 1
+    # where os cannot tell, every CPU of the host counts, and at least one
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert cli._build_parser().parse_args(argv).jobs == 2
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli._build_parser().parse_args(argv).jobs == 1
 
 
 def test_option_names_are_not_abbreviated(capsys, tmp_path):

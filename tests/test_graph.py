@@ -12,10 +12,14 @@ import radgraph.graph as graph_module
 from radgraph import (
     INFINITE,
     UNREACHABLE,
+    Graph,
     ball,
     bfs,
+    box_graph,
     build_graph,
+    from_graph6,
     glue_cycle,
+    graph6_bytes,
     induced_subgraph,
     is_connected,
     is_triangle_free,
@@ -28,6 +32,7 @@ from radgraph.graph import (
     _ball_eccentricities,
     _bipartite,
     _eccentricities,
+    _from_rows,
     _girth,
     _girth_of,
     _levels,
@@ -35,6 +40,7 @@ from radgraph.graph import (
     _shift_period,
 )
 from conftest import cycle
+from test_cli import FAMILY_SAMPLES
 from oracles import floyd_distances, naive_bridges, naive_girth, naive_radius_diameter, rows_of
 
 
@@ -68,6 +74,37 @@ class TestBuildGraph:
             for v in G.adj[u]:
                 assert u in G.adj[v]
         assert sum(len(r) for r in G.adj) == 2 * G.edge_count
+
+
+def _samples():
+    """Each ``construct`` family's sample as built, decoded from its graph6
+    line and rebuilt from its bit rows, and two glued rings."""
+    for kind, (_, build) in FAMILY_SAMPLES.items():
+        G = build()
+        yield kind, G
+        yield f"{kind} graph6", from_graph6(graph6_bytes(G))
+        yield f"{kind} rows", _from_rows(rows_of(G))
+    yield "C8 x3", glue_cycle(box_graph(4, 2), 3)
+    yield "W(2) x2", glue_cycle(symplectic_quadrangle_incidence_graph(2), 2)
+
+
+SAMPLES = dict(_samples())
+
+
+@pytest.mark.parametrize("name", SAMPLES)
+def test_graph_reads_its_order_and_size_from_adj(name):
+    G = SAMPLES[name]
+    assert G.n == len(G.adj) and G.edge_count == len(list(G.edges()))
+    H = Graph(G.adj)
+    assert H == G and hash(H) == hash(G)
+
+
+def test_graph_takes_its_neighbour_tuples_alone():
+    G = Graph(((1, 2), (0,), (0,), ()))
+    assert (G.n, G.edge_count) == (4, 2) and G == build_graph(4, [(0, 1), (0, 2)])
+    assert (Graph(()).n, Graph(()).edge_count) == (0, 0)
+    with pytest.raises(TypeError):
+        Graph(4, G.adj, 2)
 
 
 class TestBfs:

@@ -176,6 +176,7 @@ def test_graph_pickles_at_every_protocol_without_its_memo():
     G = radgraph.build_graph(5, [(i, (i + 1) % 5) for i in range(5)])
     radgraph.metric_summary(G)
     assert G._cache
-    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
-        back = pickle.loads(pickle.dumps(G, protocol))
+    assert G.__reduce__() == (radgraph.Graph, (G.adj,))
+    clones = [pickle.loads(pickle.dumps(G, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for back in clones + [copy.copy(G), copy.deepcopy(G)]:
         assert back == G and back.edge_count == G.edge_count and back._cache == {}
