@@ -137,20 +137,45 @@ class _Parser(argparse.ArgumentParser):
         return namespace, extras
 
 
-#: Each ``construct`` kind: a builder over the parsed arguments and the kind's
-#: options as ``add_argument`` keywords.  A builder loads ``constructions`` or
-#: ``geometry`` only when it is called, so building the parser loads neither.
+#: Each ``construct`` kind in one row: its builder over the parsed arguments,
+#: its options as ``add_argument`` keywords, the sample options the tests run,
+#: a source, and closed forms over the parsed arguments for the graph G it
+#: builds (``facts``: order, minimum degree, girth and radius; every row is
+#: self-centred) and for the radius of ``glue_cycle(G, m)`` (``ring``).
+#: ``glue`` is a combinator and states neither.  A builder loads
+#: ``constructions`` or ``geometry`` only when it is called, so building the
+#: parser loads neither.
 _FAMILIES = {
-    "box": (lambda a: constructions.box_graph(a.r, a.delta, a.c),
-            {"--r": _at_least(4), "--delta": _at_least(2), "--c": _at_least(0, default=0)}),
-    "bipartite2": (lambda a: constructions.bipartite_radius2(a.n, a.delta),
-                   {"--n": _at_least(4), "--delta": _at_least(2)}),
-    "radius3": (lambda a: constructions.radius3_graph(a.n, a.delta),
-                {"--n": _at_least(6), "--delta": _at_least(2)}),
-    "pg-plane": (lambda a: geometry.projective_plane_incidence_graph(a.q), {"--q": _at_least(2)}),
-    "gq": (lambda a: geometry.symplectic_quadrangle_incidence_graph(a.q), {"--q": _at_least(2)}),
-    "glue": (lambda a: constructions.glue_cycle(_load_graph(a.base), a.m),
-             {"--base": {"required": True, "help": "graph6 file or - for stdin"}, "--m": _at_least(2)}),
+    "box": dict(  # box(r, 2, 0) is the cycle C_2r
+        build=lambda a: constructions.box_graph(a.r, a.delta, a.c),
+        options={"--r": _at_least(4), "--delta": _at_least(2), "--c": _at_least(0, default=0)},
+        sample="--r 4 --delta 2", source="the paper: the exact radius at g = 4",
+        facts=lambda a: (2 * -(-a.r * a.delta // 2) + a.c, a.delta,
+                         2 * a.r if (a.delta, a.c) == (2, 0) else 4, a.r),
+        ring=lambda a, m: a.r * m if (a.delta, a.c) == (2, 0) else 2 * m + a.r - 3),
+    "bipartite2": dict(
+        build=lambda a: constructions.bipartite_radius2(a.n, a.delta),
+        options={"--n": _at_least(4), "--delta": _at_least(2)},
+        sample="--n 6 --delta 2", source="K_(delta, n-delta)",
+        facts=lambda a: (a.n, a.delta, 4, 2), ring=lambda a, m: 2 * m),
+    "radius3": dict(  # radius3(6, 2) is C_6, and at delta = 2 the cut edge lies on a 6-cycle
+        build=lambda a: constructions.radius3_graph(a.n, a.delta),
+        options={"--n": _at_least(6), "--delta": _at_least(2)},
+        sample="--n 8 --delta 3", source="K_(delta+1, n-delta-1) less a matching and a star",
+        facts=lambda a: (a.n, a.delta, 6 if a.n == 6 else 4, 3),
+        ring=lambda a, m: (3 if a.delta == 2 else 2) * m),
+    "pg-plane": dict(
+        build=lambda a: geometry.projective_plane_incidence_graph(a.q), options={"--q": _at_least(2)},
+        sample="--q 2", source="PG(2,q), points against lines: the Moore (q+1, 6)-cage",
+        facts=lambda a: (2 * (a.q * a.q + a.q + 1), a.q + 1, 6, 3), ring=lambda a, m: 3 * m),
+    "gq": dict(
+        build=lambda a: geometry.symplectic_quadrangle_incidence_graph(a.q), options={"--q": _at_least(2)},
+        sample="--q 2", source="the quadrangle W(q) in PG(3,q): the Moore (q+1, 8)-cage",
+        facts=lambda a: (2 * (a.q + 1) * (a.q * a.q + 1), a.q + 1, 8, 4), ring=lambda a, m: 4 * m),
+    "glue": dict(
+        build=lambda a: constructions.glue_cycle(_load_graph(a.base), a.m),
+        options={"--base": {"required": True, "help": "graph6 file or - for stdin"}, "--m": _at_least(2)},
+        sample="--base h.g6 --m 3", source="the paper: rings of radius linear in m at g = 6, 8 and 12"),
 }
 
 
@@ -171,9 +196,9 @@ def _build_parser():
 
     p = sub.add_parser("construct", help="build a named graph family member")
     kinds = p.add_subparsers(dest="kind", required=True)
-    for name, (_, options) in _FAMILIES.items():
+    for name, row in _FAMILIES.items():
         k = kinds.add_parser(name, parents=[pretty])
-        for option, keywords in options.items():
+        for option, keywords in row["options"].items():
             k.add_argument(option, **keywords)
         k.add_argument("--format", choices=_RENDERERS, default="graph6")
         k.add_argument("--output", default="-")
@@ -235,7 +260,7 @@ def _build_parser():
 
 
 def _cmd_construct(args):
-    G = _FAMILIES[args.kind][0](args)
+    G = _FAMILIES[args.kind]["build"](args)
     _emit(_RENDERERS[args.format](G), args.output)
     return (_metrics_dict(G) if args.verify else None), EXIT_OK
 

@@ -127,9 +127,11 @@ def glue_cycle(H: Graph, m: int) -> Graph:
     The lexicographically smallest edge (v, w) of H that lies on a cycle,
     the first whose deletion leaves v reaching w, is deleted; minimum degree
     2 puts a cycle in H, so there is one.  m disjoint copies are laid out,
-    and copy i's v is joined to copy i+1's w (cyclically).  Vertex count
-    becomes m*|V(H)|, the minimum degree and the girth of H are preserved,
-    and the radius grows linearly in m.
+    and copy i's v is joined to copy i+1's w (cyclically).  The ring has
+    m*|V(H)| vertices and H's degrees.  Its girth is at least H's, and
+    larger when every shortest cycle of H runs through (v, w): C_6 x 3 is
+    C_18.  Its radius, for each ``construct`` kind, is that row's ``ring``
+    form in ``cli._FAMILIES``.
     """
     if m < 2:
         raise ValueError(f"need at least 2 copies, got {m}")

@@ -6,6 +6,7 @@ exact (integer or rational comparisons) with zero tolerance throughout.
 """
 
 import random
+from argparse import Namespace
 from fractions import Fraction
 from itertools import combinations
 
@@ -31,7 +32,7 @@ from radgraph import (
     symplectic_quadrangle_incidence_graph,
     upper_bound_radius,
 )
-from radgraph.cli import _cpus
+from radgraph.cli import _FAMILIES, _cpus
 from radgraph.search import enumerate_extremal, verify_theorem_main_small
 from radgraph.witness import WitnessValidationError
 from conftest import barbell, cycle
@@ -136,19 +137,15 @@ def test_criterion_1_long_run_n9():
 
 
 def test_criterion_2_box_exactness():
+    # order 2*ceil(r*delta/2) + c, minimum degree delta, radius r, and girth 4
+    # except on the plain cycle C_2r, as the box row of cli._FAMILIES states
+    facts = _FAMILIES["box"]["facts"]
     for r in range(4, 21):
         for delta in range(2, 9):
             for c in (0, 1, delta):
                 G = box_graph(r, delta, c)
                 ms = metric_summary(G)
-                assert G.n == 2 * ((r * delta + 1) // 2) + c
-                assert ms.min_degree == delta
-                assert ms.radius == r
-                assert ms.girth >= 4  # triangle-free in every cell
-                if delta > 2 or c > 0:
-                    assert ms.girth == 4
-                else:
-                    assert ms.girth == 2 * r  # degenerate plain cycle
+                assert (G.n, ms.min_degree, ms.girth, ms.radius) == facts(Namespace(r=r, delta=delta, c=c))
     _announce(2, "box graphs exact on [4,20] x [2,8] x {0,1,delta}")
 
 
@@ -157,21 +154,12 @@ def test_criterion_2_box_exactness():
 
 
 def test_criterion_3_cage_identities(heawood, tutte_coxeter):
-    ms = metric_summary(heawood)
-    assert heawood.n == 14 == 2 * (3 * 3 - 3 + 1)
-    assert set(heawood.degrees()) == {3}
-    assert ms.girth == 6 and ms.radius == 3
-
-    P3 = projective_plane_incidence_graph(3)
-    ms3 = metric_summary(P3)
-    assert P3.n == 26 == 2 * (4 * 4 - 4 + 1)
-    assert set(P3.degrees()) == {4}
-    assert ms3.girth == 6
-
-    mst = metric_summary(tutte_coxeter)
-    assert tutte_coxeter.n == 30 == 2 * (3**3 - 2 * 9 + 6)
-    assert set(tutte_coxeter.degrees()) == {3}
-    assert mst.girth == 8
+    # (q+1)-regular, with the order, girth and radius that the rows of cli._FAMILIES state
+    for kind, q, G in [("pg-plane", 2, heawood), ("pg-plane", 3, projective_plane_incidence_graph(3)),
+                       ("gq", 2, tutte_coxeter)]:
+        ms = metric_summary(G)
+        assert set(G.degrees()) == {q + 1}
+        assert (G.n, ms.min_degree, ms.girth, ms.radius) == _FAMILIES[kind]["facts"](Namespace(q=q))
     _announce(3, "incidence cages: 14/3-reg/girth 6, 26/4-reg, 30/3-reg/girth 8")
 
 

@@ -108,30 +108,24 @@ class TestConstruct:
             assert graph6_bytes(G).decode() == out.strip().splitlines()[0]
 
 
-#: The required options of each ``construct`` kind with sample values, and the
-#: library build they name; ``glue`` reads h.g6, the Heawood graph, from the
-#: working directory.
-FAMILY_SAMPLES = {
-    "box": (["--r", "4", "--delta", "2"], lambda: box_graph(4, 2)),
-    "bipartite2": (["--n", "6", "--delta", "2"], lambda: bipartite_radius2(6, 2)),
-    "radius3": (["--n", "8", "--delta", "3"], lambda: radius3_graph(8, 3)),
-    "pg-plane": (["--q", "2"], lambda: projective_plane_incidence_graph(2)),
-    "gq": (["--q", "2"], lambda: symplectic_quadrangle_incidence_graph(2)),
-    "glue": (["--base", "h.g6", "--m", "3"],
-             lambda: glue_cycle(projective_plane_incidence_graph(2), 3)),
+#: The library call that each ``construct`` kind's sample names; ``glue``
+#: reads h.g6, the Heawood graph, from the working directory.
+LIBRARY = {
+    "box": lambda: box_graph(4, 2),
+    "bipartite2": lambda: bipartite_radius2(6, 2),
+    "radius3": lambda: radius3_graph(8, 3),
+    "pg-plane": lambda: projective_plane_incidence_graph(2),
+    "gq": lambda: symplectic_quadrangle_incidence_graph(2),
+    "glue": lambda: glue_cycle(projective_plane_incidence_graph(2), 3),
 }
-
-
-def test_family_samples_cover_the_table():
-    assert FAMILY_SAMPLES.keys() == cli._FAMILIES.keys()
 
 
 @pytest.mark.parametrize("kind", list(cli._FAMILIES))
 def test_family_prints_its_library_build(capsys, monkeypatch, tmp_path, kind):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "h.g6").write_bytes(graph6_bytes(projective_plane_incidence_graph(2)))
-    options, build = FAMILY_SAMPLES[kind]
-    G = build()
+    options = cli._FAMILIES[kind]["sample"].split()
+    G = LIBRARY[kind]()
     line = graph6_bytes(G).decode()
     assert run(capsys, "construct", kind, *options) == (0, line + "\n", "")
     code, out, err = run(capsys, "construct", kind, *options, "--verify")
@@ -139,7 +133,7 @@ def test_family_prints_its_library_build(capsys, monkeypatch, tmp_path, kind):
     assert out.splitlines()[0] == line
     assert json.loads(out.splitlines()[1]) == cli._metrics_dict(G)
     # every sample option is required; the kind's other options have defaults
-    required = [option for option, keywords in cli._FAMILIES[kind][1].items()
+    required = [option for option, keywords in cli._FAMILIES[kind]["options"].items()
                 if "default" not in keywords]
     assert required == options[::2]
     for at in range(0, len(options), 2):

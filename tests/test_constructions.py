@@ -1,8 +1,10 @@
 import random
+from unittest.mock import patch
 
 import pytest
 
 from radgraph import (
+    SUPPORTED_ORDERS,
     ball,
     bfs,
     bipartite_radius2,
@@ -17,8 +19,41 @@ from radgraph import (
     radius3_graph,
     symplectic_quadrangle_incidence_graph,
 )
+from radgraph import cli
+from radgraph.graph import _girth_of
 from conftest import cycle
 from oracles import floyd_distances, naive_bridges
+
+PARSER = cli._build_parser()
+
+
+def construct(kind, words):
+    """The graph that ``radgraph construct <kind> <words>`` builds, with
+    ``glue`` reading its base as the Heawood graph, and the parsed arguments."""
+    args = PARSER.parse_args(["construct", kind, *words.split()])
+    with patch.object(cli, "_load_graph", lambda path: projective_plane_incidence_graph(2)):
+        return cli._FAMILIES[kind]["build"](args), args
+
+
+def check_row(kind, words):
+    """Build ``construct <kind> <words>`` and check it and its rings of 2 and
+    3 copies against the closed forms of the kind's row in ``cli._FAMILIES``."""
+    G, args = construct(kind, words)
+    row, ms = cli._FAMILIES[kind], metric_summary(G)
+    n, degree, girth, radius = row["facts"](args)
+    assert (G.n, ms.min_degree, _girth_of(G), ms.radius, ms.diameter) == (n, degree, girth, radius, radius)
+    for m in (2, 3):
+        ring = glue_cycle(G, m)
+        assert metric_summary(ring).radius == row["ring"](args, m), m
+        assert _girth_of(ring) >= girth, m
+
+
+# each row's sample, and PG(2,q) and W(q) at every other supported q <= 9
+@pytest.mark.parametrize("kind,words", [
+    *((kind, row["sample"]) for kind, row in cli._FAMILIES.items() if "facts" in row),
+    *((kind, f"--q {q}") for kind in ("pg-plane", "gq") for q in sorted(SUPPORTED_ORDERS) if 2 < q <= 9)])
+def test_family_row_holds(kind, words):
+    check_row(kind, words)
 
 
 def cut_edge(H):
@@ -76,16 +111,7 @@ class TestBoxGraph:
         "r,delta,c", [(4, 2, 1), (5, 3, 1), (4, 4, 0), (6, 5, 5), (7, 2, 0), (4, 8, 8)]
     )
     def test_counts_degree_girth_radius(self, r, delta, c):
-        G = box_graph(r, delta, c)
-        ms = metric_summary(G)
-        assert G.n == 2 * ((r * delta + 1) // 2) + c
-        assert ms.min_degree == delta
-        assert ms.radius == r
-        assert ms.diameter == r
-        if delta > 2 or c > 0:
-            assert ms.girth == 4
-        else:
-            assert ms.girth == 2 * r
+        check_row("box", f"--r {r} --delta {delta} --c {c}")
 
     def test_small_radius_rejected(self):
         with pytest.raises(ValueError):
@@ -97,11 +123,6 @@ class TestBoxGraph:
 
 
 class TestBipartiteRadius2:
-    def test_k24(self):
-        G = bipartite_radius2(6, 2)
-        ms = metric_summary(G)
-        assert ms.radius == 2 and ms.min_degree == 2 and ms.girth == 4
-
     def test_c4(self):
         assert bipartite_radius2(4, 2).edge_count == 4
         assert metric_summary(bipartite_radius2(4, 2)).radius == 2
@@ -114,12 +135,7 @@ class TestBipartiteRadius2:
 class TestRadius3Graph:
     @pytest.mark.parametrize("n,delta", [(8, 3), (6, 2), (12, 4), (9, 3)])
     def test_metrics(self, n, delta):
-        G = radius3_graph(n, delta)
-        ms = metric_summary(G)
-        assert G.n == n
-        assert ms.radius == 3
-        assert ms.min_degree == delta
-        assert ms.girth >= 4
+        check_row("radius3", f"--n {n} --delta {delta}")
 
     def test_boundary_is_cycle(self):
         # K_{3,3} minus a perfect matching is exactly the 6-cycle

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import radgraph.graph as graph_module
+from radgraph import cli
 from radgraph import (
     INFINITE,
     UNREACHABLE,
@@ -40,7 +41,7 @@ from radgraph.graph import (
     _shift_period,
 )
 from conftest import cycle
-from test_cli import FAMILY_SAMPLES
+from test_constructions import construct
 from oracles import floyd_distances, naive_bridges, naive_girth, naive_radius_diameter, rows_of
 
 
@@ -77,10 +78,10 @@ class TestBuildGraph:
 
 
 def _samples():
-    """Each ``construct`` family's sample as built, decoded from its graph6
+    """Each ``construct`` kind's sample as built, decoded from its graph6
     line and rebuilt from its bit rows, and two glued rings."""
-    for kind, (_, build) in FAMILY_SAMPLES.items():
-        G = build()
+    for kind, row in cli._FAMILIES.items():
+        G = construct(kind, row["sample"])[0]
         yield kind, G
         yield f"{kind} graph6", from_graph6(graph6_bytes(G))
         yield f"{kind} rows", _from_rows(rows_of(G))
