@@ -67,6 +67,11 @@ def field_dot(F, u, v):
     return s
 
 
+def is_bipartite_split(G, left_count):
+    # vertices below left_count on one side, the rest on the other
+    return all((u < left_count) != (v < left_count) for u, v in G.edges())
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
 def test_echelon_pairs_give_each_line_once(q, dim):
@@ -123,6 +128,19 @@ class TestProjectivePlane:
 
 
 class TestSymplecticQuadrangle:
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_vertex_count_formula(self, q):
+        G = symplectic_quadrangle_incidence_graph(q)
+        points = q**3 + q**2 + q + 1
+        lines = (q + 1) * (q * q + 1)
+        assert G.n == points + lines == 2 * (q + 1) * (q * q + 1)
+        assert set(G.degrees()) == {q + 1}
+        assert is_bipartite_split(G, points)
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_girth_eight(self, q):
+        assert metric_summary(symplectic_quadrangle_incidence_graph(q)).girth == 8
+
     def test_q2_is_tutte_coxeter(self, tutte_coxeter_lcf):
         G = symplectic_quadrangle_incidence_graph(2)
         assert G.n == 30
@@ -149,9 +167,6 @@ class TestSymplecticQuadrangle:
         points = _projective_points(F, 3)
         G = symplectic_quadrangle_incidence_graph(q)
         npts = len(points)
-        # (q+1)-regular, and every edge joins a point to a line
-        assert {len(row) for row in G.adj} == {q + 1}
-        assert all((u < npts) != (v < npts) for u, row in enumerate(G.adj) for v in row)
         lines = [set(G.adj[v]) for v in range(npts, G.n)]
         # q+1 pairwise orthogonal points span a totally isotropic subspace,
         # which has dimension 2 at most: they are all the points of one line
